@@ -88,7 +88,7 @@ class WorldShardedScenario::Coupler final : public net::WorldCoupler {
                   net::NodeId next_hop) override {
     PostCell& cell = posted_[idx(src_domain, dst_domain)];
     ++cell.frames;
-    if (beyond_horizon(due)) ++cell.frames_beyond;
+    if (beyond_horizon(src_domain, due)) ++cell.frames_beyond;
     world_.exec_->post(
         src_domain, dst_domain, due,
         [this, src_domain, dst_domain, packet, is_unicast, next_hop] {
@@ -167,9 +167,9 @@ class WorldShardedScenario::Coupler final : public net::WorldCoupler {
   /// after the run horizon, or it is due exactly at the horizon but was
   /// posted during the final window — the executor merges that window's
   /// mail after its compute phase, and no compute phase follows.
-  [[nodiscard]] bool beyond_horizon(double due) const {
+  [[nodiscard]] bool beyond_horizon(std::uint32_t src, double due) const {
     return due > horizon_ ||
-           (due == horizon_ && world_.exec_->window_end() >= horizon_);
+           (due == horizon_ && world_.exec_->window_end(src) >= horizon_);
   }
 
   /// One halo delta fans out to every other domain at the current window
@@ -178,8 +178,8 @@ class WorldShardedScenario::Coupler final : public net::WorldCoupler {
   /// before the first window).
   template <typename ApplyAt>
   void post_delta(std::uint32_t src, double now, ApplyAt apply_at) {
-    const double due = std::max(now, world_.exec_->window_end());
-    const bool beyond = beyond_horizon(due);
+    const double due = std::max(now, world_.exec_->window_end(src));
+    const bool beyond = beyond_horizon(src, due);
     for (std::uint32_t dst = 0; dst < n_; ++dst) {
       if (dst == src) continue;
       PostCell& cell = posted_[idx(src, dst)];

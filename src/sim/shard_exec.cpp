@@ -1,12 +1,24 @@
 #include "sim/shard_exec.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
 
 namespace precinct::sim {
+
+double next_window_end(double window_end, double next_due, double lookahead,
+                       double phase_end) noexcept {
+  // Nothing due inside the phase: only the phase's last window is left.
+  if (next_due >= phase_end) return phase_end;
+  double t = window_end;
+  do {
+    t = std::min(t + lookahead, phase_end);
+  } while (t < next_due);
+  return t;
+}
 
 ShardExecutor::ShardExecutor(std::vector<Simulator*> domains,
                              std::vector<std::uint32_t> shard_of,
@@ -32,9 +44,10 @@ ShardExecutor::ShardExecutor(std::vector<Simulator*> domains,
     }
     shard_members_[shard_of_[d]].push_back(static_cast<std::uint32_t>(d));
   }
-  mailboxes_.resize(domains_.size() * domains_.size());
+  mailboxes_.resize(2 * domains_.size() * domains_.size());
   merge_scratch_.resize(n_shards_);
-  merged_per_shard_.assign(n_shards_, 0);
+  shards_.resize(n_shards_);
+  bounds_.resize(2 * static_cast<std::size_t>(n_shards_));
 }
 
 void ShardExecutor::post(std::uint32_t src, std::uint32_t dst, double due,
@@ -42,30 +55,26 @@ void ShardExecutor::post(std::uint32_t src, std::uint32_t dst, double due,
   if (src >= domains_.size() || dst >= domains_.size()) {
     throw std::out_of_range("ShardExecutor::post: domain out of range");
   }
-  // Conservative lookahead bound: a message produced inside window
-  // [w_start, w_end) is merged at w_end, so it must not be due before
-  // w_end or the destination would receive it in its past.
-  if (due < window_end_) {
+  ShardState& shard = shards_[shard_of_[src]];
+  // Conservative lookahead bound: a message produced inside a window is
+  // merged at its end, so it must not be due before that end or the
+  // destination would receive it in its past.
+  if (due < shard.window_end) {
     throw std::logic_error(
         "ShardExecutor::post: due " + std::to_string(due) +
         " violates conservative lookahead (window end " +
-        std::to_string(window_end_) + ")");
+        std::to_string(shard.window_end) + ")");
   }
-  mailbox(src, dst).push(due, src, std::move(fn));
+  shard.posted_min = std::min(shard.posted_min, due);
+  mailbox(shard.windows, src, dst).push(due, src, std::move(fn));
 }
 
-void ShardExecutor::advance_shard(std::uint32_t shard, double bound) {
-  for (const std::uint32_t d : shard_members_[shard]) {
-    domains_[d]->run_until(bound);
-  }
-}
-
-void ShardExecutor::merge_shard(std::uint32_t shard) {
+void ShardExecutor::merge_shard(std::uint32_t shard, std::uint64_t window) {
   std::vector<CrossShardMsg>& scratch = merge_scratch_[shard];
   for (const std::uint32_t dst : shard_members_[shard]) {
     scratch.clear();
     for (std::uint32_t src = 0; src < domains_.size(); ++src) {
-      mailbox(src, dst).drain_into(scratch);
+      mailbox(window, src, dst).drain_into(scratch);
     }
     if (scratch.empty()) continue;
     // Total order on (due, src, seq): seq is unique per (src, dst)
@@ -76,7 +85,7 @@ void ShardExecutor::merge_shard(std::uint32_t shard) {
                 return std::tie(a.due, a.src_domain, a.seq) <
                        std::tie(b.due, b.src_domain, b.seq);
               });
-    merged_per_shard_[shard] += scratch.size();
+    shards_[shard].merged += scratch.size();
     for (CrossShardMsg& m : scratch) {
       domains_[dst]->schedule_at(m.due, std::move(m.fn));
     }
@@ -84,91 +93,88 @@ void ShardExecutor::merge_shard(std::uint32_t shard) {
   }
 }
 
-void ShardExecutor::worker_loop(std::uint32_t shard) {
+void ShardExecutor::shard_loop(std::uint32_t shard, double end_time) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ShardState& self = shards_[shard];
+  // The phase's first window always runs: whatever the caller scheduled
+  // since the last run_until (measurement start, setup mail) was never
+  // published at a barrier.
+  double window_end = next_window_end(now_, -kInf, lookahead_, end_time);
+  bool failed = false;
   for (;;) {
-    barrier_.arrive_and_wait();  // start: window_end_/done_ published
-    if (done_) return;
-    try {
-      advance_shard(shard, window_end_);
-    } catch (...) {
-      const std::scoped_lock lock(error_mutex_);
-      if (!error_) error_ = std::current_exception();
+    const std::uint64_t window = ++self.windows;
+    self.window_end = window_end;
+    self.posted_min = kInf;
+    double next_due = kInf;
+    if (!failed) {
+      try {
+        for (const std::uint32_t d : shard_members_[shard]) {
+          domains_[d]->run_until(window_end);
+          next_due = std::min(next_due, domains_[d]->next_event_time());
+        }
+      } catch (...) {
+        self.error = std::current_exception();
+        failed = true;
+      }
     }
-    barrier_.arrive_and_wait();  // compute done: mailboxes stable
-    try {
-      merge_shard(shard);
-    } catch (...) {
-      const std::scoped_lock lock(error_mutex_);
-      if (!error_) error_ = std::current_exception();
+    // Publish, cross the window's one barrier, then read every shard's
+    // bound.  Bounds of this parity are rewritten two windows from now,
+    // after the next barrier — by then every shard has read these.
+    const std::size_t parity = (window & 1) * n_shards_;
+    bounds_[parity + shard] = Bound{std::min(next_due, self.posted_min),
+                                    failed};
+    barrier_.arrive_and_wait();
+    double agreed = kInf;
+    bool any_failed = false;
+    for (std::uint32_t s = 0; s < n_shards_; ++s) {
+      agreed = std::min(agreed, bounds_[parity + s].next_due);
+      any_failed = any_failed || bounds_[parity + s].failed;
     }
-    barrier_.arrive_and_wait();  // merge done: controller may re-plan
+    if (any_failed) return;  // every shard read the same flags: all stop
+    try {
+      merge_shard(shard, window);
+    } catch (...) {
+      // Published at the next barrier, which stops every shard.
+      self.error = std::current_exception();
+      failed = true;
+    }
+    if (window_end >= end_time) return;
+    window_end = next_window_end(window_end, agreed, lookahead_, end_time);
   }
 }
 
 void ShardExecutor::run_until(double end_time) {
   if (end_time <= now_) return;
-  run_end_ = end_time;
 
   // Deliver mail posted while idle (setup traffic) before the first
-  // window, so a pre-run post() behaves like a merge at t = now.
-  for (std::uint32_t s = 0; s < n_shards_; ++s) merge_shard(s);
-
-  if (n_shards_ == 1) {
-    // Identical window cadence, zero threads: the single-shard path the
-    // determinism gate compares every K against.
-    while (now_ < run_end_) {
-      window_end_ = std::min(now_ + lookahead_, run_end_);
-      advance_shard(0, window_end_);
-      merge_shard(0);
-      now_ = window_end_;
-      ++windows_;
-    }
-  } else {
-    done_ = false;
-    error_ = nullptr;
-    std::vector<std::thread> cohort;
-    cohort.reserve(n_shards_ - 1);
-    for (std::uint32_t s = 1; s < n_shards_; ++s) {
-      cohort.emplace_back([this, s] { worker_loop(s); });
-    }
-    while (now_ < run_end_) {
-      window_end_ = std::min(now_ + lookahead_, run_end_);
-      barrier_.arrive_and_wait();  // start
-      try {
-        advance_shard(0, window_end_);
-      } catch (...) {
-        const std::scoped_lock lock(error_mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
-      barrier_.arrive_and_wait();  // compute done
-      try {
-        merge_shard(0);
-      } catch (...) {
-        const std::scoped_lock lock(error_mutex_);
-        if (!error_) error_ = std::current_exception();
-      }
-      barrier_.arrive_and_wait();  // merge done
-      now_ = window_end_;
-      ++windows_;
-      bool abort = false;
-      {
-        const std::scoped_lock lock(error_mutex_);
-        abort = static_cast<bool>(error_);
-      }
-      if (abort) break;
-    }
-    done_ = true;
-    barrier_.arrive_and_wait();  // release cohort into exit
-    for (std::thread& t : cohort) t.join();
-    if (error_) {
-      std::exception_ptr e = error_;
-      error_ = nullptr;
-      std::rethrow_exception(e);
-    }
+  // window, so a pre-run post() behaves like a merge at t = now.  Idle
+  // posts went to the parity of the last window run, already drained.
+  for (std::uint32_t s = 0; s < n_shards_; ++s) {
+    merge_shard(s, shards_[s].windows);
   }
 
+  std::vector<std::thread> cohort;
+  cohort.reserve(n_shards_ - 1);
+  for (std::uint32_t s = 1; s < n_shards_; ++s) {
+    cohort.emplace_back([this, s, end_time] { shard_loop(s, end_time); });
+  }
+  shard_loop(0, end_time);
+  for (std::thread& t : cohort) t.join();
+
+  std::exception_ptr error;
+  for (ShardState& s : shards_) {
+    if (!error) error = s.error;
+    s.error = nullptr;
+  }
+  if (error) std::rethrow_exception(error);
+
+  now_ = end_time;
+  windows_ = shards_[0].windows;
   messages_merged_ = 0;
-  for (const std::uint64_t m : merged_per_shard_) messages_merged_ += m;
+  for (ShardState& s : shards_) {
+    messages_merged_ += s.merged;
+    s.window_end = now_;
+  }
 }
 
 }  // namespace precinct::sim

@@ -201,11 +201,37 @@ void Simulator::sort_run() {
   run_.swap(sort_scratch_);
 }
 
+// Due entries form a subtree hanging from the root (a due entry's parent
+// orders no later, so it is due too), so a DFS over that subtree counts
+// them in O(due) reads however large the heap is.  Every stacked index is
+// already counted, so the stack never outgrows the kBatchMin cap.
+std::size_t Simulator::count_due(SimTime bound) const noexcept {
+  if (heap_.empty() || heap_[0].time > bound) return 0;
+  std::size_t stack[kBatchMin];
+  std::size_t top = 0;
+  stack[top++] = 0;
+  std::size_t found = 1;
+  while (top > 0 && found < kBatchMin) {
+    const std::size_t first_child = stack[--top] * kArity + 1;
+    const std::size_t last_child =
+        std::min(first_child + kArity, heap_.size());
+    for (std::size_t c = first_child; c < last_child && found < kBatchMin;
+         ++c) {
+      if (heap_[c].time <= bound) {
+        stack[top++] = c;
+        ++found;
+      }
+    }
+  }
+  return found;
+}
+
 // Move every ready entry (time <= bound) out of the heap into run_, sorted;
 // restore the heap property on the remainder.  Cost is O(heap) per refill,
-// which amortizes whenever batches are large (a run_until over a whole
-// scenario readies most of the heap at once); tiny batches never trigger it
-// because drain() requires heap size >= kBatchMin first.
+// so drain() calls it only once count_due() has found kBatchMin due
+// entries: a large batch (a run_until over a whole scenario readies most of
+// the heap at once) amortizes the scan, while a shard window that readies
+// two events of an 800-entry heap pops them from the heap directly.
 void Simulator::refill_run(SimTime bound) {
   std::size_t keep = 0;
   for (std::size_t i = 0; i < heap_.size(); ++i) {
@@ -226,7 +252,8 @@ void Simulator::drain(SimTime bound) {
     if (run_pos_ == run_.size()) {
       run_.clear();
       run_pos_ = 0;
-      if (heap_.size() >= kBatchMin && heap_[0].time <= bound) {
+      if (heap_.size() >= kBatchMin && heap_[0].time <= bound &&
+          count_due(bound) == kBatchMin) {
         refill_run(bound);
       }
     }
@@ -277,6 +304,13 @@ void Simulator::drain(SimTime bound) {
     recycle_slot(slot);
     if (post_event_) post_event_();
   }
+}
+
+SimTime Simulator::next_event_time() const noexcept {
+  SimTime t = std::numeric_limits<SimTime>::infinity();
+  if (run_pos_ < run_.size()) t = run_[run_pos_].time;
+  if (!heap_.empty()) t = std::min(t, heap_[0].time);
+  return t;
 }
 
 void Simulator::run_until(SimTime end_time) {

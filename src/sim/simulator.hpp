@@ -86,6 +86,12 @@ class Simulator {
     return heap_.size() + (run_.size() - run_pos_);
   }
 
+  /// Time of the earliest pending event, +infinity when none is queued.
+  /// Cancelled-but-queued tombstones count, so this is a lower bound on
+  /// the next event that will actually fire — which is all the shard
+  /// window agreement (ShardExecutor, NodeDaemon) needs.
+  [[nodiscard]] SimTime next_event_time() const noexcept;
+
   /// Pre-size the slot pool and heap for `n` concurrently pending events.
   void reserve(std::size_t n);
 
@@ -141,13 +147,14 @@ class Simulator {
   }
 
   // Draining a large batch pops ready events through a sorted run instead
-  // of one-by-one heap pops: refill_run() moves every entry with
-  // time <= bound out of the heap, sorts them (bucket sort on the time's
-  // bit pattern — order-preserving for the engine's non-negative times —
-  // with a comparison-sort fallback on skew), and drain() then consumes
-  // the run sequentially, merging against the heap root for events
-  // scheduled mid-drain.  The merge uses the same (time, key) order as the
-  // heap, so execution order is bit-identical to pure heap pops.
+  // of one-by-one heap pops: once at least kBatchMin entries are due,
+  // refill_run() moves every entry with time <= bound out of the heap,
+  // sorts them (bucket sort on the time's bit pattern — order-preserving
+  // for the engine's non-negative times — with a comparison-sort fallback
+  // on skew), and drain() then consumes the run sequentially, merging
+  // against the heap root for events scheduled mid-drain.  The merge uses
+  // the same (time, key) order as the heap, so execution order is
+  // bit-identical to pure heap pops.
   static constexpr std::size_t kBatchMin = 64;
 
   EventHandle schedule_impl(SimTime when, EventCallback&& fn);
@@ -156,6 +163,8 @@ class Simulator {
   void heap_push(HeapEntry entry);
   void heap_pop_root();
   void heapify();
+  /// Heap entries due by `bound`, counted no further than kBatchMin.
+  [[nodiscard]] std::size_t count_due(SimTime bound) const noexcept;
   void refill_run(SimTime bound);
   void sort_run();
   /// Pops ready events (time <= bound) and executes non-cancelled ones.

@@ -5,10 +5,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
 #include "core/config_io.hpp"
+#include "sim/shard_exec.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 
@@ -208,7 +210,8 @@ NodeDaemon::Outcome NodeDaemon::run(const std::function<bool()>& stop) {
   // deltas (initial liveness, placement) are posted at due <= now = 0 and
   // must merge before the first compute window, exactly as in-sim.
   batch_.clear();
-  if (net_->close_barrier(0, 0.0, stop, batch_) != BarrierResult::kClosed) {
+  if (net_->close_barrier(0, 0.0, scenario_->simulator().next_event_time(),
+                          stop, batch_) != BarrierResult::kClosed) {
     return finish_stopped();
   }
   schedule_batch(batch_);
@@ -235,20 +238,29 @@ NodeDaemon::Outcome NodeDaemon::run(const std::function<bool()>& stop) {
 
 bool NodeDaemon::run_phase(double phase_end,
                            const std::function<bool()>& stop) {
+  // The ShardExecutor cadence: the phase's first window always runs (no
+  // barrier agreed on what start_measurement() scheduled), later ones
+  // skip to the first grid window that reaches the fleet's next event.
+  double next_due = -std::numeric_limits<double>::infinity();
   while (sim_now_ < phase_end) {
-    const double we = std::min(sim_now_ + lookahead_s_, phase_end);
+    const double we =
+        sim::next_window_end(sim_now_, next_due, lookahead_s_, phase_end);
     net_->set_window_end(we);
     scenario_->run_until(we);
+    // Injections go in before the marker publishes our next-event bound,
+    // so the frames and events they start hold back the next window.
+    apply_injections();
     ++window_;
     batch_.clear();
-    if (net_->close_barrier(window_, we, stop, batch_) !=
-        BarrierResult::kClosed) {
+    if (net_->close_barrier(window_, we,
+                            scenario_->simulator().next_event_time(), stop,
+                            batch_) != BarrierResult::kClosed) {
       return false;
     }
     ++net_->counters().windows;
+    next_due = net_->agreed_next_due();
     schedule_batch(batch_);
     sim_now_ = we;
-    apply_injections();
     pace_and_status();
   }
   return true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <stdexcept>
 #include <tuple>
 
@@ -64,6 +65,7 @@ void UdpNet::post_frame(std::uint32_t src_domain, std::uint32_t dst_domain,
   }
   ++counters_.frames_posted;
   if (beyond_horizon(due)) ++counters_.frames_beyond_horizon;
+  posted_min_due_ = std::min(posted_min_due_, due);
   FrameMsg m;
   m.due = due;
   m.is_unicast = is_unicast;
@@ -85,6 +87,7 @@ void UdpNet::post_delta(std::uint32_t src, double now, MsgType type,
   // barrier 0 — identical to the in-sim Coupler.
   const double due = std::max(now, window_end_);
   const bool beyond = beyond_horizon(due);
+  posted_min_due_ = std::min(posted_min_due_, due);
   WireWriter body;
   encode(due, body);
   for (std::uint32_t dst = 0; dst < opts_.n_domains; ++dst) {
@@ -195,6 +198,8 @@ void UdpNet::send_window_end(std::uint32_t dst, std::uint64_t window,
   m.prev_cum_sent = peer.cum_at_prev_barrier;
   m.acked_cum = peer.merged_cum;
   m.window_end_s = window_end_s;
+  m.next_due = next_due_;
+  m.prev_next_due = prev_next_due_;
   WireWriter body;
   encode_window_end(m, body);
   send_control(dst, MsgType::kWindowEnd, body);
@@ -295,11 +300,12 @@ void UdpNet::handle_datagram(const std::uint8_t* data, std::size_t n) {
         ++counters_.malformed_dropped;
         return;
       }
-      peer.window_cum[m.window] = m.cum_sent;
+      peer.marks[m.window] = Mark{m.cum_sent, m.next_due};
       if (m.window > 0) {
         // Peers are at most one barrier ahead: the marker for window W
         // doubles as a (possibly lost) marker for W-1.
-        peer.window_cum.emplace(m.window - 1, m.prev_cum_sent);
+        peer.marks.emplace(m.window - 1,
+                           Mark{m.prev_cum_sent, m.prev_next_due});
       }
       peer.resend.erase(peer.resend.begin(),
                         peer.resend.lower_bound(m.acked_cum));
@@ -413,9 +419,9 @@ bool UdpNet::barrier_complete(std::uint64_t window) const {
   for (std::uint32_t d = 0; d < opts_.n_domains; ++d) {
     if (d == opts_.domain) continue;
     const PeerState& peer = peers_[d];
-    const auto it = peer.window_cum.find(window);
-    if (it == peer.window_cum.end()) return false;
-    for (std::uint64_t seq = peer.merged_cum; seq < it->second; ++seq) {
+    const auto it = peer.marks.find(window);
+    if (it == peer.marks.end()) return false;
+    for (std::uint64_t seq = peer.merged_cum; seq < it->second.cum; ++seq) {
       if (peer.pending.count(seq) == 0) return false;
     }
   }
@@ -423,18 +429,19 @@ bool UdpNet::barrier_complete(std::uint64_t window) const {
 }
 
 void UdpNet::extract_batch(std::uint64_t window, std::vector<MergedMsg>& out) {
+  agreed_next_due_ = next_due_;
   for (std::uint32_t d = 0; d < opts_.n_domains; ++d) {
     if (d == opts_.domain) continue;
     PeerState& peer = peers_[d];
-    const std::uint64_t cum = peer.window_cum.at(window);
-    for (std::uint64_t seq = peer.merged_cum; seq < cum; ++seq) {
+    const Mark mark = peer.marks.at(window);
+    agreed_next_due_ = std::min(agreed_next_due_, mark.next_due);
+    for (std::uint64_t seq = peer.merged_cum; seq < mark.cum; ++seq) {
       auto it = peer.pending.find(seq);
       out.push_back(std::move(it->second));
       peer.pending.erase(it);
     }
-    peer.merged_cum = cum;
-    peer.window_cum.erase(peer.window_cum.begin(),
-                          peer.window_cum.upper_bound(window));
+    peer.merged_cum = mark.cum;
+    peer.marks.erase(peer.marks.begin(), peer.marks.upper_bound(window));
     // Sender side: this barrier's cum becomes the next marker's
     // prev_cum_sent.
     peer.cum_at_prev_barrier = peer.next_seq;
@@ -449,12 +456,15 @@ void UdpNet::extract_batch(std::uint64_t window, std::vector<MergedMsg>& out) {
 }
 
 BarrierResult UdpNet::close_barrier(std::uint64_t window,
-                                    double window_end_s,
+                                    double window_end_s, double next_due,
                                     const std::function<bool()>& stop,
                                     std::vector<MergedMsg>& out) {
   out.clear();
   last_window_ = window;
   last_window_end_s_ = window_end_s;
+  prev_next_due_ = next_due_;
+  next_due_ = std::min(next_due, posted_min_due_);
+  posted_min_due_ = std::numeric_limits<double>::infinity();
   const auto deadline = Clock::now() + secs(opts_.timeout_s);
   auto next_retry = Clock::now();
   for (;;) {
@@ -477,9 +487,9 @@ BarrierResult UdpNet::close_barrier(std::uint64_t window,
       for (std::uint32_t d = 0; d < opts_.n_domains; ++d) {
         if (d == opts_.domain) continue;
         send_window_end(d, window, window_end_s);
-        const auto it = peers_[d].window_cum.find(window);
-        if (it != peers_[d].window_cum.end()) {
-          send_nacks_for_gaps(d, it->second);
+        const auto it = peers_[d].marks.find(window);
+        if (it != peers_[d].marks.end()) {
+          send_nacks_for_gaps(d, it->second.cum);
         }
       }
       next_retry = now + secs(opts_.retry_s);

@@ -14,15 +14,17 @@
 // (frames + halo deltas) carry a per-(src,dst) stream sequence number and
 // are buffered by the sender until acknowledged.  Closing window W means:
 // for every peer, the receiver knows the peer's cumulative stream count
-// at W (from its WindowEnd marker — or from the *next* marker's
-// prev_cum_sent, since peers are never more than one barrier apart) and
-// holds every datagram below that count.  Gaps are NACKed and resent on a
-// wall-clock retry cadence; a peer silent past `timeout_s` aborts the run
-// loudly — a conservative-parallel fleet cannot outrun a dead member.
+// and next-event bound at W (from its WindowEnd marker — or from the
+// *next* marker's prev_cum_sent / prev_next_due, since peers are never
+// more than one barrier apart) and holds every datagram below that count.
+// Gaps are NACKed and resent on a wall-clock retry cadence; a peer silent
+// past `timeout_s` aborts the run loudly — a conservative-parallel fleet
+// cannot outrun a dead member.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -124,10 +126,19 @@ class UdpNet final : public net::WorldCoupler {
   /// WindowEnd markers, collect every peer's stream up to its marked
   /// cumulative count, NACK gaps, and return the merged batch sorted by
   /// (due, src domain, seq) — the exact ShardExecutor merge order.
-  /// Throws std::runtime_error on peer abort or timeout.
+  /// `next_due` is the local simulator's next-event bound; the marker
+  /// carries it lowered to the earliest due posted since the last
+  /// barrier.  Throws std::runtime_error on peer abort or timeout.
   [[nodiscard]] BarrierResult close_barrier(
-      std::uint64_t window, double window_end_s,
+      std::uint64_t window, double window_end_s, double next_due,
       const std::function<bool()>& stop, std::vector<MergedMsg>& out);
+
+  /// After close_barrier() returned kClosed: the minimum next-event bound
+  /// over the fleet.  Every daemon reads the same value, so every daemon
+  /// picks the same next window (sim::next_window_end).
+  [[nodiscard]] double agreed_next_due() const noexcept {
+    return agreed_next_due_;
+  }
 
   /// Announce shutdown to every peer (idempotent; resent during drain()).
   void send_bye(ByeReason reason);
@@ -149,6 +160,11 @@ class UdpNet final : public net::WorldCoupler {
   [[nodiscard]] std::uint16_t local_port() const { return sock_.local_port(); }
 
  private:
+  /// What a peer's WindowEnd marker says about one window.
+  struct Mark {
+    std::uint64_t cum = 0;  ///< stream count to merge at the barrier
+    double next_due = 0.0;  ///< the peer's next-event bound
+  };
   struct PeerState {
     // Sender side (messages we address to this peer).
     std::uint64_t next_seq = 0;           ///< next stream seq to assign
@@ -157,7 +173,7 @@ class UdpNet final : public net::WorldCoupler {
     // Receiver side (messages this peer addresses to us).
     std::uint64_t merged_cum = 0;         ///< stream consumed up to here
     std::map<std::uint64_t, MergedMsg> pending;
-    std::map<std::uint64_t, std::uint64_t> window_cum;  ///< window -> cum
+    std::map<std::uint64_t, Mark> marks;  ///< window -> marker contents
     bool hello_seen = false;
     bool bye_done = false;
   };
@@ -181,7 +197,8 @@ class UdpNet final : public net::WorldCoupler {
 
   /// True when every peer's cum for `window` is known and fully buffered.
   [[nodiscard]] bool barrier_complete(std::uint64_t window) const;
-  /// Pop [merged_cum, cum(window)) from every peer, sorted.
+  /// Pop [merged_cum, cum(window)) from every peer, sorted, and agree on
+  /// the fleet's next-event bound.
   void extract_batch(std::uint64_t window, std::vector<MergedMsg>& out);
 
   Options opts_;
@@ -189,6 +206,11 @@ class UdpNet final : public net::WorldCoupler {
   double window_end_ = 0.0;
   std::uint64_t last_window_ = 0;
   double last_window_end_s_ = 0.0;
+  /// Earliest due posted since the last barrier.
+  double posted_min_due_ = std::numeric_limits<double>::infinity();
+  double next_due_ = 0.0;        ///< our marker's next_due for last_window_
+  double prev_next_due_ = 0.0;   ///< ... and for the window before it
+  double agreed_next_due_ = 0.0;  ///< fleet minimum at the last barrier
   ByeReason bye_reason_ = ByeReason::kDone;
   std::vector<PeerState> peers_;  // indexed by domain; [domain_] unused
   TransportCounters counters_;

@@ -427,11 +427,14 @@ void encode_window_end(const WindowEndMsg& m, WireWriter& w) {
   w.u64(m.prev_cum_sent);
   w.u64(m.acked_cum);
   w.f64(m.window_end_s);
+  w.f64(m.next_due);
+  w.f64(m.prev_next_due);
 }
 
 bool decode_window_end(WireReader& r, WindowEndMsg& m) noexcept {
   return r.u64(m.window) && r.u64(m.cum_sent) && r.u64(m.prev_cum_sent) &&
-         r.u64(m.acked_cum) && r.f64(m.window_end_s);
+         r.u64(m.acked_cum) && r.f64(m.window_end_s) && r.f64(m.next_due) &&
+         r.f64(m.prev_next_due);
 }
 
 void encode_hello(const HelloMsg& m, WireWriter& w) {

@@ -1,4 +1,4 @@
-// PReCinCt wire format v1 (DESIGN.md §14, docs/PROTOCOL.md appendix A).
+// PReCinCt wire format v2 (DESIGN.md §14, docs/PROTOCOL.md appendix A).
 //
 // The real-transport backend marshals the exact same `net::Packet` values
 // the simulator moves between replicas — so the codec's contract is
@@ -36,7 +36,7 @@
 
 namespace precinct::transport {
 
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 inline constexpr std::size_t kMagicBytes = 4;
 inline constexpr char kMagic[kMagicBytes + 1] = "PRCT";
 inline constexpr std::size_t kEnvelopeBytes = 18;
@@ -47,7 +47,7 @@ inline constexpr std::size_t kEnvelopeBytes = 18;
 /// idempotent control messages resent freely.
 enum class MsgType : std::uint8_t {
   kHello = 1,      ///< rendezvous + config-hash check; always answered
-  kWindowEnd = 2,  ///< window barrier marker (cumulative stream counts)
+  kWindowEnd = 2,  ///< window barrier marker (stream counts, next due)
   kFrame = 3,      ///< marshalled radio frame (WorldCoupler::post_frame)
   kLiveness = 4,   ///< halo delta: kill/revive
   kRegion = 5,     ///< halo delta: region assignment
@@ -108,13 +108,13 @@ class WireReader {
 
 // -- Packet codec -----------------------------------------------------------
 
-/// Encoded size of `p` under wire version 1 (fixed header + whichever
+/// Encoded size of `p` on the wire (fixed header + whichever
 /// optional blocks its field values require).  This is also what the
 /// simulator charges as "wire bytes" (MessageStats), so sim and UDP runs
 /// report traffic on the same basis.
 [[nodiscard]] std::size_t wire_size(const net::Packet& p) noexcept;
 
-/// Append the version-1 encoding of `p` to `w`.
+/// Append the wire encoding of `p` to `w`.
 void encode_packet(const net::Packet& p, WireWriter& w);
 
 /// Decode one packet from `r`.  Returns false (leaving `p` unspecified)
@@ -184,14 +184,21 @@ struct CatalogMsg {
 /// to and including that window; `prev_cum_sent` is the same count one
 /// window earlier (carried so a receiver that missed the previous marker
 /// can still close its barrier — peers are never more than one window
-/// apart).  `acked_cum` tells the receiver how much of *its* stream the
-/// sender has merged, pruning the sender-side resend buffer.
+/// apart).  `next_due` is the sender's next-event bound after the window
+/// (its earliest pending event or posted message, +inf when it has
+/// none): the minimum over the fleet picks the next window
+/// (sim::next_window_end); `prev_next_due` is the bound one window
+/// earlier, for the same lost-marker path as `prev_cum_sent`.
+/// `acked_cum` tells the receiver how much of *its* stream the sender has
+/// merged, pruning the sender-side resend buffer.
 struct WindowEndMsg {
   std::uint64_t window = 0;
   std::uint64_t cum_sent = 0;
   std::uint64_t prev_cum_sent = 0;
   std::uint64_t acked_cum = 0;
   double window_end_s = 0.0;  ///< diagnostic: the closing window's end time
+  double next_due = 0.0;
+  double prev_next_due = 0.0;
 };
 
 /// kHello body: rendezvous.  `config_hash` fingerprints the scenario

@@ -162,16 +162,54 @@ TEST(ShardExecutor, MergesSameTimestampBurstInSrcSeqOrder) {
 }
 
 TEST(ShardExecutor, WindowCadenceIndependentOfShardCount) {
-  std::vector<std::uint64_t> windows;
+  // Grid ends every 0.25 s up to 3.0: 12 fixed-cadence windows.  Work:
+  // local events at 0.1 (domain 0), 1.1 (domain 2, which posts to domain
+  // 1 due 1.6), 1.2 (domain 3) and 2.0 (domain 1, exactly on a grid end).
+  // Kept: 0.25 (a phase's first window always runs), 1.25 (1.1 and 1.2),
+  // 1.75 (the mail due 1.6), 2.0, and 3.0 (a phase's last window always
+  // runs) — 5 of the 12, whatever the shard count.
   for (const std::uint32_t k : {1u, 2u, 4u}) {
     ExecWorld w(4, k, 0.25);
+    const auto log_at = [&w](std::uint32_t d, double t, int tag) {
+      w.sims[d].schedule_at(t, [&w, d, tag] {
+        w.logs[d].emplace_back(w.sims[d].now(), tag);
+      });
+    };
+    log_at(0, 0.1, 0);
+    log_at(3, 1.2, 3);
+    log_at(1, 2.0, 1);
+    w.sims[2].schedule_at(1.1, [&w] {
+      w.logs[2].emplace_back(w.sims[2].now(), 2);
+      w.exec->post(2, 1, 1.6, [&w] {
+        w.logs[1].emplace_back(w.sims[1].now(), 21);
+      });
+    });
     w.exec->run_until(3.0);
-    windows.push_back(w.exec->windows());
+    EXPECT_EQ(w.exec->windows(), 5u) << "k=" << k;
     EXPECT_DOUBLE_EQ(w.exec->now(), 3.0);
+    EXPECT_EQ(w.exec->messages_merged(), 1u);
+    // Skipping moved no event: each ran at its own time, the mail at its
+    // due, ahead of domain 1's local event at 2.0.
+    using Log = std::vector<std::pair<double, int>>;
+    EXPECT_EQ(w.logs[0], (Log{{0.1, 0}})) << "k=" << k;
+    EXPECT_EQ(w.logs[1], (Log{{1.6, 21}, {2.0, 1}})) << "k=" << k;
+    EXPECT_EQ(w.logs[2], (Log{{1.1, 2}})) << "k=" << k;
+    EXPECT_EQ(w.logs[3], (Log{{1.2, 3}})) << "k=" << k;
   }
-  EXPECT_EQ(windows[0], windows[1]);
-  EXPECT_EQ(windows[0], windows[2]);
-  EXPECT_EQ(windows[0], 12u);  // 3.0 / 0.25
+
+  // Kept windows still end on the grid, so the conservative bound is the
+  // grid end: an event at 2.1 runs in the window ending 2.25, which
+  // admits a post due 2.25 and rejects one due 2.2.
+  for (const std::uint32_t k : {1u, 2u}) {
+    ExecWorld ok(2, k, 0.25);
+    ok.sims[0].schedule_at(2.1, [&ok] { ok.exec->post(0, 1, 2.25, [] {}); });
+    EXPECT_NO_THROW(ok.exec->run_until(3.0)) << "k=" << k;
+    EXPECT_EQ(ok.exec->windows(), 4u) << "k=" << k;  // 0.25 2.25 2.5 3.0
+
+    ExecWorld bad(2, k, 0.25);
+    bad.sims[0].schedule_at(2.1, [&bad] { bad.exec->post(0, 1, 2.2, [] {}); });
+    EXPECT_THROW(bad.exec->run_until(3.0), std::logic_error) << "k=" << k;
+  }
 }
 
 TEST(ShardExecutor, RelayChainCrossesShardsDeterministically) {
@@ -194,6 +232,9 @@ TEST(ShardExecutor, RelayChainCrossesShardsDeterministically) {
     w->exec->run_until(10.0);
     hops_by_k.push_back(*hops);
     EXPECT_GT(*hops, 5) << "relay never got going";
+    // The relay holds itself and `w`, whose last pending hop holds the
+    // relay: clear it so the cycle, and with it the world, is freed.
+    *relay = nullptr;
   }
   EXPECT_EQ(hops_by_k[0], hops_by_k[1]);
   EXPECT_EQ(hops_by_k[0], hops_by_k[2]);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -157,6 +158,61 @@ TEST(WireCodec, EnvelopeRejectsVersionMagicTypeAndTruncation) {
   for (std::size_t cut = 0; cut < w.size(); ++cut) {
     EXPECT_TRUE(rejected({w.data().begin(), w.data().begin() + cut}));
   }
+}
+
+TEST(WireCodec, WindowEndRoundTripsAndRejectsTruncationAndVersionOne) {
+  tw::WindowEndMsg m;
+  m.window = 6224;
+  m.cum_sent = 1283;
+  m.prev_cum_sent = 1279;
+  m.acked_cum = 1001;
+  m.window_end_s = 18.5;
+  // A daemon with nothing pending publishes +inf; the bound one window
+  // earlier was finite.
+  m.next_due = std::numeric_limits<double>::infinity();
+  m.prev_next_due = 18.4996;
+
+  tw::Envelope e;
+  e.type = tw::MsgType::kWindowEnd;
+  e.src_domain = 3;
+  tw::WireWriter w;
+  tw::encode_envelope(e, w);
+  tw::encode_window_end(m, w);
+  ASSERT_EQ(w.size(), tw::kEnvelopeBytes + 4 * 8 + 3 * 8);
+
+  {
+    tw::WireReader r(w.data().data(), w.size());
+    tw::Envelope env;
+    tw::WindowEndMsg back;
+    ASSERT_TRUE(tw::decode_envelope(r, env));
+    EXPECT_EQ(env.type, tw::MsgType::kWindowEnd);
+    ASSERT_TRUE(tw::decode_window_end(r, back));
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(back.window, m.window);
+    EXPECT_EQ(back.cum_sent, m.cum_sent);
+    EXPECT_EQ(back.prev_cum_sent, m.prev_cum_sent);
+    EXPECT_EQ(back.acked_cum, m.acked_cum);
+    EXPECT_EQ(back.window_end_s, m.window_end_s);
+    EXPECT_EQ(back.next_due, std::numeric_limits<double>::infinity());
+    EXPECT_EQ(back.prev_next_due, m.prev_next_due);
+  }
+
+  // Every strict truncation of the body is rejected.
+  tw::WireWriter body;
+  tw::encode_window_end(m, body);
+  for (std::size_t cut = 0; cut < body.size(); ++cut) {
+    tw::WireReader r(body.data().data(), cut);
+    tw::WindowEndMsg t;
+    EXPECT_FALSE(tw::decode_window_end(r, t)) << "accepted at " << cut;
+  }
+
+  // A version-1 peer (whose markers lack the next-event bounds) cannot
+  // join: its envelope is refused before the body is read.
+  std::vector<std::uint8_t> v1 = w.data();
+  v1[tw::kMagicBytes] = 1;
+  tw::WireReader r(v1.data(), v1.size());
+  tw::Envelope env;
+  EXPECT_FALSE(tw::decode_envelope(r, env));
 }
 
 TEST(WireCodec, HexHelpersRoundTrip) {
@@ -443,6 +499,88 @@ TEST(TransportFleet, TwoDaemonFleetMatchesTheSimOracle) {
     EXPECT_GT(r.counters.datagrams_received, 0u);
     EXPECT_GT(r.metrics.wire_bytes_sent + r.metrics.wire_bytes_received, 0u);
   }
+}
+
+TEST(TransportFleet, InjectedRequestHoldsBackTheNextWindow) {
+  // A quiet world — static nodes, no workload, no updates — where the
+  // agreed next window can lie far ahead.  An operator request that is
+  // queued before run() is applied after the first window and before the
+  // daemon publishes its next-event bound, so the windows its frames need
+  // are kept.  Applied after the barrier instead, its first cross-cut
+  // frame would be due before the agreed window end and abort the run.
+  core::PrecinctConfig config = two_domain_config();
+  config.mobile = false;
+  config.updates_enabled = false;
+  config.mean_request_interval_s = 1e9;
+  config.warmup_s = 0.0;
+  config.measure_s = 4.0;
+  config.validate();
+
+  std::vector<tw::UdpAddress> peers;
+  {
+    tw::UdpSocket probe0(tw::UdpAddress{tw::kLoopbackHost, 0});
+    tw::UdpSocket probe1(tw::UdpAddress{tw::kLoopbackHost, 0});
+    peers = {{tw::kLoopbackHost, probe0.local_port()},
+             {tw::kLoopbackHost, probe1.local_port()}};
+  }
+  std::vector<std::unique_ptr<tw::NodeDaemon>> daemons;
+  for (std::uint32_t domain = 0; domain < 2; ++domain) {
+    tw::NodeDaemon::Options opts;
+    opts.config = config;
+    opts.domain = domain;
+    opts.peers = peers;
+    daemons.push_back(std::make_unique<tw::NodeDaemon>(opts));
+  }
+
+  // What `precinct_ctl inject` sends: every daemon hears it, only node
+  // 0's owner applies it.
+  tw::InjectMsg inject;
+  inject.inject_id = 7;
+  inject.op = 0;
+  inject.node = 0;
+  inject.key_rank = 0;
+  tw::Envelope env;
+  env.type = tw::MsgType::kInject;
+  env.src_domain = tw::kCtlDomain;
+  tw::WireWriter w;
+  tw::encode_envelope(env, w);
+  tw::encode_inject(inject, w);
+  tw::UdpSocket ctl(tw::UdpAddress{tw::kLoopbackHost, 0});
+  for (const tw::UdpAddress& peer : peers) {
+    ASSERT_TRUE(ctl.send_to(peer, w.data().data(), w.size()));
+  }
+
+  std::vector<std::string> errors(2);
+  std::vector<std::thread> threads;
+  for (std::uint32_t domain = 0; domain < 2; ++domain) {
+    threads.emplace_back([&, domain] {
+      try {
+        if (daemons[domain]->run([] { return false; }) !=
+            tw::NodeDaemon::Outcome::kDone) {
+          errors[domain] = "daemon did not run to the horizon";
+        }
+      } catch (const std::exception& e) {
+        errors[domain] = e.what();
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_TRUE(errors[0].empty()) << "domain 0: " << errors[0];
+  ASSERT_TRUE(errors[1].empty()) << "domain 1: " << errors[1];
+
+  std::uint64_t issued = 0;
+  std::uint64_t completed = 0;
+  for (const auto& daemon : daemons) {
+    issued += daemon->report().metrics.requests_issued;
+    completed += daemon->report().metrics.requests_completed;
+  }
+  EXPECT_EQ(issued, 1u);
+  EXPECT_EQ(completed, 1u);
+  // The quiet world really skipped windows: far fewer than the grid's.
+  EXPECT_LT(daemons[0]->report().counters.windows,
+            static_cast<std::uint64_t>(config.measure_s /
+                                       daemons[0]->lookahead_s()) /
+                2);
 }
 
 }  // namespace

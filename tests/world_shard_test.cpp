@@ -1,15 +1,17 @@
 // World sharding (DESIGN.md §13): column ownership, the derived
 // conservative lookahead, the shards-invariance contract with real radio
-// traffic crossing the cut, the cross-domain conservation audit, and the
-// one-window bound on halo staleness.
+// traffic crossing the cut, the cross-domain conservation audit, idle
+// window skipping, and the one-window bound on halo staleness.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "core/world_scenario.hpp"
 #include "geo/shard_partition.hpp"
 #include "net/wireless_net.hpp"
+#include "sim/shard_exec.hpp"
 
 namespace {
 
@@ -139,6 +141,30 @@ TEST(WorldShardedScenarioTest, CheckAllHoldsAndConservationAudits) {
   EXPECT_EQ(m.frames_processed, m.frames_posted - m.frames_beyond_horizon);
   EXPECT_EQ(m.deltas_processed, m.deltas_posted - m.deltas_beyond_horizon);
   EXPECT_GT(m.windows, 0u);
+}
+
+TEST(WorldShardedScenarioTest, SkipsIdleWindowsForEveryShardCount) {
+  // Next-event window agreement (DESIGN.md §11) keeps a grid window only
+  // when some domain has an event or a message due in it (plus each
+  // phase's first and last).  The fixed cadence ran every grid window of
+  // both phases; the kept count must stay well below that and, being in
+  // the fingerprint, equal across shard counts.
+  const PrecinctConfig c = world_config(1);
+  const double lookahead = net::WirelessNet::world_lookahead(c.wireless);
+  std::uint64_t grid = 0;
+  double t = 0.0;
+  for (const double phase_end : {c.warmup_s, c.end_time_s()}) {
+    for (; t < phase_end; ++grid) {
+      t = sim::next_window_end(t, -std::numeric_limits<double>::infinity(),
+                               lookahead, phase_end);
+    }
+  }
+  const core::WorldShardedMetrics one = core::run_world_scenario(c);
+  EXPECT_LT(one.windows, grid / 2) << "fixed-cadence windows: " << grid;
+  EXPECT_GT(one.messages_merged, 0u);
+  const core::WorldShardedMetrics two =
+      core::run_world_scenario(world_config(2));
+  EXPECT_EQ(two.windows, one.windows);
 }
 
 TEST(WorldShardedScenarioTest, HaloLivenessStalenessIsBoundedByTheHorizon) {
