@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "mobility/class_mix.hpp"
 #include "mobility/commuter_flow.hpp"
@@ -16,6 +17,19 @@
 namespace precinct::core {
 
 namespace {
+
+/// Gauss-Markov reverts to the middle of the speed band.
+double gauss_markov_mean(double v_min, double v_max) {
+  return 0.5 * (v_min + v_max);
+}
+
+/// Speed band [v_min, v_max] of one node class: a class speed caps the
+/// band, and pulls v_min down with it.
+std::pair<double, double> class_band(const PrecinctConfig& config,
+                                     const NodeClassConfig& cls) {
+  if (cls.speed <= 0.0) return {config.v_min, config.v_max};
+  return {std::min(config.v_min, cls.speed), cls.speed};
+}
 
 /// One mobility model for `n_nodes` nodes in the given speed band.  The
 /// homogeneous fleet and every node class funnel through this, so a
@@ -46,7 +60,7 @@ std::unique_ptr<mobility::MobilityModel> make_single_mobility(
   if (model == "gauss-markov") {
     mobility::GaussMarkovConfig gm;
     gm.area = config.area;
-    gm.mean_speed = 0.5 * (v_min + v_max);
+    gm.mean_speed = gauss_markov_mean(v_min, v_max);
     return std::make_unique<mobility::GaussMarkov>(n_nodes, gm, seed);
   }
   if (model == "manhattan") {
@@ -91,9 +105,7 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
     const std::uint64_t class_seed =
         k == 0 ? seed : support::hash_combine(config.seed, 0xC1A5u + k);
     const std::string cls_model = cls.fixed ? std::string("static") : model;
-    const double cls_v_max = cls.speed > 0.0 ? cls.speed : config.v_max;
-    const double cls_v_min =
-        cls.speed > 0.0 ? std::min(config.v_min, cls.speed) : config.v_min;
+    const auto [cls_v_min, cls_v_max] = class_band(config, cls);
     parts.push_back(make_single_mobility(cls_model, cls.count, cls_v_min,
                                          cls_v_max, config, class_seed));
   }
@@ -101,14 +113,26 @@ std::unique_ptr<mobility::MobilityModel> make_mobility(
   return std::make_unique<mobility::ClassMix>(std::move(parts));
 }
 
-/// Fastest node the radio must bound for: fixed classes pin their nodes,
-/// class speed overrides cap theirs, everything else moves at v_max.
+/// Fastest node the radio must bound for: fixed classes pin their nodes;
+/// every other node moves at most at the top of its speed band, except
+/// that Gauss-Markov's speed process may climb to its own clamp.
 double effective_v_max(const PrecinctConfig& config) {
-  if (config.node_classes.empty()) return config.v_max;
+  const auto top_speed = [&config](double v_min, double v_max) {
+    if (!config.mobile || config.mobility_model != "gauss-markov") {
+      return v_max;
+    }
+    mobility::GaussMarkovConfig gm;
+    gm.mean_speed = gauss_markov_mean(v_min, v_max);
+    return gm.max_speed();
+  };
+  if (config.node_classes.empty()) {
+    return top_speed(config.v_min, config.v_max);
+  }
   double v = 0.0;
   for (const NodeClassConfig& cls : config.node_classes) {
     if (cls.fixed) continue;
-    v = std::max(v, cls.speed > 0.0 ? cls.speed : config.v_max);
+    const auto [cls_v_min, cls_v_max] = class_band(config, cls);
+    v = std::max(v, top_speed(cls_v_min, cls_v_max));
   }
   return v;
 }

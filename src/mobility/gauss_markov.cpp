@@ -29,10 +29,9 @@ GaussMarkov::GaussMarkov(std::size_t n_nodes, const GaussMarkovConfig& config,
   const support::Rng root(seed);
   states_.reserve(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i) {
-    State s{root.split(i), {}, {}, 0.0, 0.0, 0.0};
+    State s{root.split(i), {}, 0.0, 0.0, 0.0};
     s.pos = {s.rng.uniform(config_.area.min.x, config_.area.max.x),
              s.rng.uniform(config_.area.min.y, config_.area.max.y)};
-    s.prev_pos = s.pos;
     s.speed = config_.mean_speed;
     s.heading = s.rng.uniform(0.0, 2.0 * std::numbers::pi);
     states_.push_back(std::move(s));
@@ -40,32 +39,39 @@ GaussMarkov::GaussMarkov(std::size_t n_nodes, const GaussMarkovConfig& config,
 }
 
 void GaussMarkov::step(State& s) const {
+  // Land where position_at has been heading, so the trajectory is
+  // continuous and never faster than the speed of the step under way.
+  s.pos = step_end(s);
+  s.step_start += config_.step_s;
+
   const double a = config_.alpha;
   const double decay = std::sqrt(std::max(0.0, 1.0 - a * a));
   s.speed = a * s.speed + (1.0 - a) * config_.mean_speed +
             decay * config_.speed_sigma * gaussian(s.rng);
-  s.speed = std::clamp(s.speed, 0.0, 4.0 * config_.mean_speed);
+  s.speed = std::clamp(s.speed, 0.0, config_.max_speed());
   // Heading is a random walk (its "mean" is the previous heading): an
   // AR(1) pull toward a fixed angle would make the whole fleet drift one
   // way and pile up on a boundary.
   s.heading += decay * config_.heading_sigma * gaussian(s.rng);
 
-  geo::Point next = {s.pos.x + s.speed * config_.step_s * std::cos(s.heading),
-                     s.pos.y + s.speed * config_.step_s * std::sin(s.heading)};
-  // Reflect at the boundary (standard Gauss-Markov edge handling).
-  if (next.x < config_.area.min.x || next.x >= config_.area.max.x) {
+  // Reflect at the boundary (standard Gauss-Markov edge handling): a step
+  // that would leave the area mirrors its heading; step_end clamps what
+  // still sticks out (corners).
+  const double reach = s.speed * config_.step_s;
+  const double x = s.pos.x + reach * std::cos(s.heading);
+  const double y = s.pos.y + reach * std::sin(s.heading);
+  if (x < config_.area.min.x || x >= config_.area.max.x) {
     s.heading = std::numbers::pi - s.heading;
-    next.x = std::clamp(next.x, config_.area.min.x,
-                        std::nextafter(config_.area.max.x, 0.0));
   }
-  if (next.y < config_.area.min.y || next.y >= config_.area.max.y) {
+  if (y < config_.area.min.y || y >= config_.area.max.y) {
     s.heading = -s.heading;
-    next.y = std::clamp(next.y, config_.area.min.y,
-                        std::nextafter(config_.area.max.y, 0.0));
   }
-  s.prev_pos = s.pos;
-  s.pos = next;
-  s.step_start += config_.step_s;
+}
+
+geo::Point GaussMarkov::step_end(const State& s) const {
+  const double reach = s.speed * config_.step_s;
+  return config_.area.clamp({s.pos.x + reach * std::cos(s.heading),
+                             s.pos.y + reach * std::sin(s.heading)});
 }
 
 void GaussMarkov::advance(State& s, double t) const {
@@ -78,11 +84,7 @@ geo::Point GaussMarkov::position_at(std::size_t node, double t) {
   // Linear interpolation within the current step.
   const double frac =
       std::clamp((t - s.step_start) / config_.step_s, 0.0, 1.0);
-  const geo::Point target = {
-      s.pos.x + s.speed * config_.step_s * std::cos(s.heading),
-      s.pos.y + s.speed * config_.step_s * std::sin(s.heading)};
-  const geo::Point clamped = config_.area.clamp(target);
-  return s.pos + (clamped - s.pos) * frac;
+  return s.pos + (step_end(s) - s.pos) * frac;
 }
 
 double GaussMarkov::speed_at(std::size_t node, double t) {

@@ -20,6 +20,9 @@ struct GaussMarkovConfig {
   double heading_sigma = 0.6;  ///< per-step heading randomness (radians)
   double alpha = 0.75;         ///< memory in [0, 1]
   double step_s = 1.0;         ///< discretization step
+
+  /// Fastest a node ever moves: each step clamps its speed here.
+  [[nodiscard]] double max_speed() const noexcept { return 4.0 * mean_speed; }
 };
 
 class GaussMarkov final : public MobilityModel {
@@ -36,16 +39,18 @@ class GaussMarkov final : public MobilityModel {
  private:
   struct State {
     support::Rng rng;
-    geo::Point pos;      // position at step_start
-    geo::Point prev_pos; // position one step earlier (for interpolation)
-    double speed = 0.0;
+    geo::Point pos;       // position at step_start
+    double speed = 0.0;   // speed and heading of the step under way
     double heading = 0.0;
     double step_start = 0.0;
   };
 
   void advance(State& s, double t) const;
-  /// One AR(1) step of speed/heading, reflecting at area edges.
+  /// Finish the step under way, then draw the next one's speed/heading
+  /// (AR(1)), reflecting at area edges.
   void step(State& s) const;
+  /// Where the step under way ends (clamped into the area).
+  [[nodiscard]] geo::Point step_end(const State& s) const;
 
   GaussMarkovConfig config_;
   std::vector<State> states_;

@@ -20,25 +20,9 @@ SpatialGrid::SpatialGrid(const geo::Rect& area, double cell_m)
   cursor_.assign(nx_ * ny_, 0);
 }
 
-// Binning multiplies by the precomputed reciprocal instead of dividing.
-// The result can differ from true division by an ulp, which on an exact
-// cell boundary may bin a point one cell over — harmless, because
-// query() pads its cell range by one full cell, so candidates remain a
-// superset of the true neighbors either way.
-std::size_t SpatialGrid::cell_of(geo::Point p) const noexcept {
-  const double fx = (p.x - area_.min.x) * inv_cell_m_;
-  const double fy = (p.y - area_.min.y) * inv_cell_m_;
-  const auto cx = static_cast<std::size_t>(
-      std::clamp(fx, 0.0, static_cast<double>(nx_ - 1)));
-  const auto cy = static_cast<std::size_t>(
-      std::clamp(fy, 0.0, static_cast<double>(ny_ - 1)));
-  return cy * nx_ + cx;
-}
-
 template <typename PointAt, typename IsAlive>
 void SpatialGrid::rebuild_impl(std::size_t n, PointAt&& point_at,
                                IsAlive&& is_alive) {
-  ++epoch_;
   const std::size_t n_cells = nx_ * ny_;
   std::fill(offsets_.begin(), offsets_.end(), 0u);
 
@@ -67,15 +51,21 @@ void SpatialGrid::rebuild_impl(std::size_t n, PointAt&& point_at,
   // Pass 2: prefix-sum counts into cell start offsets.
   for (std::size_t c = 0; c < n_cells; ++c) offsets_[c + 1] += offsets_[c];
 
-  // Pass 3: stable placement in ascending node id, so per-cell ordering
-  // is identical to the old per-cell push_back layout.
-  if (indices_.size() < count_) indices_.resize(n);
+  // Pass 3: stable placement in ascending node id.
+  if (indices_.size() < count_) {
+    indices_.resize(n);
+    points_.resize(n);
+  }
   std::copy(offsets_.begin(), offsets_.end() - 1, cursor_.begin());
   std::uint32_t* const out = indices_.data();
   std::uint32_t* const cur = cursor_.data();
   for (std::size_t j = 0; j < count_; ++j) {
     out[cur[cells[j]]++] = ids[j];
   }
+  // Pass 4: gather each placed node's snapshot position.  Sequential
+  // writes here cost less than scattering the points in pass 3.
+  geo::Point* const pts = points_.data();
+  for (std::size_t s = 0; s < count_; ++s) pts[s] = point_at(out[s]);
 }
 
 void SpatialGrid::rebuild(const std::vector<geo::Point>& positions,
@@ -94,31 +84,8 @@ void SpatialGrid::rebuild(const double* x, const double* y,
 
 void SpatialGrid::query(geo::Point center, double radius,
                         std::vector<std::uint32_t>& out) const {
-  // Cells intersecting the disk, padded by one cell so entries binned at
-  // a cell edge are never missed.
-  const double reach = radius + cell_m_;
-  const auto clamp_x = [this](double v) {
-    return std::clamp(v, 0.0, static_cast<double>(nx_ - 1));
-  };
-  const auto clamp_y = [this](double v) {
-    return std::clamp(v, 0.0, static_cast<double>(ny_ - 1));
-  };
-  const auto x0 = static_cast<std::size_t>(
-      clamp_x((center.x - reach - area_.min.x) * inv_cell_m_));
-  const auto x1 = static_cast<std::size_t>(
-      clamp_x((center.x + reach - area_.min.x) * inv_cell_m_));
-  const auto y0 = static_cast<std::size_t>(
-      clamp_y((center.y - reach - area_.min.y) * inv_cell_m_));
-  const auto y1 = static_cast<std::size_t>(
-      clamp_y((center.y + reach - area_.min.y) * inv_cell_m_));
-  for (std::size_t cy = y0; cy <= y1; ++cy) {
-    const std::size_t row = cy * nx_;
-    for (std::size_t cx = x0; cx <= x1; ++cx) {
-      const std::size_t c = row + cx;
-      out.insert(out.end(), indices_.begin() + offsets_[c],
-                 indices_.begin() + offsets_[c + 1]);
-    }
-  }
+  for_each_near(center, radius,
+                [&](std::uint32_t id, double, double) { out.push_back(id); });
 }
 
 }  // namespace precinct::net

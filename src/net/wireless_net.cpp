@@ -2,12 +2,31 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <string>
 
 #include "channel/channel_registry.hpp"
 #include "transport/wire_format.hpp"
 
 namespace precinct::net {
+
+namespace {
+
+/// Grid cell edge: the radio range, widened where range-sized cells would
+/// outnumber the nodes (tiny ranges, huge areas), so the index stays O(n).
+double grid_cell_m(const WirelessConfig& config, std::size_t n_nodes) {
+  const double area_per_node =
+      config.area.width() * config.area.height() /
+      static_cast<double>(std::max<std::size_t>(n_nodes, 1));
+  return std::max(config.range_m, std::sqrt(area_per_node));
+}
+
+/// Slack added to the drift bound of a grid snapshot: covers rounding in
+/// the trajectories and in the squared distances compared against it,
+/// which are many orders of magnitude smaller.
+constexpr double kSnapshotSlackM = 1e-6;
+
+}  // namespace
 
 WirelessNet::WirelessNet(sim::Simulator& simulator,
                          mobility::MobilityModel& mobility,
@@ -28,14 +47,12 @@ WirelessNet::WirelessNet(sim::Simulator& simulator,
       nodes_(mobility.node_count()),
       busy_until_(mobility.node_count(), 0.0),
       pool_(new PacketBufPool),
+      grid_(config.area, grid_cell_m(config, mobility.node_count())),
       neighbor_cache_(mobility.node_count()) {
   // One-time size validation; the hot paths below index unchecked.
   assert(nodes_.size() == n_nodes_);
   assert(busy_until_.size() == n_nodes_);
   assert(neighbor_cache_.size() == n_nodes_);
-  if (n_nodes_ >= config_.spatial_index_threshold) {
-    grid_ = std::make_unique<SpatialGrid>(config_.area, config_.range_m);
-  }
   // Time-invariant mobility: snapshot every trajectory now and serve all
   // position reads from the columns with no stamp checks — position_at
   // answers the same for every t, so the snapshot can never go stale.
@@ -59,67 +76,58 @@ WirelessNet::~WirelessNet() { pool_->retire(); }
 void WirelessNet::refresh_grid() {
   const double now = sim_.now();
   if (grid_time_ >= 0.0 &&
-      now - grid_time_ <= config_.spatial_index_staleness_s) {
+      (static_world_ ||
+       now - grid_time_ <= config_.spatial_index_staleness_s)) {
     return;
   }
   // Advancing the position columns to `now` is the mobility sweep; the
-  // grid then bins straight off the columns, and — because the sweep
-  // primes the per-node stamps — the exact filters below read cached
-  // positions for free at this timestamp.  Static worlds were synced
-  // once at construction; only the alive column can have changed.
+  // grid then bins straight off the columns.  Static worlds were synced
+  // once at construction.  Dead nodes are indexed too — liveness is read
+  // at query time — so kill/revive never forces a rebuild.
   if (!static_world_) nodes_.sync_positions(now, mobility_);
-  grid_->rebuild(nodes_.x(), nodes_.y(), nodes_.alive_data(), n_nodes_);
+  grid_.rebuild(nodes_.x(), nodes_.y(), /*alive=*/nullptr, n_nodes_);
   grid_time_ = now;
   ++topology_epoch_;
 }
 
+template <typename Wanted, typename Hit>
+void WirelessNet::for_each_in_radius(geo::Point center, double radius,
+                                     Wanted&& wanted, Hit&& hit) {
+  refresh_grid();
+  // No node is farther than `drift` from its snapshot: it moves at most
+  // max_node_speed_mps since the snapshot (not at all in a static world).
+  // So a snapshot beyond radius + drift is certainly out of range, one
+  // within radius - drift certainly in, and only the ring between needs
+  // the node's position now — usually a mobility-oracle call.
+  const double drift =
+      (static_world_ ? 0.0
+                     : config_.max_node_speed_mps * (sim_.now() - grid_time_)) +
+      kSnapshotSlackM;
+  const double out_r = radius + drift;
+  const double in_r = std::max(0.0, radius - drift);
+  const double out2 = out_r * out_r;
+  const double in2 = in_r * in_r;
+  const double r2 = radius * radius;
+  const std::uint8_t* alive = nodes_.alive_data();
+  grid_.for_each_near(center, out_r,
+                      [&](std::uint32_t i, double x, double y) {
+                        if (!alive[i] || !wanted(i)) return;
+                        const double s2 = geo::distance_sq(center, {x, y});
+                        if (s2 > out2) return;
+                        if (s2 < in2 ||
+                            geo::distance_sq(center, position(i)) <= r2) {
+                          hit(i);
+                        }
+                      });
+}
+
 void WirelessNet::compute_neighbors(NodeId node, std::vector<NodeId>& out) {
   out.clear();
-  const geo::Point p = position(node);
-  const double r2 = config_.range_m * config_.range_m;
-  if (grid_ != nullptr) {
-    refresh_grid();
-    // Indexed positions may be stale by up to the rebuild period; pad by
-    // the worst-case drift and filter exactly on current positions
-    // (lazily cached — only nodes not yet seen at this timestamp pay a
-    // mobility call).
-    const double pad =
-        (sim_.now() - grid_time_) * config_.max_node_speed_mps;
-    const double now = sim_.now();
-    grid_scratch_.clear();
-    grid_->query(p, config_.range_m + pad, grid_scratch_);
-    const std::uint8_t* alive = nodes_.alive_data();
-    if (static_world_) {
-      // Static world: the columns are the ground truth at every t — the
-      // exact filter is pure array reads, no stamp checks.
-      const double* xs = nodes_.x();
-      const double* ys = nodes_.y();
-      for (const std::uint32_t i : grid_scratch_) {
-        if (i == node || !alive[i]) continue;
-        if (geo::distance_sq(p, {xs[i], ys[i]}) <= r2) out.push_back(i);
-      }
-    } else {
-      for (const std::uint32_t i : grid_scratch_) {
-        if (i == node || !alive[i]) continue;
-        if (geo::distance_sq(p, nodes_.position_cached(i, now, mobility_)) <=
-            r2) {
-          out.push_back(i);
-        }
-      }
-    }
-    std::sort(out.begin(), out.end());  // match scan order for determinism
-    return;
-  }
-  // Linear path (small populations): advance every position once, then
-  // sweep the coordinate columns branch-light.
-  if (!static_world_) nodes_.sync_positions(sim_.now(), mobility_);
-  const double* xs = nodes_.x();
-  const double* ys = nodes_.y();
-  const std::uint8_t* alive = nodes_.alive_data();
-  for (NodeId i = 0; i < n_nodes_; ++i) {
-    if (i == node || !alive[i]) continue;
-    if (geo::distance_sq(p, {xs[i], ys[i]}) <= r2) out.push_back(i);
-  }
+  for_each_in_radius(
+      position(node), config_.range_m,
+      [node](std::uint32_t i) { return i != node; },
+      [&out](std::uint32_t i) { out.push_back(i); });
+  std::sort(out.begin(), out.end());  // grid order is by cell, not by id
 }
 
 const std::vector<NodeId>& WirelessNet::neighbors_cached(NodeId node) {
@@ -217,38 +225,16 @@ void WirelessNet::post_world_frames(const Packet& p, double arrival,
       2.0 * config_.max_node_speed_mps * (arrival - now);
   std::fill(world_domain_flags_.begin(), world_domain_flags_.end(),
             std::uint8_t{0});
+  // Liveness is this replica's, read now: a node revived remotely counts
+  // from the moment its halo delta lands here (DESIGN.md §13).  A domain
+  // already flagged needs no further candidates.
   const std::uint32_t* owner = world_.owner;
-  if (grid_ != nullptr) {
-    refresh_grid();
-    // Grid bins are stale by up to the rebuild period; pad the query and
-    // filter exactly on current positions.  Replica-dead candidates are
-    // already excluded by the rebuild's alive filter (a node revived
-    // remotely inside the current window is missed for at most one
-    // window — the halo staleness bound, DESIGN.md §13).
-    const double grid_pad = (now - grid_time_) * config_.max_node_speed_mps;
-    const double reach2 = reach * reach;
-    grid_scratch_.clear();
-    grid_->query(pos, reach + grid_pad, grid_scratch_);
-    for (const std::uint32_t i : grid_scratch_) {
-      if (owner[i] == world_.domain) continue;
-      if (geo::distance_sq(pos, nodes_.position_cached(i, now, mobility_)) <=
-          reach2) {
-        world_domain_flags_[owner[i]] = 1;
-      }
-    }
-  } else {
-    if (!static_world_) nodes_.sync_positions(now, mobility_);
-    const double* xs = nodes_.x();
-    const double* ys = nodes_.y();
-    const std::uint8_t* alive = nodes_.alive_data();
-    const double reach2 = reach * reach;
-    for (NodeId i = 0; i < n_nodes_; ++i) {
-      if (owner[i] == world_.domain || !alive[i]) continue;
-      if (geo::distance_sq(pos, {xs[i], ys[i]}) <= reach2) {
-        world_domain_flags_[owner[i]] = 1;
-      }
-    }
-  }
+  for_each_in_radius(
+      pos, reach,
+      [&](std::uint32_t i) {
+        return owner[i] != world_.domain && world_domain_flags_[owner[i]] == 0;
+      },
+      [&](std::uint32_t i) { world_domain_flags_[owner[i]] = 1; });
   // The next hop's owner judges frames_lost for the target exactly, so a
   // unicast is always posted there even when the replica says the target
   // is out of reach or dead.

@@ -32,11 +32,15 @@ struct WirelessConfig {
   double range_m = 250.0;          ///< radio range (paper: 250 m)
   geo::Rect area{{0.0, 0.0}, {1200.0, 1200.0}};  ///< service area (for the
                                    ///< spatial index; set by Scenario)
-  /// Use the grid index for neighbor queries at or above this node
-  /// count; below it a linear scan is faster.
-  std::size_t spatial_index_threshold = 128;
-  double spatial_index_staleness_s = 0.5;  ///< grid rebuild period
-  double max_node_speed_mps = 25.0;        ///< bounds drift since rebuild
+  /// Period of the spatial index's position snapshot in a mobile world (a
+  /// static world's snapshot is taken once).
+  double spatial_index_staleness_s = 0.5;
+  /// Upper bound on every node's speed.  Neighbor discovery trusts it to
+  /// bound how far a node can have moved since the snapshot, and world
+  /// sharding to bound how far a frame's receivers can move before it
+  /// lands; an underestimate makes both wrong, so Scenario raises it to
+  /// the fastest speed the configured mobility can reach.
+  double max_node_speed_mps = 25.0;
   double bandwidth_bps = 11e6;     ///< 11 Mbps (paper §6.1)
   double mac_overhead_s = 0.6e-3;  ///< per-frame channel access + preamble
   double unicast_overhead_s = 0.4e-3;  ///< extra RTS/CTS-style handshake
@@ -145,6 +149,12 @@ class WirelessNet {
 
   [[nodiscard]] std::size_t node_count() const noexcept { return n_nodes_; }
 
+  /// The configuration this radio runs with (Scenario fills in the area
+  /// and the speed bound).
+  [[nodiscard]] const WirelessConfig& config() const noexcept {
+    return config_;
+  }
+
   /// Current position of a node.  Lazily cached in the SoA position
   /// columns keyed on the exact sim time, so repeated queries within one
   /// event timestamp cost two array reads instead of a virtual mobility
@@ -183,8 +193,8 @@ class WirelessNet {
   /// time advance; copy it if the neighborhood must be snapshotted.
   [[nodiscard]] const std::vector<NodeId>& neighbors_cached(NodeId node);
 
-  /// Bumped whenever cached neighborhoods may change independently of sim
-  /// time: spatial-grid rebuilds and node kill/revive.
+  /// Bumped on every spatial-index snapshot and on node kill/revive, so
+  /// caches keyed on (epoch, sim time) never outlive a liveness change.
   [[nodiscard]] std::uint64_t topology_epoch() const noexcept {
     return topology_epoch_;
   }
@@ -370,8 +380,17 @@ class WirelessNet {
   /// kChannel trace) when the frame is erased at `receiver`.
   bool channel_dropped(const Packet& p, NodeId receiver);
 
-  /// Refresh the spatial index if it is stale; no-op when disabled.
+  /// Retake the spatial index's snapshot once it is older than
+  /// spatial_index_staleness_s (static worlds: take it once).
   void refresh_grid();
+
+  /// Call `hit(i)` for every live node `i` with `wanted(i)` that lies
+  /// within `radius` of `center` now.  Each grid candidate is judged from
+  /// its snapshot position first; only the ones in the ring the snapshot
+  /// cannot decide pay a position lookup (DESIGN.md §12).
+  template <typename Wanted, typename Hit>
+  void for_each_in_radius(geo::Point center, double radius, Wanted&& wanted,
+                          Hit&& hit);
 
   /// Uncached neighbor computation into `out` (cleared first).
   void compute_neighbors(NodeId node, std::vector<NodeId>& out);
@@ -431,11 +450,10 @@ class WirelessNet {
   /// simulator, which outlives the radio.
   PacketBufPool* pool_;
 
-  // Spatial index (used when node_count >= spatial_index_threshold),
-  // rebuilt straight from the SoA position/alive columns.
-  std::unique_ptr<SpatialGrid> grid_;
+  // Spatial index over every node, live or not, binned straight from the
+  // SoA position columns at sim time grid_time_ (-1: not built yet).
+  SpatialGrid grid_;
   double grid_time_ = -1.0;
-  std::vector<std::uint32_t> grid_scratch_;
 
   // Per-node neighbor cache, keyed on (topology_epoch_, sim time).
   struct NeighborCache {

@@ -26,6 +26,7 @@
 #include "routing/neighbor_provider.hpp"
 #include "sim/simulator.hpp"
 #include "support/rng.hpp"
+#include "test_util.hpp"
 
 // Counting replacements for the global allocator (same pattern as
 // sim_test.cpp / net_alloc_test.cpp).
@@ -113,55 +114,67 @@ TEST(DataLayoutAlloc, CacheVictimSelectionIsAllocationFree) {
   EXPECT_LT(sum, static_cast<geo::Key>(48 * 64));  // victims are real keys
 }
 
-// Brute-force O(N^2) neighbor reference straight from the mobility
-// oracle: the ground truth the SoA position cache + grid/linear sweeps
-// must reproduce exactly.
-std::vector<net::NodeId> brute_force_neighbors(mobility::MobilityModel& mob,
-                                               net::NodeId self, double now,
-                                               double range_m) {
-  std::vector<net::NodeId> out;
-  const geo::Point p = mob.position_at(self, now);
-  for (net::NodeId i = 0; i < mob.node_count(); ++i) {
-    if (i == self) continue;
-    if (geo::distance(p, mob.position_at(i, now)) <= range_m) {
-      out.push_back(i);
-    }
-  }
-  return out;
-}
-
 TEST(DataLayoutEquivalence, NeighborsMatchBruteForceOnRandomTopologies) {
-  // Below spatial_index_threshold the linear column sweep answers; above
-  // it the CSR grid does.  Both must agree with the O(N^2) reference,
-  // under mobility (positions change between queries) and node death.
-  for (const std::size_t n : {40u, 300u}) {
-    for (const std::uint64_t seed : {1u, 17u, 99u}) {
-      sim::Simulator sim;
-      mobility::RandomWaypointConfig mc;
-      mc.area = {{0.0, 0.0}, {1200.0, 1200.0}};
-      mobility::RandomWaypoint mob(n, mc, seed);
-      net::WirelessConfig wc;
-      wc.area = mc.area;
-      net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, seed);
-      net.kill(static_cast<net::NodeId>(n / 3));
+  // One snapshot-grid path answers for every population.  It must agree
+  // with the O(N^2) reference under mobility (queries land on a fresh
+  // snapshot and up to 0.5 s after one) and under churn (a node revived
+  // between two snapshots counts at once, a node killed there drops out).
+  struct Input {
+    std::size_t n;
+    double side_m;
+    double v_max;
+    std::uint64_t seed;
+  };
+  const Input inputs[] = {
+      {40, 1200.0, 6.0, 1},   {40, 1200.0, 6.0, 17},  {40, 1200.0, 6.0, 99},
+      {300, 1200.0, 6.0, 1},  {300, 1200.0, 6.0, 17}, {300, 1200.0, 6.0, 99},
+      {200, 2000.0, 20.0, 99},  // sparser and faster
+  };
+  for (const Input& in : inputs) {
+    sim::Simulator sim;
+    mobility::RandomWaypointConfig mc;
+    mc.area = {{0.0, 0.0}, {in.side_m, in.side_m}};
+    mc.v_max = in.v_max;
+    mobility::RandomWaypoint mob(in.n, mc, in.seed);
+    net::WirelessConfig wc;
+    wc.area = mc.area;
+    net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, in.seed);
+    const auto churned = static_cast<net::NodeId>(in.n / 3);
+    net.kill(churned);
 
-      for (const double t : {0.0, 1.5, 7.25, 30.0}) {
-        sim.schedule_at(t, [&, t] {
-          for (net::NodeId self = 0; self < n; self += 7) {
-            if (!net.is_alive(self)) continue;
-            auto expected = brute_force_neighbors(mob, self, t, wc.range_m);
-            std::erase_if(expected, [&](net::NodeId i) {
-              return !net.is_alive(i);
-            });
-            EXPECT_EQ(net.neighbors(self), expected)
-                << "n=" << n << " seed=" << seed << " t=" << t
-                << " self=" << self;
-            EXPECT_EQ(net.position(self), mob.position_at(self, t));
-          }
-        });
+    const auto check = [&](double t) {
+      for (net::NodeId self = 0; self < in.n; self += 7) {
+        if (!net.is_alive(self)) continue;
+        auto expected =
+            test_util::brute_force_neighbors(mob, self, t, wc.range_m);
+        std::erase_if(expected,
+                      [&](net::NodeId i) { return !net.is_alive(i); });
+        EXPECT_EQ(net.neighbors(self), expected)
+            << "n=" << in.n << " seed=" << in.seed << " t=" << t
+            << " self=" << self;
+        EXPECT_EQ(net.position(self), mob.position_at(self, t));
       }
-      sim.run_all();
+    };
+    for (double t = 0.0; t < 30.0; t += 0.37) {
+      sim.schedule_at(t, [&, t] { check(t); });
     }
+    // 31.0 is over 0.5 s after the last query, so it takes a snapshot;
+    // the churn at 31.1 and the query at 31.2 both precede the next one.
+    std::uint64_t epoch_after_snapshot = 0;
+    sim.schedule_at(31.0, [&] {
+      check(31.0);
+      epoch_after_snapshot = net.topology_epoch();
+    });
+    sim.schedule_at(31.1, [&] {
+      net.revive(churned);
+      net.kill(churned + 1);
+    });
+    sim.schedule_at(31.2, [&] {
+      check(31.2);
+      EXPECT_EQ(net.topology_epoch(), epoch_after_snapshot + 2)
+          << "only the revive and the kill, no snapshot";
+    });
+    sim.run_all();
   }
 }
 

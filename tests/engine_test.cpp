@@ -5,13 +5,17 @@
 // region center — so every protocol path can be exercised precisely.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "test_util.hpp"
 #include "core/config_io.hpp"
 #include "core/scenario.hpp"
+#include "mobility/gauss_markov.hpp"
 #include "mobility/static_placement.hpp"
 #include "net/wireless_net.hpp"
 #include "sim/simulator.hpp"
@@ -589,25 +593,6 @@ TEST(Engine, ExpandingRingGrowsUntilFound) {
   EXPECT_GT(m.latency_s.mean(), cfg.ring.retry_wait_s * 0.9);
 }
 
-TEST(Engine, SpatialIndexedScenarioMatchesScanScenario) {
-  // Force the grid on in one run and off in the other: identical
-  // protocol outcomes (the index is an exact optimization).
-  PrecinctConfig a;
-  a.n_nodes = 60;
-  a.warmup_s = 20;
-  a.measure_s = 120;
-  a.seed = 77;
-  a.wireless.spatial_index_threshold = 1;
-  PrecinctConfig b = a;
-  b.wireless.spatial_index_threshold = 100000;
-  const auto ma = core::run_scenario(a);
-  const auto mb = core::run_scenario(b);
-  EXPECT_EQ(ma.requests_issued, mb.requests_issued);
-  EXPECT_EQ(ma.requests_completed, mb.requests_completed);
-  EXPECT_EQ(ma.messages_sent, mb.messages_sent);
-  EXPECT_DOUBLE_EQ(ma.energy_total_mj, mb.energy_total_mj);
-}
-
 TEST(Engine, TraceCoversConsistencyAndCustody) {
   PrecinctConfig cfg;
   cfg.n_nodes = 40;
@@ -834,6 +819,69 @@ TEST(Scenario, RunSeedsMergesMetrics) {
   EXPECT_EQ(merged.latency_s.count(),
             runs[0].latency_s.count() + runs[1].latency_s.count() +
                 runs[2].latency_s.count());
+}
+
+TEST(Scenario, RadioSpeedBoundCoversEveryMobilityModel) {
+  // Neighbor discovery and world sharding trust the radio's speed bound
+  // to say how far a node can have moved (DESIGN.md §12).  It must cover
+  // the fastest speed each mobility model can reach, per node class too,
+  // and no node may outrun it between two nearby instants.
+  const auto gauss_markov_top = [](double v_min, double v_max) {
+    mobility::GaussMarkovConfig gm;  // reverts to the band's middle
+    gm.mean_speed = 0.5 * (v_min + v_max);
+    return gm.max_speed();
+  };
+  struct Case {
+    PrecinctConfig config;
+    double top_speed;
+  };
+  std::vector<Case> cases;
+  PrecinctConfig base;
+  base.n_nodes = 30;
+  base.v_min = 5.0;
+  base.v_max = 15.0;
+  base.pause_s = 0.5;
+  for (const char* model :
+       {"random-waypoint", "random-direction", "manhattan", "commuter"}) {
+    PrecinctConfig c = base;
+    c.mobility_model = model;
+    cases.push_back({c, base.v_max});
+  }
+  PrecinctConfig gm = base;
+  gm.mobility_model = "gauss-markov";
+  cases.push_back({gm, gauss_markov_top(5.0, 15.0)});
+  // A heterogeneous Gauss-Markov fleet: a faster class and a fixed one.
+  PrecinctConfig mix = gm;
+  mix.node_classes = {{"bus", 10, 0.0, 30.0, false},
+                      {"car", 15, 0.0, 0.0, false},
+                      {"rsu", 5, 0.0, 0.0, true}};
+  cases.push_back({mix, gauss_markov_top(5.0, 30.0)});
+
+  for (const Case& c : cases) {
+    const std::string label =
+        c.config.mobility_model +
+        (c.config.node_classes.empty() ? "" : " with classes");
+    core::Scenario s(c.config);
+    net::WirelessNet& radio = s.network();
+    const double bound = radio.config().max_node_speed_mps;
+    EXPECT_GE(bound, c.top_speed) << label;
+    std::vector<geo::Point> prev(radio.node_count());
+    for (NodeId i = 0; i < radio.node_count(); ++i) prev[i] = radio.position(i);
+    double fastest = 0.0;
+    double t_prev = 0.0;
+    for (int k = 1; k <= 6000; ++k) {  // every 10 ms for 60 s
+      const double t = 0.01 * k;
+      s.run_until(t);
+      for (NodeId i = 0; i < radio.node_count(); ++i) {
+        const geo::Point p = radio.position(i);
+        fastest = std::max(fastest, geo::distance(p, prev[i]) / (t - t_prev));
+        prev[i] = p;
+      }
+      t_prev = t;
+    }
+    EXPECT_GT(fastest, 0.0) << label;
+    EXPECT_LE(fastest, bound) << label;
+  }
 }
 
 }  // namespace

@@ -234,6 +234,27 @@ TEST(GaussMarkov, MotionIsTemporallyCorrelated) {
   EXPECT_GT(cosims.mean(), 0.5);
 }
 
+TEST(GaussMarkov, TrajectoryIsContinuousWithinItsSpeedClamp) {
+  // Across step boundaries too, no node moves faster than the speed clamp
+  // (the radio's speed bound is built on it; a trajectory that jumped at
+  // each step would void that bound).
+  const GaussMarkovConfig c = gm_config();
+  GaussMarkov gm(10, c, 9);
+  for (std::size_t i = 0; i < 10; ++i) {
+    Point prev = gm.position_at(i, 0.0);
+    double t_prev = 0.0;
+    for (int k = 1; k <= 100000; ++k) {  // 100 s in 1 ms steps
+      const double t = 1e-3 * k;
+      const Point p = gm.position_at(i, t);
+      ASSERT_LE(precinct::geo::distance(p, prev),
+                c.max_speed() * (t - t_prev) + 1e-9)
+          << "node " << i << " at t=" << t;
+      prev = p;
+      t_prev = t;
+    }
+  }
+}
+
 TEST(GaussMarkov, DeterministicForSameSeed) {
   GaussMarkov a(5, gm_config(), 11);
   GaussMarkov b(5, gm_config(), 11);

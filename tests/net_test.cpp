@@ -11,6 +11,7 @@
 #include "net/wireless_net.hpp"
 #include "support/rng.hpp"
 #include "sim/simulator.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -241,20 +242,44 @@ TEST(SpatialGrid, QueryReturnsSupersetOfInRadius) {
   for (int i = 0; i < 300; ++i) {
     pts.push_back({rng.uniform(0, 1200), rng.uniform(0, 1200)});
   }
+  // Points the tight cell bracket must not lose: on cell edges (multiples
+  // of 250 m), on the area's max edge (1200 m) and outside the area
+  // (clamped into the edge cells).
+  const std::size_t n_random = pts.size();
+  for (const double v : {0.0, 250.0, 500.0, 750.0, 1000.0, 1200.0, -40.0,
+                         1240.0}) {
+    pts.push_back({v, 600.0});
+    pts.push_back({600.0, v});
+    pts.push_back({v, v});
+  }
   std::vector<char> alive(pts.size(), 1);
   net::SpatialGrid grid({{0, 0}, {1200, 1200}}, 250.0);
   grid.rebuild(pts, alive);
   EXPECT_EQ(grid.indexed_count(), pts.size());
-  for (int trial = 0; trial < 50; ++trial) {
-    const precinct::geo::Point q{rng.uniform(0, 1200), rng.uniform(0, 1200)};
+  const auto expect_covers = [&](precinct::geo::Point q, double radius) {
     std::vector<std::uint32_t> candidates;
-    grid.query(q, 250.0, candidates);
+    grid.query(q, radius, candidates);
     const std::set<std::uint32_t> cand_set(candidates.begin(),
                                            candidates.end());
     for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      if (precinct::geo::distance(pts[i], q) <= 250.0) {
-        EXPECT_TRUE(cand_set.count(i)) << "missed in-radius node " << i;
+      if (precinct::geo::distance(pts[i], q) <= radius) {
+        EXPECT_TRUE(cand_set.count(i))
+            << "missed in-radius node " << i << " at (" << pts[i].x << ", "
+            << pts[i].y << ") from (" << q.x << ", " << q.y << ") r "
+            << radius;
       }
+    }
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    expect_covers({rng.uniform(0, 1200), rng.uniform(0, 1200)}, 250.0);
+  }
+  // Every edge point on the very edge of a query box, from each side.
+  for (std::size_t i = n_random; i < pts.size(); ++i) {
+    for (const double r : {250.0, 100.0, 0.0}) {
+      expect_covers({pts[i].x + r, pts[i].y}, r);
+      expect_covers({pts[i].x - r, pts[i].y}, r);
+      expect_covers({pts[i].x, pts[i].y + r}, r);
+      expect_covers({pts[i].x, pts[i].y - r}, r);
     }
   }
 }
@@ -270,32 +295,138 @@ TEST(SpatialGrid, SkipsDeadNodes) {
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
 }
 
-TEST(SpatialGrid, NeighborsMatchLinearScanOnMobileNetwork) {
-  // Property: the indexed WirelessNet returns exactly the same neighbor
-  // sets as the scan path, across time, on a large mobile network.
+/// Pairs of nodes moving straight toward or away from each other, each
+/// node at exactly `speed`, so that at `query_s` pair k is `gaps[k]`
+/// apart.  Pairs sit 600 m apart in y, out of each other's range.
+class ScriptedPairs final : public mobility::MobilityModel {
+ public:
+  struct Pair {
+    bool closing;
+    double gap_at_query;
+  };
+  ScriptedPairs(std::vector<Pair> pairs, double speed, double query_s)
+      : pairs_(std::move(pairs)), speed_(speed), query_s_(query_s) {}
+
+  geo::Point position_at(std::size_t node, double t) override {
+    const Pair& pair = pairs_[node / 2];
+    const double direction = pair.closing ? 1.0 : -1.0;
+    const double half_gap =
+        0.5 * pair.gap_at_query + direction * speed_ * (query_s_ - t);
+    const double side = node % 2 == 0 ? -1.0 : 1.0;
+    return {1000.0 + side * half_gap,
+            100.0 + 600.0 * static_cast<double>(node / 2)};
+  }
+  double speed_at(std::size_t, double) override { return speed_; }
+  std::size_t node_count() const noexcept override {
+    return 2 * pairs_.size();
+  }
+
+ private:
+  std::vector<Pair> pairs_;
+  double speed_;
+  double query_s_;
+};
+
+TEST(NeighborIndex, ExactForNodesAtTheSpeedBoundAroundTheRangeEdge) {
+  // Each node of a pair has moved max_node_speed_mps x 0.49 s since the
+  // grid snapshot, so its snapshot sits right at the edge of the band the
+  // snapshot alone decides; at query time the pair is 1e-7 m inside or
+  // outside range.  Only the mobility oracle can tell, and it must be
+  // asked.
+  net::WirelessConfig wc;
+  wc.area = {{0, 0}, {2000, 2500}};
+  const double r = wc.range_m;
+  const double t0 = 10.0;
+  const double tq = t0 + 0.49;
+  ScriptedPairs mob({{true, r - 1e-7},
+                     {true, r + 1e-7},
+                     {false, r - 1e-7},
+                     {false, r + 1e-7}},
+                    wc.max_node_speed_mps, tq);
+  sim::Simulator sim;
+  net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, 1);
+  sim.run_until(t0);
+  (void)net.neighbors(0);  // first query: the grid snapshot at t0
+  const std::uint64_t epoch = net.topology_epoch();
+  sim.run_until(tq);
+  for (NodeId n = 0; n < mob.node_count(); ++n) {
+    EXPECT_EQ(net.neighbors(n),
+              test_util::brute_force_neighbors(mob, n, tq, r))
+        << "node " << n;
+  }
+  EXPECT_EQ(net.topology_epoch(), epoch) << "no snapshot between t0 and tq";
+  EXPECT_EQ(net.neighbors(0), (std::vector<NodeId>{1}));
+  EXPECT_TRUE(net.neighbors(2).empty());
+
+  // A static world decides from its snapshot alone, at the same edge.
+  mobility::StaticPlacement placement({{0, 0},
+                                       {r - 1e-7, 0},
+                                       {0, 600},
+                                       {r + 1e-7, 600},
+                                       {0, 1200},
+                                       {0, 1200 + r}});
+  sim::Simulator static_sim;
+  net::WirelessNet static_net(static_sim, placement, wc, energy::FeeneyModel{},
+                              1);
+  for (NodeId n = 0; n < placement.node_count(); ++n) {
+    EXPECT_EQ(static_net.neighbors(n),
+              test_util::brute_force_neighbors(placement, n, 0.0, r))
+        << "static node " << n;
+  }
+}
+
+/// Counts oracle calls on their way to the wrapped model.
+class CountingMobility final : public mobility::MobilityModel {
+ public:
+  explicit CountingMobility(mobility::MobilityModel& inner) : inner_(inner) {}
+  geo::Point position_at(std::size_t node, double t) override {
+    ++calls;
+    return inner_.position_at(node, t);
+  }
+  double speed_at(std::size_t node, double t) override {
+    ++calls;
+    return inner_.speed_at(node, t);
+  }
+  std::size_t node_count() const noexcept override {
+    return inner_.node_count();
+  }
+
+  std::uint64_t calls = 0;
+
+ private:
+  mobility::MobilityModel& inner_;
+};
+
+TEST(NeighborIndex, FewOracleCallsPerComputedNeighborhood) {
+  // The city benchmark's topology: 200 nodes on 1600 m, random waypoint
+  // up to 10 m/s.  Only the query node, the ring the grid snapshot
+  // cannot decide and the periodic snapshot itself consult the oracle:
+  // about 3.4 calls per neighborhood here, where looking up every
+  // candidate of a cell-padded 5x5 block costs about 44.
   mobility::RandomWaypointConfig rwp;
-  rwp.area = {{0, 0}, {2000, 2000}};
-  rwp.v_max = 20.0;
-  mobility::RandomWaypoint mob_a(200, rwp, 99);
-  mobility::RandomWaypoint mob_b(200, rwp, 99);
-
-  net::WirelessConfig with_grid;
-  with_grid.area = rwp.area;
-  with_grid.spatial_index_threshold = 1;  // force the grid on
-  net::WirelessConfig no_grid = with_grid;
-  no_grid.spatial_index_threshold = 10000;  // force the scan
-
-  sim::Simulator sim_a;
-  sim::Simulator sim_b;
-  net::WirelessNet a(sim_a, mob_a, with_grid, energy::FeeneyModel{}, 1);
-  net::WirelessNet b(sim_b, mob_b, no_grid, energy::FeeneyModel{}, 1);
-  for (double t = 0.0; t < 30.0; t += 0.37) {
-    sim_a.run_until(t);
-    sim_b.run_until(t);
-    for (NodeId n = 0; n < 200; n += 17) {
-      EXPECT_EQ(a.neighbors(n), b.neighbors(n)) << "node " << n << " t " << t;
+  rwp.area = {{0, 0}, {1600, 1600}};
+  rwp.v_max = 10.0;
+  rwp.pause_s = 5.0;
+  mobility::RandomWaypoint inner(200, rwp, 3);
+  CountingMobility mob(inner);
+  net::WirelessConfig wc;
+  wc.area = rwp.area;
+  sim::Simulator sim;
+  net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, 3);
+  std::uint64_t computed = 0;
+  std::size_t listed = 0;
+  for (int step = 0; step < 2000; ++step) {
+    sim.run_until(10.0 + 0.01 * step);  // a new timestamp every step
+    for (NodeId q = 0; q < 4; ++q) {
+      const NodeId node = (7 * static_cast<NodeId>(step) + 53 * q) % 200;
+      listed += net.neighbors(node).size();
+      ++computed;
+      (void)net.neighbors(node);  // same timestamp: served from the cache
     }
   }
+  EXPECT_GT(listed, computed);  // real neighborhoods, not empty ones
+  EXPECT_LT(static_cast<double>(mob.calls), 8.0 * static_cast<double>(computed))
+      << mob.calls << " oracle calls for " << computed << " neighborhoods";
 }
 
 }  // namespace

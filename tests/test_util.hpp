@@ -11,11 +11,29 @@
 
 #include "core/engine.hpp"
 #include "core/scenario.hpp"
+#include "geo/geometry.hpp"
+#include "mobility/mobility_model.hpp"
 #include "mobility/static_placement.hpp"
 #include "net/wireless_net.hpp"
 #include "sim/simulator.hpp"
 
 namespace precinct::test_util {
+
+/// Brute-force O(N^2) neighbor reference straight from the mobility
+/// oracle: the ground truth the radio's neighbor index must reproduce
+/// exactly (liveness not applied).
+inline std::vector<net::NodeId> brute_force_neighbors(
+    mobility::MobilityModel& mob, net::NodeId self, double t,
+    double range_m) {
+  std::vector<net::NodeId> out;
+  const geo::Point p = mob.position_at(self, t);
+  for (net::NodeId i = 0; i < mob.node_count(); ++i) {
+    if (i != self && geo::distance(p, mob.position_at(i, t)) <= range_m) {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
 
 /// Base config for the deterministic 3x3 topology: 9 static peers, one
 /// per region of a 600x600 m grid, no background workload, fixed-size
