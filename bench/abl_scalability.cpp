@@ -3,26 +3,29 @@
 // region size) and watch per-request cost.  PReCinCt's promise is that
 // per-request energy stays near-flat while flooding's grows with N.
 //
-// Part two is the region-sharded city grid (DESIGN.md §11): 1k/10k/100k
-// total nodes as tiles_x*tiles_y independent PReCinCt tiles coupled by
-// gateway traffic, swept over shards in {1, 2, 4, 8}.  Every (scale, K)
-// point's sharded fingerprint is compared against K = 1 (determinism is
-// part of the bench, not a separate test), wall time and speedup are
-// recorded, and the whole sweep is written to BENCH_scale.json (path via
-// PRECINCT_SCALE_OUT) together with the host context.  The >= 3x-on-4-
-// cores speedup target is only *evaluated* when the host actually has
-// >= 4 cores — a 1-core container records its numbers honestly instead
-// of fabricating a parallelism claim.
+// Part two is the world-sharded sweep (DESIGN.md §11, §13): each world is
+// ONE network cut into region-column domains, swept over shards in
+// {1, 2, 4, 8}.  The worlds are a ~1k- and a ~10k-node city at the same
+// constant density (~100 nodes per 1200 m square, 400 m regions), then
+// the 240-node, 8-column world the speedup target is evaluated against.
+// Every (world, K) point's world fingerprint is compared against K = 1
+// (determinism is part of the bench, not a separate test), wall time and
+// speedup are recorded, and the whole sweep is written to
+// BENCH_scale.json (path via PRECINCT_SCALE_OUT) together with the host
+// context.  The >= 3x-on-4-cores speedup target is only *evaluated* when
+// the host actually has >= 4 cores — a 1-core container records its
+// numbers honestly instead of fabricating a parallelism claim.
 //
-// PRECINCT_BENCH_FAST=1 trims to the 1k scale and shards {1, 2};
-// PRECINCT_SCALE_MAX_NODES caps the largest scale attempted.
+// PRECINCT_BENCH_FAST=1 trims to the ~1k city and the 240-node world on
+// shards {1, 2}; PRECINCT_SCALE_MAX_NODES caps the largest world
+// attempted.
 #include "bench_common.hpp"
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
-#include "core/sharded_scenario.hpp"
 #include "core/world_scenario.hpp"
 #include "support/json.hpp"
 
@@ -85,177 +88,127 @@ int main() {
   pb::check(results[n - 1].success_ratio() > 0.9,
             "PReCinCt stays reliable at 320 nodes");
 
-  // ---- part two: region-sharded city grid ---------------------------------
+  // ---- part two: world-sharded sweep --------------------------------------
+  //
+  // ONE world cut into region-column domains: real radio frames cross the
+  // cut under the lookahead derived from the MAC and propagation timing.
+  // There is no embarrassing parallelism to hide behind — every domain
+  // replays the whole world's mobility and the cut carries live protocol
+  // traffic.  The cities go to `points`; the 240-node world, whose sweep
+  // the speedup target is evaluated against, to `world_points`.
 
-  std::cout << "\n== Region-sharded city grid — nodes vs shards ==\n\n";
+  std::cout << "\n== World-sharded sweep — nodes vs shards ==\n\n";
 
-  struct CityScale {
-    std::uint32_t tiles;          ///< tiles per axis (tiles^2 total)
-    std::size_t nodes_per_tile;
+  struct World {
+    std::string name;
+    core::PrecinctConfig config;
+    bool speedup_target = false;
   };
-  std::vector<CityScale> city{{4, 63}, {10, 100}, {32, 98}};  // ~1k/10k/100k
-  std::vector<std::uint32_t> shard_counts{1, 2, 4, 8};
-  if (pb::fast_mode()) {
-    city.resize(1);
-    shard_counts = {1, 2};
-  }
-  std::size_t max_nodes = 200000;
-  if (const char* cap = std::getenv("PRECINCT_SCALE_MAX_NODES")) {
-    max_nodes = static_cast<std::size_t>(std::atoll(cap));
-  }
-
-  const pb::BenchContext ctx = pb::capture_bench_context();
-  support::Table city_table(
-      {"nodes", "tiles", "shards", "wall s", "events", "gw req", "speedup"});
-  std::string points_json = "[";
-  bool all_identical = true;
-  bool any_gateway = false;
-  std::size_t skipped = 0;
-  for (const CityScale& s : city) {
-    const std::size_t total_nodes =
-        static_cast<std::size_t>(s.tiles) * s.tiles * s.nodes_per_tile;
-    if (total_nodes > max_nodes) {
-      ++skipped;
-      std::printf("  [skipped %zu-node scale: over PRECINCT_SCALE_MAX_NODES=%zu]\n",
-                  total_nodes, max_nodes);
-      continue;
-    }
+  const auto world_base = [] {
     core::PrecinctConfig c = pb::mobile_base();
-    c.n_nodes = s.nodes_per_tile;
-    c.tiles_x = c.tiles_y = s.tiles;
-    c.gateway_interval_s = 10.0;
-    c.gateway_latency_s = 0.25;
     c.catalog.n_items = 200;
     c.catalog.min_item_bytes = c.catalog.max_item_bytes = 512;
     c.warmup_s = pb::fast_mode() ? 10.0 : 20.0;
     c.measure_s = pb::fast_mode() ? 30.0 : 60.0;
+    return c;
+  };
+  // A city of squares x squares blocks, each 1200 m with 100 nodes and
+  // 3x3 regions of 400 m: one domain per region column.
+  const auto city = [&](std::uint32_t squares) {
+    core::PrecinctConfig c = world_base();
+    c.n_nodes = 100 * static_cast<std::size_t>(squares) * squares;
+    c.area = {{0.0, 0.0}, {1200.0 * squares, 1200.0 * squares}};
+    c.regions_x = c.regions_y = 3 * squares;
+    return c;
+  };
+  core::PrecinctConfig target_world = world_base();
+  target_world.n_nodes = 240;
+  target_world.area = {{0.0, 0.0}, {2400.0, 2400.0}};
+  target_world.regions_x = target_world.regions_y = 8;  // 8 domains
+  std::vector<World> worlds{{"city-1k", city(3), false},
+                            {"city-10k", city(10), false},
+                            {"target-240", target_world, true}};
+  std::vector<std::uint32_t> shard_counts{1, 2, 4, 8};
+  if (pb::fast_mode()) {
+    worlds.erase(worlds.begin() + 1);  // keep city-1k and target-240
+    shard_counts = {1, 2};
+  }
+  std::size_t max_nodes = std::numeric_limits<std::size_t>::max();
+  if (const char* cap = std::getenv("PRECINCT_SCALE_MAX_NODES")) {
+    max_nodes = static_cast<std::size_t>(std::atoll(cap));
+  }
+  std::cout << "  [no 100k-node world: every domain holds a full replica of "
+               "the world, so memory grows as nodes x domains — one "
+               "10k-node, 30-domain run already peaks at ~1.6 GB (DESIGN.md "
+               "§13 honest limits)]\n";
+
+  const pb::BenchContext ctx = pb::capture_bench_context();
+  support::Table world_table({"world", "nodes", "domains", "shards", "wall s",
+                              "events", "frames x-cut", "windows", "speedup"});
+  std::string points_json = "[";
+  std::string world_json = "[";
+  bool all_identical = true;
+  double world_speedup = 0.0;      ///< target world, highest shard count
+  std::uint32_t world_speedup_k = 1;
+  for (const World& w : worlds) {
+    if (w.config.n_nodes > max_nodes) {
+      std::printf("  [skipped %s (%zu nodes): over PRECINCT_SCALE_MAX_NODES=%zu]\n",
+                  w.name.c_str(), w.config.n_nodes, max_nodes);
+      continue;
+    }
     double wall_k1 = 0.0;
     std::string fp_k1;
     for (const std::uint32_t k : shard_counts) {
-      core::PrecinctConfig ck = c;
+      core::PrecinctConfig ck = w.config;
       ck.shards = k;
       const auto t0 = std::chrono::steady_clock::now();
-      const core::ShardedMetrics m = core::run_sharded_scenario(ck);
+      const core::WorldShardedMetrics m = core::run_world_scenario(ck);
       const double wall =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
-      const std::string fp = core::sharded_fingerprint(m);
+      const std::string fp = core::world_fingerprint(m);
       if (k == 1) {
         wall_k1 = wall;
         fp_k1 = fp;
       } else if (fp != fp_k1) {
         all_identical = false;
       }
-      any_gateway = any_gateway || m.gateway_requests > 0;
       const double speedup = wall > 0.0 ? wall_k1 / wall : 0.0;
-      city_table.add_row({std::to_string(total_nodes),
-                          std::to_string(s.tiles) + "x" + std::to_string(s.tiles),
-                          std::to_string(k), support::Table::num(wall, 2),
-                          std::to_string(m.aggregate.events_executed),
-                          std::to_string(m.gateway_requests),
-                          support::Table::num(speedup, 2)});
+      if (w.speedup_target && k >= world_speedup_k) {
+        world_speedup = speedup;
+        world_speedup_k = k;
+      }
+      world_table.add_row({w.name, std::to_string(w.config.n_nodes),
+                           std::to_string(m.domains), std::to_string(k),
+                           support::Table::num(wall, 2),
+                           std::to_string(m.aggregate.events_executed),
+                           std::to_string(m.frames_posted),
+                           std::to_string(m.windows),
+                           support::Table::num(speedup, 2)});
       support::JsonObject pt;
-      pt.set("nodes", static_cast<std::uint64_t>(total_nodes))
-          .set("tiles", static_cast<std::uint64_t>(s.tiles) * s.tiles)
-          .set("nodes_per_tile", static_cast<std::uint64_t>(s.nodes_per_tile))
+      pt.set("nodes", static_cast<std::uint64_t>(w.config.n_nodes))
+          .set("domains", static_cast<std::uint64_t>(m.domains))
           .set("shards", static_cast<std::uint64_t>(k))
           .set("wall_s", wall)
           .set("events_executed", m.aggregate.events_executed)
-          .set("gateway_requests", m.gateway_requests)
-          .set("gateway_acks", m.gateway_acks)
+          .set("lookahead_s", m.lookahead_s)
+          .set("frames_posted", m.frames_posted)
+          .set("frames_processed", m.frames_processed)
+          .set("deltas_posted", m.deltas_posted)
           .set("windows", m.windows)
           .set("messages_merged", m.messages_merged)
-          .set("cut_edges", m.partition_cut_edges)
           .set("speedup_vs_shards1", speedup)
           .set("fingerprint_matches_shards1", fp == fp_k1);
-      if (points_json.size() > 1) points_json += ", ";
-      points_json += pt.str();
+      std::string& json = w.speedup_target ? world_json : points_json;
+      if (json.size() > 1) json += ", ";
+      json += pt.str();
     }
   }
   points_json += "]";
-  city_table.print(std::cout);
-  std::cout << "\n";
-  pb::check(all_identical,
-            "sharded runs byte-identical to shards=1 at every scale");
-  pb::check(any_gateway || skipped == city.size(),
-            "gateway traffic actually crossed tile boundaries");
-
-  // ---- part three: world-sharded one-world sweep --------------------------
-  //
-  // ONE world cut into region-column domains (DESIGN.md §13): real radio
-  // frames cross the cut under the lookahead derived from the MAC and
-  // propagation timing.  Unlike the tile city there is no embarrassing
-  // parallelism to hide behind — every domain replays the whole world's
-  // mobility and the cut carries live protocol traffic — so this is the
-  // sweep the >= 3x-on-4-cores speedup target is evaluated against.
-
-  std::cout << "\n== World-sharded one-world — shards sweep ==\n\n";
-
-  core::PrecinctConfig wc = pb::mobile_base();
-  wc.n_nodes = 240;
-  wc.area = {{0.0, 0.0}, {2400.0, 2400.0}};
-  wc.regions_x = wc.regions_y = 8;  // 8 region-column domains
-  wc.catalog.n_items = 200;
-  wc.catalog.min_item_bytes = wc.catalog.max_item_bytes = 512;
-  wc.warmup_s = pb::fast_mode() ? 10.0 : 20.0;
-  wc.measure_s = pb::fast_mode() ? 30.0 : 60.0;
-  std::vector<std::uint32_t> world_shards{1, 2, 4, 8};
-  if (pb::fast_mode()) world_shards = {1, 2};
-
-  support::Table world_table(
-      {"shards", "wall s", "events", "frames x-cut", "windows", "speedup"});
-  std::string world_json = "[";
-  bool world_identical = true;
-  double world_wall_k1 = 0.0;
-  double world_speedup = 0.0;      ///< measured at the highest shard count
-  std::uint32_t world_speedup_k = 1;
-  std::string world_fp_k1;
-  for (const std::uint32_t k : world_shards) {
-    core::PrecinctConfig ck = wc;
-    ck.shards = k;
-    const auto t0 = std::chrono::steady_clock::now();
-    const core::WorldShardedMetrics m = core::run_world_scenario(ck);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    const std::string fp = core::world_fingerprint(m);
-    if (k == 1) {
-      world_wall_k1 = wall;
-      world_fp_k1 = fp;
-    } else if (fp != world_fp_k1) {
-      world_identical = false;
-    }
-    const double speedup = wall > 0.0 ? world_wall_k1 / wall : 0.0;
-    if (k >= world_speedup_k) {
-      world_speedup = speedup;
-      world_speedup_k = k;
-    }
-    world_table.add_row({std::to_string(k), support::Table::num(wall, 2),
-                         std::to_string(m.aggregate.events_executed),
-                         std::to_string(m.frames_posted),
-                         std::to_string(m.windows),
-                         support::Table::num(speedup, 2)});
-    support::JsonObject pt;
-    pt.set("nodes", static_cast<std::uint64_t>(wc.n_nodes))
-        .set("domains", static_cast<std::uint64_t>(m.domains))
-        .set("shards", static_cast<std::uint64_t>(k))
-        .set("wall_s", wall)
-        .set("events_executed", m.aggregate.events_executed)
-        .set("lookahead_s", m.lookahead_s)
-        .set("frames_posted", m.frames_posted)
-        .set("frames_processed", m.frames_processed)
-        .set("deltas_posted", m.deltas_posted)
-        .set("windows", m.windows)
-        .set("messages_merged", m.messages_merged)
-        .set("speedup_vs_shards1", speedup)
-        .set("fingerprint_matches_shards1", fp == world_fp_k1);
-    if (world_json.size() > 1) world_json += ", ";
-    world_json += pt.str();
-  }
   world_json += "]";
   world_table.print(std::cout);
   std::cout << "\n";
-  pb::check(world_identical,
+  pb::check(all_identical,
             "world-sharded runs byte-identical to shards=1 at every K");
 
   // The speedup target is a claim about parallel hardware; on a smaller
@@ -285,11 +238,11 @@ int main() {
       .set("speedup_shards", static_cast<std::uint64_t>(world_speedup_k))
       .set("evaluated", can_evaluate);
   support::JsonObject report;
-  report.set("schema", std::string("precinct-bench-scale-v1"))
+  report.set("schema", std::string("precinct-bench-scale-v2"))
       .set("fast_mode", pb::fast_mode())
       .set_raw("context", context.str())
       .set_raw("speedup_target", target.str())
-      .set("deterministic_across_shards", all_identical && world_identical)
+      .set("deterministic_across_shards", all_identical)
       .set_raw("points", points_json)
       .set_raw("world_points", world_json);
   if (const char* out_path = std::getenv("PRECINCT_SCALE_OUT")) {

@@ -11,25 +11,20 @@
 // batches or elides simulator events (e.g. fan-out batching) legitimately
 // lowers it without touching protocol behaviour.
 //
-// Usage: metrics_fingerprint [--shards K | --world K] [> fingerprint.txt]
-//
-// With --shards K every config is wrapped in a 2x2 tile world with
-// gateway traffic and run through ShardedScenario on K worker shards
-// (core::sharded_fingerprint rendering).  The output must be
-// byte-identical for every K — diff K=1 against K in {2,4,8} to gate the
-// parallel executor's determinism contract (DESIGN.md §11).
+// Usage: metrics_fingerprint [--world K] [> fingerprint.txt]
 //
 // With --world K every config runs as ONE world cut into region-column
 // domains on K worker shards (WorldShardedScenario,
-// core::world_fingerprint rendering — DESIGN.md §13): real radio frames
-// cross the cut under a lookahead derived from the MAC/propagation
-// timing.  Likewise byte-identical for every K, including K=1.
+// core::world_fingerprint rendering — DESIGN.md §11, §13): real radio
+// frames cross the cut under a lookahead derived from the MAC/propagation
+// timing.  The output must be byte-identical for every K, including K=1 —
+// diff K=1 against K in {2,4,8} to gate the parallel executor's
+// determinism contract.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "core/scenario.hpp"
-#include "core/sharded_scenario.hpp"
 #include "core/world_scenario.hpp"
 
 namespace {
@@ -38,8 +33,6 @@ using namespace precinct;
 using core::Metrics;
 using core::PrecinctConfig;
 
-// 0 = classic single-area mode; > 0 = sharded tile-world mode.
-std::uint32_t g_shards = 0;
 // 0 = off; > 0 = world-sharded mode (one world, region-column domains).
 std::uint32_t g_world = 0;
 
@@ -47,40 +40,22 @@ void dump(const char* name, const Metrics& m) {
   std::printf("[%s]\n%s\n", name, core::fingerprint(m).c_str());
 }
 
-/// Sharded mode: wrap the config in a 2x2 tile world (each tile a full
-/// copy of the scenario, trimmed so 4x the work stays affordable) and
-/// print the shard-count-invariant fingerprint.  World mode: run the
-/// config as ONE world cut into region-column domains (gateway knobs
-/// quiet — the lookahead is derived from the radio timing;
-/// dynamic_regions is a global reconfiguration and cannot be sharded,
-/// so churn configs keep their kills/revives but drop the rebalancer).
+/// World mode: run the config as ONE world cut into region-column
+/// domains, trimmed so the world run stays affordable (dynamic_regions is
+/// a global reconfiguration and cannot be sharded, so churn configs keep
+/// their kills/revives but drop the rebalancer).
 void run_config(const char* name, const PrecinctConfig& config) {
-  if (g_world > 0) {
-    PrecinctConfig c = config;
-    c.shards = g_world;
-    c.tiles_x = c.tiles_y = 1;
-    c.gateway_interval_s = 0.0;
-    c.gateway_latency_s = 0.0;
-    c.dynamic_regions = false;
-    if (c.warmup_s > 30.0) c.warmup_s = 30.0;
-    if (c.measure_s > 90.0) c.measure_s = 90.0;
-    std::printf("[%s]\n%s\n", name,
-                core::world_fingerprint(core::run_world_scenario(c)).c_str());
-    return;
-  }
-  if (g_shards == 0) {
+  if (g_world == 0) {
     dump(name, core::run_scenario(config));
     return;
   }
   PrecinctConfig c = config;
-  c.tiles_x = c.tiles_y = 2;
-  c.shards = g_shards;
-  c.gateway_interval_s = 5.0;
-  c.gateway_latency_s = 0.25;
+  c.shards = g_world;
+  c.dynamic_regions = false;
   if (c.warmup_s > 30.0) c.warmup_s = 30.0;
   if (c.measure_s > 90.0) c.measure_s = 90.0;
   std::printf("[%s]\n%s\n", name,
-              core::sharded_fingerprint(core::run_sharded_scenario(c)).c_str());
+              core::world_fingerprint(core::run_world_scenario(c)).c_str());
 }
 
 PrecinctConfig base(std::uint64_t seed) {
@@ -96,18 +71,12 @@ PrecinctConfig base(std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      g_shards = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--world") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--world") == 0 && i + 1 < argc) {
       g_world = static_cast<std::uint32_t>(std::atoi(argv[++i]));
     } else {
-      std::fprintf(stderr, "usage: %s [--shards K | --world K]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--world K]\n", argv[0]);
       return 2;
     }
-  }
-  if (g_shards > 0 && g_world > 0) {
-    std::fprintf(stderr, "--shards (tiled) and --world are exclusive\n");
-    return 2;
   }
   {
     // Default PReCinCt stack under mobility.
@@ -155,7 +124,7 @@ int main(int argc, char** argv) {
     run_config("churn_dynamic_s23", c);
   }
   {
-    // Large static network: spatial grid index on (>=128 nodes).
+    // Larger mobile network: 160 nodes on a 4x4 region grid.
     auto c = base(29);
     c.n_nodes = 160;
     c.area = {{0, 0}, {1800, 1800}};

@@ -1,9 +1,10 @@
 // precinct_fuzz — property-based scenario fuzzing driver (DESIGN.md §10).
 //
 // Draws random valid scenarios, runs each with every invariant category
-// enabled, and asserts the rotating metamorphic properties (determinism
-// replay, null-fault channel equivalence, no-retry means no resend, shard
-// and world-shard invariance, wire-codec fixed point).  A failing case
+// enabled, and asserts the six rotating metamorphic properties
+// (determinism replay, null-fault channel equivalence, no-retry means no
+// resend, world-shard invariance, wire-codec fixed point, heterogeneous-
+// fleet equivalence).  A failing case
 // writes a repro config that `precinct_sim --config <file>` replays in one
 // command; wire-codec failures also print the datagram as hex.
 //

@@ -112,15 +112,10 @@ scenario packs
 run control
   --config FILE        key=value scenario file (flags override it; see
                        examples/scenario.conf.example)
-  --shards K           parallel workers; with the default 1x1 tile grid,
-                       K > 1 world-shards the run (one world cut into
-                       region-column domains with real radio traffic
-                       across the cut; results are byte-identical for
-                       any K)                             (default 1)
-                       a `tiles = K` config key selects the other sharded
-                       mode instead: a KxK grid of independent tile worlds
-                       coupled only by gateway traffic (gateway_latency,
-                       gateway_interval config keys)
+  --shards K           parallel workers; K > 1 world-shards the run (one
+                       world cut into region-column domains with real
+                       radio traffic across the cut; results are
+                       byte-identical for any K)          (default 1)
   --warmup S           warm-up before measuring           (default 150)
   --measure S          measurement window                 (default 900)
   --seed N             base RNG seed                      (default 1)
@@ -376,8 +371,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const bool world_sharded =
-        world_k > 0 || (c.shards > 1 && c.tiles_x == 1 && c.tiles_y == 1);
+    const bool world_sharded = world_k > 0 || c.shards > 1;
     if (print_fingerprint) {
       // Fingerprints are single-run by definition (the determinism gates
       // diff them byte-for-byte).

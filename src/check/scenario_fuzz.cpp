@@ -9,7 +9,6 @@
 #include "check/invariant_violation.hpp"
 #include "core/config_io.hpp"
 #include "core/scenario.hpp"
-#include "core/sharded_scenario.hpp"
 #include "core/world_scenario.hpp"
 #include "net/packet.hpp"
 #include "support/rng.hpp"
@@ -262,7 +261,6 @@ const char* to_string(Property p) noexcept {
     case Property::kReplayIdentical: return "replay-identical";
     case Property::kNullFaultIdentical: return "null-fault-identical";
     case Property::kNoRetryNoResend: return "no-retry-no-resend";
-    case Property::kShardInvariant: return "shard-invariant";
     case Property::kWorldShardInvariant: return "world-shard-invariant";
     case Property::kWireCodec: return "wire-codec";
     case Property::kHeterogeneousEquivalent: return "hetero-equivalent";
@@ -282,24 +280,12 @@ FuzzCase draw_scenario(std::uint64_t case_seed) {
     } else if (fc.property == Property::kNoRetryNoResend) {
       c.request_retries = 0;
       c.push_retries = 0;
-    } else if (fc.property == Property::kShardInvariant) {
-      // A small tile world with real gateway traffic; the case is run
-      // twice (shards = 1 vs K) so trim the windows to keep it cheap.
-      c.tiles_x = c.tiles_y = 2;
-      c.gateway_interval_s = rng.uniform(2.0, 6.0);
-      c.gateway_latency_s = 0.2 + 0.1 * static_cast<double>(rng.uniform_int(3));
-      c.warmup_s = 3.0;
-      c.measure_s = 8.0 + static_cast<double>(rng.uniform_int(6));
     } else if (fc.property == Property::kWorldShardInvariant) {
-      // One world cut into region-column domains: the gateway knobs
-      // belong to the tiled backhaul and must stay quiet, and
-      // dynamic_regions is a global reconfiguration the cut cannot
-      // carry.  Boundary-heavy mobility (fast nodes, short pauses)
-      // keeps traffic straddling the cut; the case is run twice
-      // (shards = 1 vs K) so trim the windows to keep it cheap.
-      c.tiles_x = c.tiles_y = 1;
-      c.gateway_interval_s = 0.0;
-      c.gateway_latency_s = 0.0;
+      // One world cut into region-column domains: dynamic_regions is a
+      // global reconfiguration the cut cannot carry.  Boundary-heavy
+      // mobility (fast nodes, short pauses) keeps traffic straddling the
+      // cut; the case is run twice (shards = 1 vs K) so trim the windows
+      // to keep it cheap.
       c.dynamic_regions = false;
       if (c.mobile) {
         c.v_max = rng.uniform(5.0, 10.0);
@@ -373,24 +359,6 @@ FuzzVerdict run_fuzz_case(const FuzzCase& fc) {
           return {false, diff_detail("no-retry reruns diverged",
                                      core::fingerprint(first),
                                      core::fingerprint(second))};
-        }
-        return {};
-      }
-      case Property::kShardInvariant: {
-        core::PrecinctConfig single = fc.config;
-        single.shards = 1;
-        core::PrecinctConfig sharded = fc.config;
-        sharded.shards = static_cast<std::uint32_t>(
-            2 + (fc.case_seed / kPropertyCount) % 3);  // 2..4 of 4 tiles
-        const std::string one =
-            core::sharded_fingerprint(core::run_sharded_scenario(single));
-        const std::string many =
-            core::sharded_fingerprint(core::run_sharded_scenario(sharded));
-        if (one != many) {
-          return {false, diff_detail(("shards=" + std::to_string(sharded.shards) +
-                                      " diverged from shards=1")
-                                         .c_str(),
-                                     one, many)};
         }
         return {};
       }

@@ -15,18 +15,14 @@
 //                            no frame is ever retransmitted (the paper's
 //                            fire-and-escalate timing path), and the run
 //                            still replays byte-identically;
-//   * shard-invariant      — a sharded tile world (ShardedScenario with
-//                            gateway traffic) produces a byte-identical
-//                            sharded fingerprint for shards = K and
-//                            shards = 1 (the conservative parallel
-//                            executor's determinism contract, DESIGN.md
-//                            §11);
 //   * world-shard-invariant — ONE world cut into region-column domains
 //                            (WorldShardedScenario, boundary-heavy
 //                            mobility so nodes keep straddling the cut)
 //                            produces a byte-identical world fingerprint
-//                            for shards = K and shards = 1 (DESIGN.md
-//                            §13), conservation audit included;
+//                            for shards = K and shards = 1 (the
+//                            conservative parallel executor's determinism
+//                            contract, DESIGN.md §11, §13), conservation
+//                            audit included;
 //   * wire-codec           — encode -> decode -> encode is a byte-level
 //                            fixed point for random packets of every
 //                            PacketKind (hostile doubles included), every
@@ -62,13 +58,12 @@ enum class Property : std::uint8_t {
   kReplayIdentical = 0,
   kNullFaultIdentical,
   kNoRetryNoResend,
-  kShardInvariant,
   kWorldShardInvariant,
   kWireCodec,
   kHeterogeneousEquivalent,
 };
 
-inline constexpr std::size_t kPropertyCount = 7;
+inline constexpr std::size_t kPropertyCount = 6;
 
 [[nodiscard]] const char* to_string(Property p) noexcept;
 

@@ -195,30 +195,15 @@ struct PrecinctConfig {
   /// both rates set the network reaches a churn steady state.
   double join_rate_per_s = 0.0;
 
-  // -- sharded parallel execution (DESIGN.md §11, §13) -----------------------
+  // -- world-sharded parallel execution (DESIGN.md §11, §13) -----------------
   /// Worker shards for the conservative parallel executor.  1 (the
-  /// default) runs the classic single-threaded path.  With a tile grid
-  /// (tiles > 1x1), K > 1 splits the tiles across K threads; with the
-  /// default 1x1 grid, K > 1 selects *world sharding* — ONE world cut
-  /// into region-column domains with real radio frames crossing the cut
-  /// (WorldShardedScenario), whose lookahead is derived from the radio
-  /// MAC/propagation timing.  Results are byte-identical for any value —
-  /// shards only decide which thread does the work.
+  /// default) runs the classic single-threaded path; K > 1 selects *world
+  /// sharding* — ONE world cut into region-column domains with real radio
+  /// frames crossing the cut (WorldShardedScenario), whose lookahead is
+  /// derived from the radio MAC/propagation timing.  Results are
+  /// byte-identical for any value — shards only decide which thread does
+  /// the work.
   std::uint32_t shards = 1;
-  /// Tile grid for ShardedScenario: the world is tiles_x * tiles_y
-  /// independent PReCinCt areas (each a full stack with this config's
-  /// per-tile parameters), coupled by gateway traffic.  1x1 means the
-  /// plain single-area scenario (or, with shards > 1, world sharding).
-  std::uint32_t tiles_x = 1;
-  std::uint32_t tiles_y = 1;
-  /// Inter-tile gateway delivery latency; the tiled executor's
-  /// conservative lookahead window, so a tiled world requires > 0.  Must
-  /// stay 0 (the default) in a world-sharded run, whose lookahead is
-  /// derived, not configured.
-  double gateway_latency_s = 0.0;
-  /// Mean interval between gateway requests per (tile, neighbor) pair
-  /// (Poisson).  0 disables gateway traffic.
-  double gateway_interval_s = 0.0;
 
   // -- scripted workload + real transport (DESIGN.md §14) --------------------
   /// Path to a deterministic workload script (`<t> request|update <node>

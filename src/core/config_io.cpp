@@ -354,19 +354,6 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.shards =
                  static_cast<std::uint32_t>(kv.get_number("shards", 1.0));
            }},
-          {"tiles",
-           [&](const std::string&) {
-             c.tiles_x = c.tiles_y =
-                 static_cast<std::uint32_t>(kv.get_number("tiles", 1.0));
-           }},
-          {"gateway_latency",
-           [&](const std::string&) {
-             c.gateway_latency_s = kv.get_number("gateway_latency", 0.0);
-           }},
-          {"gateway_interval",
-           [&](const std::string&) {
-             c.gateway_interval_s = kv.get_number("gateway_interval", 0.0);
-           }},
           {"workload_script",
            [&](const std::string& v) { c.workload_script = v; }},
           {"transport_base_port",
@@ -542,13 +529,7 @@ std::map<std::string, std::string> config_to_kv(const PrecinctConfig& c) {
   kv["hotspot_shift"] = std::to_string(c.hotspot_shift);
   kv["warmup"] = format_number(c.warmup_s);
   kv["measure"] = format_number(c.measure_s);
-  if (c.tiles_x != c.tiles_y) {
-    fail_unwritable("tile grid must be square (tiles_x == tiles_y)");
-  }
   kv["shards"] = std::to_string(c.shards);
-  kv["tiles"] = std::to_string(c.tiles_x);
-  kv["gateway_latency"] = format_number(c.gateway_latency_s);
-  kv["gateway_interval"] = format_number(c.gateway_interval_s);
   if (!c.workload_script.empty()) kv["workload_script"] = c.workload_script;
   kv["transport_base_port"] = std::to_string(c.transport_base_port);
   kv["transport_pace"] = c.transport_pace;

@@ -177,35 +177,12 @@ void PrecinctConfig::validate() const {
   if (warmup_s < 0.0 || measure_s <= 0.0) {
     fail("warmup must be >= 0 and measure window > 0");
   }
-  // Sharded-execution knobs (DESIGN.md §11 tiled cities, §13 world
-  // sharding).  `shards` with a 1x1 tile grid selects world sharding: one
-  // world cut into region-column domains with real radio traffic across
-  // the cut.  Its lookahead is derived from the radio timing, so the
-  // gateway knobs — which belong to the tiled-city backhaul — must be
-  // quiet.
+  // World sharding (DESIGN.md §13): `shards > 1` cuts one world into
+  // region-column domains with real radio traffic across the cut.
   if (shards == 0) fail("shards must be >= 1");
-  if (tiles_x == 0 || tiles_y == 0) fail("tile grid must be >= 1x1");
-  if (gateway_latency_s < 0.0) fail("gateway latency must be >= 0");
-  if (gateway_interval_s < 0.0) fail("gateway interval must be >= 0");
-  const bool tiled = static_cast<std::uint64_t>(tiles_x) * tiles_y > 1;
-  if (tiled && gateway_latency_s <= 0.0) {
-    fail("a tiled world needs gateway latency > 0 (it is the conservative "
-         "lookahead)");
-  }
-  if (!tiled && shards > 1) {
-    if (gateway_latency_s != 0.0) {
-      fail("gateway_latency has no effect in a world-sharded run — the "
-           "lookahead is derived from the radio MAC/propagation timing; "
-           "set gateway_latency = 0 (or configure tiles for a tiled city)");
-    }
-    if (gateway_interval_s > 0.0) {
-      fail("gateway traffic needs a tiled world (tiles > 1x1); a "
-           "world-sharded run carries real radio frames across the cut");
-    }
-    if (dynamic_regions) {
-      fail("dynamic_regions reconfigures the region table globally and "
-           "cannot be world-sharded; run shards = 1 or a tiled world");
-    }
+  if (shards > 1 && dynamic_regions) {
+    fail("dynamic_regions reconfigures the region table globally and "
+         "cannot be world-sharded; run shards = 1");
   }
   // Real-transport knobs (DESIGN.md §14).  The daemon/ctl address plan
   // needs the whole fleet's ports inside the unprivileged range.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "geo/shard_partition.hpp"
 #include "net/packet.hpp"
 #include "net/wireless_net.hpp"
 
@@ -15,35 +16,17 @@ PrecinctConfig world_domain_config(const PrecinctConfig& world) {
   // Every domain is a full same-seed replica of the ONE world: identical
   // catalog/mobility/radio/channel streams are what make replicated
   // state (positions, catalog, placement plans) bit-identical across
-  // domains — so, unlike tiles, the seed is deliberately NOT re-salted.
+  // domains — so the seed is deliberately NOT re-salted.
   c.shards = 1;
-  c.tiles_x = c.tiles_y = 1;
-  c.gateway_interval_s = 0.0;
   return c;
 }
 
 double world_validate(const PrecinctConfig& config) {
   config.validate();
-  if (config.tiles_x != 1 || config.tiles_y != 1) {
-    throw std::invalid_argument(
-        "WorldShardedScenario: world sharding cuts ONE world; tiled cities "
-        "use ShardedScenario");
-  }
   if (config.dynamic_regions) {
     throw std::invalid_argument(
         "WorldShardedScenario: dynamic_regions reconfigures the region "
         "table globally and cannot be world-sharded");
-  }
-  if (config.gateway_interval_s > 0.0) {
-    throw std::invalid_argument(
-        "WorldShardedScenario: gateway traffic belongs to tiled worlds; a "
-        "world-sharded run carries real radio frames across the cut");
-  }
-  if (config.gateway_latency_s != 0.0) {
-    throw std::invalid_argument(
-        "WorldShardedScenario: gateway_latency has no effect here — the "
-        "conservative lookahead is derived from the radio MAC/propagation "
-        "timing; set gateway_latency = 0");
   }
   const double lookahead = net::WirelessNet::world_lookahead(config.wireless);
   if (!(lookahead > 0.0)) {
@@ -200,11 +183,8 @@ class WorldShardedScenario::Coupler final : public net::WorldCoupler {
 };
 
 WorldShardedScenario::WorldShardedScenario(const PrecinctConfig& config)
-    : config_((config.validate(), config)),
-      partition_(geo::partition_grid(config.regions_x, 1, config.shards)) {
-  lookahead_s_ = world_validate(config_);
-
-  const auto n_domains = static_cast<std::uint32_t>(partition_.domains());
+    : config_(config), lookahead_s_(world_validate(config_)) {
+  const std::uint32_t n_domains = config_.regions_x;
   domains_.reserve(n_domains);
   for (std::uint32_t d = 0; d < n_domains; ++d) {
     domains_.push_back(
@@ -222,11 +202,15 @@ WorldShardedScenario::WorldShardedScenario(const PrecinctConfig& config)
   std::vector<sim::Simulator*> sims;
   sims.reserve(n_domains);
   for (const auto& d : domains_) sims.push_back(&d->simulator());
+  // Region-column domains -> worker shards; K > regions_x clamps (a
+  // worker with no domain is dead weight, never a correctness concern).
+  geo::ShardPartition partition =
+      geo::partition_grid(n_domains, config_.shards);
   sim::ShardExecutor::Options opts;
-  opts.n_shards = partition_.n_shards;
+  opts.n_shards = partition.n_shards;
   opts.lookahead_s = lookahead_s_;
-  exec_ = std::make_unique<sim::ShardExecutor>(std::move(sims),
-                                               partition_.shard_of, opts);
+  exec_ = std::make_unique<sim::ShardExecutor>(
+      std::move(sims), std::move(partition.shard_of), opts);
 
   for (std::uint32_t d = 0; d < n_domains; ++d) {
     net::WorldShardBinding binding;
@@ -258,7 +242,7 @@ WorldShardedMetrics WorldShardedScenario::run() {
 
   WorldShardedMetrics out;
   out.domains = static_cast<std::uint32_t>(domains_.size());
-  out.shards = partition_.n_shards;
+  out.shards = exec_->n_shards();
   out.lookahead_s = lookahead_s_;
   out.per_domain.reserve(domains_.size());
   for (const auto& d : domains_) {

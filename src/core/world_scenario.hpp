@@ -1,11 +1,11 @@
 // WorldShardedScenario: ONE PReCinCt world cut into region-column domains
-// and advanced in parallel by the conservative executor (DESIGN.md §13).
+// and advanced in parallel by the conservative executor (DESIGN.md §11,
+// §13).
 //
-// Unlike ShardedScenario (independent tile worlds coupled by gateway
-// backhaul), every domain here simulates the SAME world: each holds a
-// full same-seed Scenario replica (identical catalog, mobility, radio and
-// engine streams), but only *drives* the nodes whose t=0 position falls
-// in its region columns.  Real protocol frames cross the cut: a
+// Every domain simulates the SAME world: each holds a full same-seed
+// Scenario replica (identical catalog, mobility, radio and engine
+// streams), but only *drives* the nodes whose t=0 position falls in its
+// region columns.  Real protocol frames cross the cut: a
 // transmission whose padded radio disc can reach another domain's nodes
 // is marshalled through the executor's mailboxes at its arrival instant
 // and re-delivered there against the replica's own (exact) positions —
@@ -44,7 +44,6 @@
 #include "core/config.hpp"
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
-#include "geo/shard_partition.hpp"
 #include "sim/shard_exec.hpp"
 
 namespace precinct::net {
@@ -53,18 +52,17 @@ class WirelessNet;
 
 namespace precinct::core {
 
-/// The per-domain replica config for a world-sharded run: shards/tiles
-/// collapsed to 1, gateways off.  The seed is deliberately NOT re-salted —
-/// identical catalog/mobility/radio/channel streams are what make the
-/// replicated state bit-identical across domains.  Shared with the UDP
+/// The per-domain replica config for a world-sharded run: shards collapsed
+/// to 1.  The seed is deliberately NOT re-salted — identical
+/// catalog/mobility/radio/channel streams are what make the replicated
+/// state bit-identical across domains.  Shared with the UDP
 /// transport daemon (src/transport), whose per-process replicas must be
 /// built exactly like the in-sim oracle's.
 [[nodiscard]] PrecinctConfig world_domain_config(const PrecinctConfig& world);
 
-/// Validate that `config` can be world-sharded (no tiles, no dynamic
-/// regions, no gateway knobs, positive derived lookahead) and return the
-/// derived conservative lookahead.  Throws std::invalid_argument
-/// otherwise.  Shared with the transport daemon so both executions accept
+/// Validate that `config` can be world-sharded (no dynamic regions,
+/// positive derived lookahead) and return the derived conservative
+/// lookahead.  Throws std::invalid_argument otherwise.  Shared with the transport daemon so both executions accept
 /// exactly the same configs.
 [[nodiscard]] double world_validate(const PrecinctConfig& config);
 
@@ -106,8 +104,8 @@ class WorldShardedScenario {
   /// Builds one full-world replica per region column, computes node
   /// ownership from the t=0 positions, and binds every replica's radio
   /// and engine into the shard.  Throws std::invalid_argument when the
-  /// config cannot be world-sharded (dynamic regions, gateway knobs, or
-  /// a non-positive derived lookahead).
+  /// config cannot be world-sharded (dynamic regions or a non-positive
+  /// derived lookahead).
   explicit WorldShardedScenario(const PrecinctConfig& config);
   ~WorldShardedScenario();
 
@@ -126,9 +124,6 @@ class WorldShardedScenario {
   [[nodiscard]] const std::vector<std::uint32_t>& owner() const noexcept {
     return owner_;
   }
-  [[nodiscard]] const geo::ShardPartition& partition() const noexcept {
-    return partition_;
-  }
   [[nodiscard]] sim::ShardExecutor& executor() noexcept { return *exec_; }
   /// The derived conservative lookahead (MAC overhead + propagation).
   [[nodiscard]] double lookahead_s() const noexcept { return lookahead_s_; }
@@ -140,10 +135,6 @@ class WorldShardedScenario {
   class Coupler;  // net::WorldCoupler -> executor mailboxes + counters
 
   PrecinctConfig config_;
-  /// Region-column domains -> worker shards (partition_grid(regions_x, 1,
-  /// shards); K > regions_x clamps — a worker with no domain is dead
-  /// weight, never a correctness concern).
-  geo::ShardPartition partition_;
   double lookahead_s_ = 0.0;
   std::vector<std::uint32_t> owner_;  ///< node -> domain
   std::vector<std::unique_ptr<Scenario>> domains_;

@@ -5,30 +5,22 @@
 
 namespace precinct::geo {
 
-ShardPartition partition_grid(std::uint32_t nx, std::uint32_t ny,
+ShardPartition partition_grid(std::uint32_t n_domains,
                               std::uint32_t n_shards) {
-  const std::uint64_t total = static_cast<std::uint64_t>(nx) * ny;
-  if (total == 0) {
-    throw std::invalid_argument("partition_grid: empty domain grid");
+  if (n_domains == 0) {
+    throw std::invalid_argument("partition_grid: no domains");
   }
   ShardPartition p;
-  p.n_shards = static_cast<std::uint32_t>(
-      std::clamp<std::uint64_t>(n_shards, 1, total));
-  p.shard_of.resize(total);
-  p.members.resize(p.n_shards);
-  // Contiguous runs of size ceil(total/K) for the first (total % K) shards
-  // and floor(total/K) for the rest: balanced within one, adjacent in
-  // row-major order.
-  const std::uint64_t base = total / p.n_shards;
-  const std::uint64_t extra = total % p.n_shards;
-  std::uint64_t next = 0;
+  p.n_shards = std::clamp<std::uint32_t>(n_shards, 1, n_domains);
+  p.shard_of.resize(n_domains);
+  // Contiguous runs of size ceil(n/K) for the first (n % K) shards and
+  // floor(n/K) for the rest: balanced within one, adjacent in order.
+  const std::uint32_t base = n_domains / p.n_shards;
+  const std::uint32_t extra = n_domains % p.n_shards;
+  std::uint32_t next = 0;
   for (std::uint32_t s = 0; s < p.n_shards; ++s) {
-    const std::uint64_t count = base + (s < extra ? 1 : 0);
-    p.members[s].reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i, ++next) {
-      p.shard_of[next] = s;
-      p.members[s].push_back(static_cast<std::uint32_t>(next));
-    }
+    const std::uint32_t count = base + (s < extra ? 1 : 0);
+    for (std::uint32_t i = 0; i < count; ++i) p.shard_of[next++] = s;
   }
   return p;
 }
@@ -42,27 +34,6 @@ std::uint32_t world_column_of(double x, double min_x, double width,
   const auto col = static_cast<std::int64_t>((x - min_x) / cell);
   return static_cast<std::uint32_t>(
       std::clamp<std::int64_t>(col, 0, static_cast<std::int64_t>(nx) - 1));
-}
-
-bool world_boundary_column(std::uint32_t col,
-                           const std::vector<std::uint32_t>& shard_of) {
-  const std::size_t n = shard_of.size();
-  if (col >= n) throw std::invalid_argument("world_boundary_column: bad col");
-  if (col > 0 && shard_of[col - 1] != shard_of[col]) return true;
-  return col + 1 < n && shard_of[col + 1] != shard_of[col];
-}
-
-std::uint64_t cut_edges(std::uint32_t nx, std::uint32_t ny,
-                        const std::vector<std::uint32_t>& shard_of) {
-  std::uint64_t cuts = 0;
-  for (std::uint32_t y = 0; y < ny; ++y) {
-    for (std::uint32_t x = 0; x < nx; ++x) {
-      const std::size_t i = static_cast<std::size_t>(y) * nx + x;
-      if (x + 1 < nx && shard_of[i] != shard_of[i + 1]) ++cuts;
-      if (y + 1 < ny && shard_of[i] != shard_of[i + nx]) ++cuts;
-    }
-  }
-  return cuts;
 }
 
 }  // namespace precinct::geo

@@ -1,21 +1,17 @@
-// Region/tile -> shard partitioning for the sharded parallel executor
-// (DESIGN.md §11).
+// Domain -> shard partitioning for world sharding (DESIGN.md §11, §13).
 //
-// The unit of parallelism is a *domain* (a tile of regions running a full
-// protocol stack); the partitioner assigns each domain of an nx-by-ny
-// grid to one of K shards.  Two properties matter:
+// One world is cut into domains, one per region column (a vertical strip
+// of regions running the protocol for the nodes that start there); the
+// partitioner assigns each domain to one of K worker shards.  Two
+// properties matter:
 //
 //   * balance — shard populations differ by at most one domain, so no
 //     worker is structurally starved or overloaded;
-//   * adjacency — each shard's domains form one contiguous run in
-//     row-major (boustrophedon-free) order, which keeps spatially
-//     adjacent tiles on the same shard and minimizes the number of
-//     grid edges cut by the partition.  Cross-shard gateway traffic is
-//     what pays for cut edges, so fewer cuts means fewer mailbox
-//     messages contending at barrier ticks.
+//   * adjacency — each shard's domains form one contiguous run of
+//     columns, which keeps neighboring strips on the same shard.
 //
-// The partition is a pure function of (nx, ny, n_shards): every run with
-// the same configuration produces the same assignment, which the
+// The partition is a pure function of (n_domains, n_shards): every run
+// with the same configuration produces the same assignment, which the
 // determinism gate depends on.
 #pragma once
 
@@ -26,49 +22,23 @@ namespace precinct::geo {
 
 struct ShardPartition {
   std::uint32_t n_shards = 1;
-  /// Domain index (row-major over the grid) -> owning shard.
+  /// Domain index -> owning shard.
   std::vector<std::uint32_t> shard_of;
-  /// Shard -> its domain indices, ascending.
-  std::vector<std::vector<std::uint32_t>> members;
-
-  [[nodiscard]] std::size_t domains() const noexcept {
-    return shard_of.size();
-  }
 };
 
-/// Partition the nx*ny domain grid into `n_shards` contiguous, balanced
-/// row-major runs.  n_shards is clamped to [1, nx*ny] (a shard with zero
-/// domains would be a dead worker).  Throws std::invalid_argument when the
-/// grid is empty.
-[[nodiscard]] ShardPartition partition_grid(std::uint32_t nx, std::uint32_t ny,
+/// Partition `n_domains` domains into `n_shards` contiguous, balanced
+/// runs.  n_shards is clamped to [1, n_domains] (a shard with zero
+/// domains would be a dead worker).  Throws std::invalid_argument when
+/// there are no domains.
+[[nodiscard]] ShardPartition partition_grid(std::uint32_t n_domains,
                                             std::uint32_t n_shards);
 
-/// Number of 4-neighbor grid edges whose endpoints live on different
-/// shards — the partition-quality metric the tests pin (contiguous strips
-/// must never cut more edges than a round-robin assignment).
-[[nodiscard]] std::uint64_t cut_edges(std::uint32_t nx, std::uint32_t ny,
-                                      const std::vector<std::uint32_t>& shard_of);
-
-// -- world sharding (DESIGN.md §13) -----------------------------------------
-//
-// When one world is cut (rather than independent tiles coupled), the
-// domain is a vertical strip of region columns: column strips keep the
-// region grid's natural adjacency, so cross-domain radio traffic only
-// pays for the strip boundaries.  `world_column_of` is the ownership
-// function — a node belongs to the domain of the region column its t=0
-// position falls in — and `world_boundary_column` marks the columns whose
-// radio range can reach another domain (the halo membership).
-
 /// The region column (0..nx-1) that x-coordinate `x` falls in on a plane
-/// spanning [min_x, min_x + width).  Clamped at both edges so nodes
-/// exactly on (or numerically past) the plane boundary stay inside.
+/// spanning [min_x, min_x + width) — the ownership function: a node
+/// belongs to the domain of the column its t=0 position falls in.
+/// Clamped at both edges so nodes exactly on (or numerically past) the
+/// plane boundary stay inside.
 [[nodiscard]] std::uint32_t world_column_of(double x, double min_x,
                                             double width, std::uint32_t nx);
-
-/// True when region column `col` of an nx-column world is adjacent to a
-/// cut — i.e. the column's strip borders a different domain, so frames
-/// from its nodes can cross domains.
-[[nodiscard]] bool world_boundary_column(
-    std::uint32_t col, const std::vector<std::uint32_t>& shard_of);
 
 }  // namespace precinct::geo

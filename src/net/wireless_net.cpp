@@ -450,24 +450,6 @@ void WirelessNet::deliver_unicast_impl(PacketRef packet, NodeId next_hop,
   }
 }
 
-bool WirelessNet::count_gateway_egress(NodeId node, PacketKind kind,
-                                       std::size_t bytes) {
-  assert(node < n_nodes_);
-  if (!nodes_.alive(node)) return false;
-  energy_.charge(node, energy::RadioOp::kP2pSend, bytes);
-  stats_.count_send(kind, bytes);
-  return true;
-}
-
-bool WirelessNet::count_gateway_ingress(NodeId node, PacketKind kind,
-                                        std::size_t bytes) {
-  assert(node < n_nodes_);
-  if (!nodes_.alive(node)) return false;
-  energy_.charge(node, energy::RadioOp::kP2pRecv, bytes);
-  stats_.count_delivery(kind);
-  return true;
-}
-
 void WirelessNet::kill(NodeId node) {
   assert(node < n_nodes_);
   nodes_.set_alive(node, false);

@@ -303,18 +303,6 @@ class WirelessNet {
     return config.mac_overhead_s + config.propagation_s;
   }
 
-  // -- inter-tile gateway accounting (DESIGN.md §11) -----------------------
-
-  /// Charge a gateway *egress*: `node` uplinks `bytes` to the inter-tile
-  /// backhaul (p2p-send energy plus per-kind send/byte stats).  The
-  /// backhaul is not the shared radio channel, so no airtime is reserved
-  /// and no other node overhears.  Returns false (and charges nothing)
-  /// when the node is dead.
-  bool count_gateway_egress(NodeId node, PacketKind kind, std::size_t bytes);
-  /// Charge a gateway *ingress* at the receiving tile: p2p-receive energy
-  /// plus a per-kind delivery.  Returns false when the node is dead.
-  bool count_gateway_ingress(NodeId node, PacketKind kind, std::size_t bytes);
-
   // -- accounting -----------------------------------------------------------
 
   [[nodiscard]] const energy::EnergyAccountant& energy() const noexcept {

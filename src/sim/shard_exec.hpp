@@ -34,8 +34,9 @@
 // Conservative safety: post() requires due >= the current window's end
 // (i.e. the message latency must be at least the lookahead), so a merged
 // message can never be scheduled into a domain's past.  The lookahead is
-// therefore the minimum cross-domain delivery latency — for the sharded
-// PReCinCt world, the inter-tile gateway latency.
+// therefore the minimum cross-domain delivery latency — for a
+// world-sharded PReCinCt run, the radio's MAC overhead plus propagation
+// delay (WirelessNet::world_lookahead).
 //
 // Determinism: the kept windows, the mailbox contents per window, and
 // the (due, src, seq) merge order are all pure functions of the

@@ -165,7 +165,7 @@ NodeDaemon::NodeDaemon(const Options& opts) : opts_(opts) {
   }
 
   // The same replica the in-sim oracle builds for this domain: full world,
-  // same seed (deliberately not re-salted), shards/tiles collapsed.
+  // same seed (deliberately not re-salted), shards collapsed.
   scenario_ =
       std::make_unique<core::Scenario>(core::world_domain_config(config));
   owner_ = core::world_node_owners(config, scenario_->network());

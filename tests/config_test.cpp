@@ -308,60 +308,36 @@ TEST(ConfigIo, RoundTrippedConfigRunsByteIdentically) {
 TEST(ConfigIo, ShardingKnobsRoundTrip) {
   PrecinctConfig c;
   c.shards = 4;
-  c.tiles_x = c.tiles_y = 3;
-  c.gateway_latency_s = 0.375;
-  c.gateway_interval_s = 7.5;
-  expect_roundtrip(c, "sharded tile world");
+  expect_roundtrip(c, "world-sharded run");
 
   const PrecinctConfig reread = core::config_from_kv(
       support::KvFile::parse(core::config_to_string(c)));
   EXPECT_EQ(reread.shards, 4u);
-  EXPECT_EQ(reread.tiles_x, 3u);
-  EXPECT_EQ(reread.tiles_y, 3u);
-  EXPECT_DOUBLE_EQ(reread.gateway_latency_s, 0.375);
-  EXPECT_DOUBLE_EQ(reread.gateway_interval_s, 7.5);
 }
 
 TEST(ConfigValidate, RejectsBadShardingKnobs) {
-  {
-    PrecinctConfig c;
-    c.shards = 0;
-    EXPECT_THROW(c.validate(), std::invalid_argument);
-  }
-  {
-    PrecinctConfig c;
-    c.tiles_x = 0;
-    EXPECT_THROW(c.validate(), std::invalid_argument);
-  }
-  {
-    PrecinctConfig c;
-    c.tiles_x = c.tiles_y = 2;
-    c.gateway_latency_s = 0.0;  // a tiled world's conservative lookahead
-                                // must be > 0
-    EXPECT_THROW(c.validate(), std::invalid_argument);
-  }
-  {
-    PrecinctConfig c;
-    c.gateway_interval_s = -1.0;
-    EXPECT_THROW(c.validate(), std::invalid_argument);
-  }
+  PrecinctConfig c;
+  c.shards = 0;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
 }
 
 TEST(ConfigValidate, WorldShardingRejectsTiledKnobs) {
-  // shards > 1 with the default 1x1 tile grid selects world sharding,
-  // whose lookahead is derived from the radio timing — the gateway knobs
-  // and the global region rebalancer must stay quiet.
-  {
-    PrecinctConfig c;
-    c.shards = 2;
-    c.gateway_latency_s = 0.25;
-    EXPECT_THROW(c.validate(), std::invalid_argument);
-  }
-  {
-    PrecinctConfig c;
-    c.shards = 2;
-    c.gateway_interval_s = 5.0;
-    EXPECT_THROW(c.validate(), std::invalid_argument);
+  // World sharding is the only sharding mode.  The tiled mode's keys
+  // must fail loudly, with or without shards, instead of loading and
+  // then being ignored by a plain single-world run; and the global
+  // region rebalancer must stay quiet.
+  for (const char* key : {"tiles", "gateway_latency", "gateway_interval"}) {
+    for (const std::string prefix : {"", "shards = 2\n"}) {
+      try {
+        (void)core::config_from_kv(
+            support::KvFile::parse(prefix + key + " = 2\n"));
+        ADD_FAILURE() << key << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("unknown key"), std::string::npos) << what;
+        EXPECT_NE(what.find(key), std::string::npos) << what;
+      }
+    }
   }
   {
     PrecinctConfig c;
@@ -379,10 +355,9 @@ TEST(ConfigValidate, WorldShardingRejectsTiledKnobs) {
 TEST(ConfigIo, WorldShardedConfigIsAFixedPoint) {
   // write -> read -> write must reproduce the exact same text (the
   // round-trip fixed point), with world sharding selected purely by
-  // shards > 1 on the default 1x1 tile grid.
+  // shards > 1.
   PrecinctConfig c;
   c.shards = 4;
-  c.gateway_latency_s = 0.0;
   c.crash_rate_per_s = 0.01;
   c.join_rate_per_s = 0.01;
   expect_roundtrip(c, "world-sharded run");
@@ -391,9 +366,6 @@ TEST(ConfigIo, WorldShardedConfigIsAFixedPoint) {
   const PrecinctConfig reread =
       core::config_from_kv(support::KvFile::parse(once));
   EXPECT_EQ(reread.shards, 4u);
-  EXPECT_EQ(reread.tiles_x, 1u);
-  EXPECT_EQ(reread.tiles_y, 1u);
-  EXPECT_DOUBLE_EQ(reread.gateway_latency_s, 0.0);
   EXPECT_EQ(core::config_to_string(reread), once);
 }
 
@@ -476,12 +448,6 @@ TEST(ConfigIo, UnwritableConfigsThrow) {
   {
     PrecinctConfig c;
     c.area = {{0.0, 0.0}, {800.0, 600.0}};  // non-square
-    EXPECT_THROW((void)core::config_to_string(c), std::invalid_argument);
-  }
-  {
-    PrecinctConfig c;
-    c.tiles_x = 2;
-    c.tiles_y = 3;  // non-square tile grid has no kv form
     EXPECT_THROW((void)core::config_to_string(c), std::invalid_argument);
   }
   {

@@ -1,14 +1,15 @@
 // Region-sharded conservative parallel execution (DESIGN.md §11):
-// barrier reuse, grid partitioning, executor ordering/determinism, and
-// the ShardedScenario's shards-invariance contract.
+// barrier reuse, domain partitioning, and executor ordering/determinism.
+// The world-sharded scenario built on top is tested in
+// world_shard_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <thread>
 #include <vector>
 
-#include "core/sharded_scenario.hpp"
 #include "geo/shard_partition.hpp"
 #include "sim/shard_exec.hpp"
 #include "support/thread_pool.hpp"
@@ -56,53 +57,41 @@ TEST(Barrier, SinglePartyNeverBlocks) {
 // ---- geo::partition_grid --------------------------------------------------
 
 TEST(ShardPartition, CoversEveryDomainExactlyOnce) {
-  const geo::ShardPartition p = geo::partition_grid(5, 4, 3);
+  const geo::ShardPartition p = geo::partition_grid(20, 3);
   EXPECT_EQ(p.n_shards, 3u);
-  EXPECT_EQ(p.domains(), 20u);
-  std::vector<int> seen(20, 0);
-  for (std::uint32_t s = 0; s < p.n_shards; ++s) {
-    for (const std::uint32_t d : p.members[s]) {
-      EXPECT_EQ(p.shard_of[d], s);
-      ++seen[d];
-    }
+  EXPECT_EQ(p.shard_of.size(), 20u);
+  std::vector<int> per_shard(p.n_shards, 0);
+  for (const std::uint32_t s : p.shard_of) {
+    ASSERT_LT(s, p.n_shards);
+    ++per_shard[s];
   }
-  for (const int count : seen) EXPECT_EQ(count, 1);
+  for (const int count : per_shard) EXPECT_GT(count, 0);
 }
 
 TEST(ShardPartition, BalancedWithinOneDomain) {
   for (const std::uint32_t k : {1u, 2u, 3u, 5u, 7u, 16u}) {
-    const geo::ShardPartition p = geo::partition_grid(4, 4, k);
-    std::size_t lo = p.members[0].size(), hi = lo;
-    for (const auto& m : p.members) {
-      lo = std::min(lo, m.size());
-      hi = std::max(hi, m.size());
-    }
-    EXPECT_LE(hi - lo, 1u) << "k=" << k;
+    const geo::ShardPartition p = geo::partition_grid(16, k);
+    std::vector<std::size_t> per_shard(p.n_shards, 0);
+    for (const std::uint32_t s : p.shard_of) ++per_shard[s];
+    const auto [lo, hi] =
+        std::minmax_element(per_shard.begin(), per_shard.end());
+    EXPECT_LE(*hi - *lo, 1u) << "k=" << k;
   }
 }
 
 TEST(ShardPartition, ContiguousRunsInRowMajorOrder) {
-  const geo::ShardPartition p = geo::partition_grid(6, 6, 4);
+  const geo::ShardPartition p = geo::partition_grid(36, 4);
   for (std::size_t d = 1; d < p.shard_of.size(); ++d) {
-    // Shard ids are non-decreasing along row-major order — each shard is
-    // one contiguous run.
+    // Shard ids are non-decreasing along the column order — each shard
+    // is one contiguous run of neighboring strips.
     EXPECT_LE(p.shard_of[d - 1], p.shard_of[d]);
   }
 }
 
 TEST(ShardPartition, ClampsShardCountToDomains) {
-  const geo::ShardPartition p = geo::partition_grid(2, 1, 8);
+  const geo::ShardPartition p = geo::partition_grid(2, 8);
   EXPECT_EQ(p.n_shards, 2u);
-  EXPECT_THROW((void)geo::partition_grid(0, 3, 1), std::invalid_argument);
-}
-
-TEST(ShardPartition, ContiguousCutsNoMoreThanRoundRobin) {
-  const std::uint32_t nx = 8, ny = 8, k = 4;
-  const geo::ShardPartition p = geo::partition_grid(nx, ny, k);
-  std::vector<std::uint32_t> round_robin(nx * ny);
-  for (std::uint32_t i = 0; i < nx * ny; ++i) round_robin[i] = i % k;
-  EXPECT_LE(geo::cut_edges(nx, ny, p.shard_of),
-            geo::cut_edges(nx, ny, round_robin));
+  EXPECT_THROW((void)geo::partition_grid(0, 1), std::invalid_argument);
 }
 
 // ---- sim::ShardExecutor ---------------------------------------------------
@@ -261,90 +250,6 @@ TEST(ShardExecutor, RejectsBadConstruction) {
   opts.lookahead_s = 0.5;
   EXPECT_THROW(sim::ShardExecutor(one, {0, 0}, opts), std::invalid_argument);
   EXPECT_THROW(sim::ShardExecutor(one, {5}, opts), std::invalid_argument);
-}
-
-// ---- core::ShardedScenario ------------------------------------------------
-
-core::PrecinctConfig small_world() {
-  core::PrecinctConfig c;
-  c.n_nodes = 24;
-  c.tiles_x = c.tiles_y = 2;
-  c.gateway_interval_s = 3.0;
-  c.gateway_latency_s = 0.25;
-  c.warmup_s = 5.0;
-  c.measure_s = 20.0;
-  c.mean_request_interval_s = 6.0;
-  c.seed = 99;
-  return c;
-}
-
-TEST(ShardedScenario, FingerprintInvariantAcrossShardCounts) {
-  std::string baseline;
-  for (const std::uint32_t k : {1u, 2u, 4u}) {
-    core::PrecinctConfig c = small_world();
-    c.shards = k;
-    const core::ShardedMetrics m = core::run_sharded_scenario(c);
-    const std::string fp = core::sharded_fingerprint(m);
-    if (k == 1) {
-      baseline = fp;
-      EXPECT_GT(m.gateway_requests, 0u) << "gateway streams never fired";
-      EXPECT_GT(m.gateway_acks, 0u);
-      EXPECT_GT(m.messages_merged, 0u);
-      EXPECT_GT(m.aggregate.requests_issued, 0u);
-    } else {
-      EXPECT_EQ(fp, baseline) << "shards=" << k << " diverged";
-    }
-  }
-}
-
-TEST(ShardedScenario, PerShardInvariantCheckerHoldsUnderSharding) {
-  core::PrecinctConfig c = small_world();
-  c.shards = 2;
-  c.check = "all";  // every tile runs its own InvariantChecker
-  c.check_stride = 16;
-  const core::ShardedMetrics checked = core::run_sharded_scenario(c);
-  c.check.clear();
-  const core::ShardedMetrics plain = core::run_sharded_scenario(c);
-  // The checker is observe-only: enabling it must not change results.
-  EXPECT_EQ(core::sharded_fingerprint(checked),
-            core::sharded_fingerprint(plain));
-}
-
-TEST(ShardedScenario, GatewayTrafficIsAccountedInTileStats) {
-  core::PrecinctConfig c = small_world();
-  c.gateway_interval_s = 1.0;  // dense gateway traffic
-  const core::ShardedMetrics m = core::run_sharded_scenario(c);
-  EXPECT_GT(m.gateway_requests, 0u);
-  EXPECT_GE(m.gateway_requests, m.gateway_served);
-  EXPECT_GE(m.gateway_served, m.gateway_acks);
-  // Every ack closes a round trip of >= 2 * gateway latency.
-  if (m.gateway_acks > 0) {
-    EXPECT_GE(m.gateway_rtt_sum_s,
-              2.0 * c.gateway_latency_s * static_cast<double>(m.gateway_acks));
-  }
-  // The world ran 4 tiles: per-tile metrics exist and sum into aggregate.
-  ASSERT_EQ(m.per_tile.size(), 4u);
-  std::uint64_t issued = 0;
-  for (const auto& t : m.per_tile) issued += t.requests_issued;
-  EXPECT_EQ(issued, m.aggregate.requests_issued);
-}
-
-TEST(ShardedScenario, SingleTileMatchesPlainScenario) {
-  // A 1x1 tile world with no gateway traffic is the plain scenario run
-  // through the windowed executor: same seed derivation, so the per-tile
-  // fingerprint must equal a direct Scenario run of the tile config.
-  core::PrecinctConfig c = small_world();
-  c.tiles_x = c.tiles_y = 1;
-  c.gateway_interval_s = 0.0;
-  const core::ShardedMetrics sharded = core::run_sharded_scenario(c);
-  ASSERT_EQ(sharded.per_tile.size(), 1u);
-
-  core::PrecinctConfig tile = c;
-  tile.seed =
-      support::hash_combine(support::hash_combine(c.seed, 0x715e), 0);
-  tile.tiles_x = tile.tiles_y = 1;
-  const core::Metrics direct = core::run_scenario(tile);
-  EXPECT_EQ(core::fingerprint(sharded.per_tile[0]), core::fingerprint(direct));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // World sharding (DESIGN.md §13): column ownership, the derived
 // conservative lookahead, the shards-invariance contract with real radio
-// traffic crossing the cut, the cross-domain conservation audit, idle
-// window skipping, and the one-window bound on halo staleness.
+// traffic crossing the cut, the cross-domain conservation audit, the
+// observe-only invariant checker, single-domain equivalence with the
+// plain scenario, idle window skipping, and the one-window bound on halo
+// staleness.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -56,19 +58,6 @@ TEST(WorldPartition, ColumnOwnershipClampsAtEdges) {
   EXPECT_EQ(geo::world_column_of(-0.5, 0.0, 800.0, 4), 0u);
 }
 
-TEST(WorldPartition, BoundaryColumnsAreTheOnesTouchingACut) {
-  const std::vector<std::uint32_t> two_shards{0, 0, 1, 1};
-  EXPECT_FALSE(geo::world_boundary_column(0, two_shards));
-  EXPECT_TRUE(geo::world_boundary_column(1, two_shards));
-  EXPECT_TRUE(geo::world_boundary_column(2, two_shards));
-  EXPECT_FALSE(geo::world_boundary_column(3, two_shards));
-
-  const std::vector<std::uint32_t> one_shard{0, 0, 0};
-  for (std::uint32_t col = 0; col < 3; ++col) {
-    EXPECT_FALSE(geo::world_boundary_column(col, one_shard));
-  }
-}
-
 // ---- construction ----------------------------------------------------------
 
 TEST(WorldScenario, LookaheadIsDerivedFromRadioTiming) {
@@ -86,26 +75,17 @@ TEST(WorldScenario, LookaheadIsDerivedFromRadioTiming) {
   for (const std::uint32_t d : world.owner()) EXPECT_LT(d, c.regions_x);
 }
 
-TEST(WorldScenario, RejectsTiledKnobsAndGlobalReconfiguration) {
-  {
-    PrecinctConfig c = world_config(2);
-    c.tiles_x = c.tiles_y = 2;
-    c.gateway_latency_s = 0.25;  // valid tiled config, wrong scenario type
-    EXPECT_THROW(core::WorldShardedScenario{c}, std::invalid_argument);
-  }
-  {
-    PrecinctConfig c = world_config(2);
-    c.gateway_latency_s = 0.25;  // the lookahead is derived, not configured
-    EXPECT_THROW(core::WorldShardedScenario{c}, std::invalid_argument);
-  }
-  {
-    PrecinctConfig c = world_config(2);
-    c.gateway_interval_s = 5.0;  // gateway traffic belongs to tiled worlds
-    EXPECT_THROW(core::WorldShardedScenario{c}, std::invalid_argument);
-  }
-  {
-    PrecinctConfig c = world_config(2);
+TEST(WorldScenario, RejectsGlobalReconfigurationAndZeroLookahead) {
+  for (const std::uint32_t k : {1u, 2u}) {
+    PrecinctConfig c = world_config(k);
     c.dynamic_regions = true;  // global region-table reconfiguration
+    EXPECT_THROW(core::WorldShardedScenario{c}, std::invalid_argument)
+        << "shards=" << k;
+  }
+  {
+    PrecinctConfig c = world_config(2);
+    c.wireless.mac_overhead_s = 0.0;  // a zero-latency radio admits no
+    c.wireless.propagation_s = 0.0;   // conservative window
     EXPECT_THROW(core::WorldShardedScenario{c}, std::invalid_argument);
   }
 }
@@ -141,6 +121,46 @@ TEST(WorldShardedScenarioTest, CheckAllHoldsAndConservationAudits) {
   EXPECT_EQ(m.frames_processed, m.frames_posted - m.frames_beyond_horizon);
   EXPECT_EQ(m.deltas_processed, m.deltas_posted - m.deltas_beyond_horizon);
   EXPECT_GT(m.windows, 0u);
+}
+
+TEST(WorldShardedScenarioTest, PerDomainInvariantCheckerIsObserveOnly) {
+  PrecinctConfig c = world_config(2);
+  c.check = "all";  // every domain runs its own InvariantChecker
+  c.check_stride = 16;
+  const std::string checked =
+      core::world_fingerprint(core::run_world_scenario(c));
+  c.check.clear();
+  // The checker is observe-only: enabling it must not change results.
+  EXPECT_EQ(checked, core::world_fingerprint(core::run_world_scenario(c)));
+}
+
+TEST(WorldShardedScenarioTest, SingleDomainMatchesPlainScenario) {
+  // A one-column world is one domain that owns every node: the windowed
+  // executor must then reproduce a direct Scenario run of the replica
+  // config.  Churn stays out on purpose — world mode draws crashes and
+  // joins from a per-domain stream, so a churning world and the plain
+  // scenario legitimately differ.
+  PrecinctConfig base = world_config(1);
+  base.regions_x = 1;
+  base.crash_rate_per_s = 0.0;
+  base.join_rate_per_s = 0.0;
+  PrecinctConfig lossy = base;
+  lossy.consistency = consistency::Mode::kNone;
+  lossy.updates_enabled = false;
+  lossy.wireless.channel.model = "bernoulli";
+  lossy.wireless.channel.loss_p = 0.2;
+  lossy.request_retries = 3;
+  for (const PrecinctConfig& c : {base, lossy}) {
+    const core::WorldShardedMetrics world = core::run_world_scenario(c);
+    ASSERT_EQ(world.per_domain.size(), 1u);
+    EXPECT_EQ(world.frames_posted, 0u);
+    const core::Metrics direct =
+        core::run_scenario(core::world_domain_config(c));
+    EXPECT_GT(direct.requests_completed, 0u);
+    EXPECT_EQ(core::fingerprint(world.per_domain[0]),
+              core::fingerprint(direct))
+        << "channel=" << c.wireless.channel.model;
+  }
 }
 
 TEST(WorldShardedScenarioTest, SkipsIdleWindowsForEveryShardCount) {
