@@ -7,14 +7,14 @@
 //   precinct_ctl inject --dir fleet/ --request --node 3 --rank 0
 //   precinct_ctl stop --dir fleet/                        SIGTERM the fleet
 //   precinct_ctl collect --dir fleet/                     merge status files
-//   precinct_ctl oracle --config fleet.conf --fingerprint in-sim twin
 //
 // `up` launches one precinct_node per region column on loopback ports
 // base_port + domain, writes a fleet.json manifest into --dir, and (unless
 // --detach) waits for the run, audits cross-domain frame conservation and
-// writes merged.json.  `--fingerprint` prints the fleet fingerprint to
-// stdout — `oracle --fingerprint` prints the byte-identical string from
-// the in-sim WorldShardedScenario, which is the CI equivalence gate.
+// writes merged.json.  `--fingerprint` prints the fleet's world
+// fingerprint to stdout; `precinct_sim --config FILE --world 1
+// --fingerprint` prints the byte-identical string from the in-sim
+// WorldShardedScenario, which is the CI equivalence gate.
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -53,7 +53,9 @@ void print_help() {
           Spawn one daemon per region column (loopback ports P+domain,
           manifest in DIR/fleet.json).  Without --detach: wait for the
           run, audit frame conservation, write DIR/merged.json; with
-          --fingerprint, print the fleet fingerprint to stdout.
+          --fingerprint, print the world fingerprint to stdout — the
+          string `precinct_sim --config FILE --world 1 --fingerprint`
+          prints for the in-sim run (the equivalence gate).
   status  --dir DIR     one line per daemon from its status snapshot
   inject  --dir DIR (--request | --update) --node N --rank R
           Inject one request/update for catalog rank R at node N (the
@@ -61,10 +63,6 @@ void print_help() {
   stop    --dir DIR     SIGTERM every daemon (graceful barrier drain)
   collect --dir DIR [--fingerprint]
           Merge finished daemons' status files into DIR/merged.json.
-  oracle  --config FILE [--fingerprint]
-          Run the in-sim world-sharded twin of the fleet; with
-          --fingerprint, print the byte-identical fleet fingerprint the
-          UDP fleet must reproduce (the equivalence gate).
 
 Defaults: --dir fleet, --base-port from the config's transport_base_port,
 --node-bin precinct_node next to this binary.
@@ -183,9 +181,10 @@ std::vector<support::FlatJson> read_statuses(const Fleet& f) {
 // -- merge + fingerprint -----------------------------------------------------
 
 /// Merge finished status files: conservation audit, merged.json, and the
-/// fleet fingerprint spliced from the daemons' own fragments (exact
-/// values travel as text, never re-parsed doubles).
-std::string merge_fleet(const Fleet& f, bool print_fingerprint) {
+/// world fingerprint spliced from the daemons' own sections.  Exact values
+/// travel as text: the sections verbatim, the lookahead as `%a` hex, which
+/// strtod reads back bit-exactly.
+void merge_fleet(const Fleet& f, bool print_fingerprint) {
   const std::vector<support::FlatJson> statuses = read_statuses(f);
   for (std::uint32_t d = 0; d < f.n_domains; ++d) {
     const std::string state = statuses[d].get_string("state");
@@ -195,9 +194,9 @@ std::string merge_fleet(const Fleet& f, bool print_fingerprint) {
     }
   }
 
-  transport::FleetTotals t;
-  t.windows = statuses[0].get_u64("windows");
   const std::string lookahead_hex = statuses[0].get_string("lookahead_hex");
+  core::WorldLedger ledger;
+  std::string sections;
   std::uint64_t requests_issued = 0;
   std::uint64_t requests_completed = 0;
   std::uint64_t remote_hits = 0;
@@ -207,21 +206,21 @@ std::string merge_fleet(const Fleet& f, bool print_fingerprint) {
   std::uint64_t datagram_bytes_sent = 0;
   std::uint64_t retransmits = 0;
   double wall_s = 0.0;
-  std::string fingerprint = "";
   for (std::uint32_t d = 0; d < f.n_domains; ++d) {
     const support::FlatJson& s = statuses[d];
-    if (s.get_u64("windows") != t.windows ||
-        s.get_string("lookahead_hex") != lookahead_hex) {
+    if (s.get_string("lookahead_hex") != lookahead_hex) {
       die("domain " + std::to_string(d) +
-          " disagrees on windows/lookahead — not one fleet?");
+          " disagrees on the lookahead — not one fleet?");
     }
-    t.messages_merged += s.get_u64("messages_merged");
-    t.frames_posted += s.get_u64("frames_posted");
-    t.frames_processed += s.get_u64("frames_processed");
-    t.frames_beyond_horizon += s.get_u64("frames_beyond_horizon");
-    t.deltas_posted += s.get_u64("deltas_posted");
-    t.deltas_processed += s.get_u64("deltas_processed");
-    t.deltas_beyond_horizon += s.get_u64("deltas_beyond_horizon");
+    core::WorldLedger domain;
+    for (const core::LedgerField& field : core::kLedgerFields) {
+      domain.*field.count = s.get_u64(field.name);
+    }
+    if (d == 0) {
+      ledger = domain;
+    } else {
+      ledger.add_domain(domain);  // throws unless windows agree
+    }
     requests_issued += s.get_u64("requests_issued");
     requests_completed += s.get_u64("requests_completed");
     remote_hits += s.get_u64("remote_hits");
@@ -231,35 +230,21 @@ std::string merge_fleet(const Fleet& f, bool print_fingerprint) {
     datagram_bytes_sent += s.get_u64("datagram_bytes_sent");
     retransmits += s.get_u64("retransmits");
     wall_s = std::max(wall_s, s.get_double("wall_s"));
-    fingerprint += s.get_string("fleet_fragment");
+    sections += s.get_string("domain_section");
   }
-  fingerprint =
-      transport::fleet_header(f.n_domains, lookahead_hex, t) + fingerprint;
-
-  // The same cross-domain conservation audit WorldShardedScenario runs:
-  // every marshalled frame/delta executed at its destination except those
-  // due beyond the horizon.  A leak means lost-or-duplicated datagrams
-  // slipped past the barrier protocol — fail loudly.
-  if (t.frames_processed != t.frames_posted - t.frames_beyond_horizon ||
-      t.deltas_processed != t.deltas_posted - t.deltas_beyond_horizon) {
-    die("cross-domain conservation violated: frames " +
-        std::to_string(t.frames_processed) + "/" +
-        std::to_string(t.frames_posted - t.frames_beyond_horizon) +
-        ", deltas " + std::to_string(t.deltas_processed) + "/" +
-        std::to_string(t.deltas_posted - t.deltas_beyond_horizon));
-  }
+  // The conservation audit WorldShardedScenario runs.  A leak means
+  // lost-or-duplicated datagrams slipped past the barrier protocol.
+  ledger.audit();
+  const std::string fingerprint = core::world_fingerprint(
+      f.n_domains, std::strtod(lookahead_hex.c_str(), nullptr), ledger,
+      sections);
 
   support::JsonObject j;
   j.set("n_domains", static_cast<std::uint64_t>(f.n_domains));
   j.set("clean", true);
-  j.set("windows", t.windows);
-  j.set("messages_merged", t.messages_merged);
-  j.set("frames_posted", t.frames_posted);
-  j.set("frames_processed", t.frames_processed);
-  j.set("frames_beyond_horizon", t.frames_beyond_horizon);
-  j.set("deltas_posted", t.deltas_posted);
-  j.set("deltas_processed", t.deltas_processed);
-  j.set("deltas_beyond_horizon", t.deltas_beyond_horizon);
+  for (const core::LedgerField& field : core::kLedgerFields) {
+    j.set(field.name, ledger.*field.count);
+  }
   j.set("requests_issued", requests_issued);
   j.set("requests_completed", requests_completed);
   j.set("remote_hits", remote_hits);
@@ -269,17 +254,16 @@ std::string merge_fleet(const Fleet& f, bool print_fingerprint) {
   j.set("datagram_bytes_sent", datagram_bytes_sent);
   j.set("retransmits", retransmits);
   j.set("wall_s", wall_s);
-  j.set("fleet_fingerprint", fingerprint);
+  j.set("world_fingerprint", fingerprint);
   write_file(f.dir + "/merged.json", j.str(/*pretty=*/true) + "\n");
 
-  std::cerr << "fleet: " << f.n_domains << " domains, " << t.windows
+  std::cerr << "fleet: " << f.n_domains << " domains, " << ledger.windows
             << " windows, " << requests_completed << "/" << requests_issued
             << " requests completed, " << remote_hits << " remote hits, "
             << wire_sent << " wire bytes, " << wall_s << " s wall ("
             << retransmits << " retransmits)\n"
             << "merged: " << f.dir << "/merged.json\n";
   if (print_fingerprint) std::cout << fingerprint;
-  return fingerprint;
 }
 
 // -- subcommands -------------------------------------------------------------
@@ -356,7 +340,7 @@ int cmd_up(Args& args) {
     }
   }
   if (!ok) die("fleet did not finish cleanly");
-  (void)merge_fleet(f, want_fingerprint);
+  merge_fleet(f, want_fingerprint);
   return 0;
 }
 
@@ -442,24 +426,7 @@ int cmd_collect(Args& args) {
   const Fleet f = read_manifest(args.value("--dir", "fleet"));
   const bool want_fingerprint = args.flag("--fingerprint");
   args.expect_empty();
-  (void)merge_fleet(f, want_fingerprint);
-  return 0;
-}
-
-int cmd_oracle(Args& args) {
-  const std::string config_path = args.value("--config", "");
-  if (config_path.empty()) die("oracle: --config is required");
-  const bool want_fingerprint = args.flag("--fingerprint");
-  args.expect_empty();
-  const core::PrecinctConfig config = core::config_from_file(config_path);
-  const core::WorldShardedMetrics m = core::run_world_scenario(config);
-  if (want_fingerprint) {
-    std::cout << transport::fleet_fingerprint(m);
-  } else {
-    std::cerr << "oracle: " << m.domains << " domains, " << m.windows
-              << " windows, " << m.aggregate.requests_completed << "/"
-              << m.aggregate.requests_issued << " requests completed\n";
-  }
+  merge_fleet(f, want_fingerprint);
   return 0;
 }
 
@@ -483,7 +450,6 @@ int main(int argc, char** argv) {
     if (cmd == "stop") return cmd_stop(args);
     if (cmd == "inject") return cmd_inject(args);
     if (cmd == "collect") return cmd_collect(args);
-    if (cmd == "oracle") return cmd_oracle(args);
     std::cerr << "precinct_ctl: unknown command '" << cmd
               << "' (try --help)\n";
     return 2;

@@ -110,7 +110,9 @@ scenario packs
                        --world 1/2/4 fingerprints)
 
 run control
-  --config FILE        key=value scenario file (flags override it; see
+  --config FILE        key=value scenario file, run exactly as written
+                       except for the fields flags override (each flag
+                       is its key: --speed-max 4 is speed_max = 4; see
                        examples/scenario.conf.example)
   --shards K           parallel workers; K > 1 world-shards the run (one
                        world cut into region-column domains with real
@@ -173,22 +175,12 @@ class ArgParser {
     return v.empty() ? fallback : std::stod(v);
   }
 
-  [[nodiscard]] const std::vector<std::string>& leftover() const {
-    return args_;
-  }
+  /// Arguments not consumed yet.
+  [[nodiscard]] std::vector<std::string>& rest() { return args_; }
 
  private:
   std::vector<std::string> args_;
 };
-
-precinct::core::RetrievalKind retrieval_from(const std::string& name) {
-  if (name == "precinct") return precinct::core::RetrievalKind::kPrecinct;
-  if (name == "flooding") return precinct::core::RetrievalKind::kFlooding;
-  if (name == "expanding-ring") {
-    return precinct::core::RetrievalKind::kExpandingRing;
-  }
-  throw std::invalid_argument("unknown retrieval scheme: " + name);
-}
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -255,46 +247,9 @@ int main(int argc, char** argv) {
                !path.empty()) {
       c = core::config_from_file(path);
     }
-    c.n_nodes = static_cast<std::size_t>(
-        args.number("--nodes", static_cast<double>(c.n_nodes)));
-    const double side = args.number("--area", c.area.width());
-    c.area = {{0.0, 0.0}, {side, side}};
-    const auto k = static_cast<std::uint32_t>(args.number("--regions", c.regions_x));
-    c.regions_x = c.regions_y = k;
-    c.wireless.range_m = args.number("--range", c.wireless.range_m);
-    c.mobility_model = args.value("--mobility", c.mobility_model);
-    c.mobile = c.mobility_model != "static";
-    c.v_max = args.number("--speed-max", c.v_max);
-    c.pause_s = args.number("--pause", c.pause_s);
-    c.catalog.n_items =
-        static_cast<std::size_t>(args.number("--items", static_cast<double>(c.catalog.n_items)));
-    c.mean_request_interval_s = args.number("--request-interval", c.mean_request_interval_s);
-    c.zipf_theta = args.number("--zipf", c.zipf_theta);
-    c.cache_policy = args.value("--policy", c.cache_policy);
-    c.cache_fraction = args.number("--cache", c.cache_fraction);
-    c.consistency =
-        consistency::mode_from_string(args.value("--consistency", to_string(c.consistency)));
-    c.updates_enabled = args.flag("--updates") || c.updates_enabled ||
-                        c.consistency != consistency::Mode::kNone;
-    c.mean_update_interval_s = args.number("--update-interval", c.mean_update_interval_s);
-    c.ttr_alpha = args.number("--ttr-alpha", c.ttr_alpha);
-    c.retrieval = retrieval_from(args.value("--retrieval", to_string(c.retrieval)));
-    c.replica_count = static_cast<std::size_t>(args.number("--replicas", static_cast<double>(c.replica_count)));
-    c.request_retries = static_cast<int>(
-        args.number("--retries", static_cast<double>(c.request_retries)));
-    c.wireless.channel.model =
-        args.value("--channel", c.wireless.channel.model);
-    c.wireless.channel.loss_p = args.number("--loss", c.wireless.channel.loss_p);
-    c.crash_rate_per_s = args.number("--crash-rate", c.crash_rate_per_s);
-    c.check = args.value("--check", c.check);
-    c.check_stride = static_cast<std::uint64_t>(args.number(
-        "--check-stride", static_cast<double>(c.check_stride)));
-    c.dynamic_regions = args.flag("--dynamic-regions") || c.dynamic_regions;
-    c.shards = static_cast<std::uint32_t>(
-        args.number("--shards", static_cast<double>(c.shards)));
-    c.warmup_s = args.number("--warmup", c.warmup_s);
-    c.measure_s = args.number("--measure", c.measure_s);
-    c.seed = static_cast<std::uint64_t>(args.number("--seed", static_cast<double>(c.seed)));
+    // Flags override single keys; every other field runs exactly as the
+    // pack or config file gave it.
+    c = core::config_from_flags(args.rest(), c);
     const auto seeds = static_cast<std::size_t>(args.number("--seeds", 1));
     const bool csv = args.flag("--csv");
     const bool json = args.flag("--json");
@@ -330,8 +285,8 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (!args.leftover().empty()) {
-      std::cerr << "unknown argument: " << args.leftover().front()
+    if (!args.rest().empty()) {
+      std::cerr << "unknown argument: " << args.rest().front()
                 << " (try --help)\n";
       return 2;
     }

@@ -1,5 +1,6 @@
 #include "core/config_io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <functional>
@@ -246,11 +247,21 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
            [&](const std::string&) {
              c.cache_fraction = kv.get_number("cache", 0.02);
            }},
+          {"prefetch",
+           [&](const std::string&) {
+             c.prefetch_count =
+                 static_cast<std::size_t>(kv.get_number("prefetch", 0));
+           }},
           {"consistency",
            [&](const std::string& v) { set_consistency(c, v); }},
           {"ttr_alpha",
            [&](const std::string&) {
              c.ttr_alpha = kv.get_number("ttr_alpha", 0.5);
+           }},
+          {"push_retries",
+           [&](const std::string&) {
+             c.push_retries =
+                 static_cast<int>(kv.get_number("push_retries", 2));
            }},
           {"retrieval",
            [&](const std::string& v) { set_retrieval(c, v); }},
@@ -426,6 +437,43 @@ PrecinctConfig config_from_file(const std::string& path,
   return config_from_kv(support::KvFile::load(path), base);
 }
 
+PrecinctConfig config_from_flags(std::vector<std::string>& args,
+                                 const PrecinctConfig& base) {
+  // The keys precinct_sim exposes as flags; `_` is spelled `-` there.
+  static const char* const kValueKeys[] = {
+      "nodes", "area", "regions", "range", "mobility", "speed_max", "pause",
+      "items", "request_interval", "zipf", "policy", "cache", "consistency",
+      "update_interval", "ttr_alpha", "retrieval", "replicas", "retries",
+      "channel", "loss", "crash_rate", "check", "check_stride", "shards",
+      "warmup", "measure", "seed"};
+  static const char* const kSwitchKeys[] = {"updates", "dynamic_regions"};
+  const auto key_of = [](const std::string& arg, const auto& keys) {
+    for (const char* key : keys) {
+      std::string flag = std::string("--") + key;
+      std::replace(flag.begin(), flag.end(), '_', '-');
+      if (arg == flag) return std::string(key);
+    }
+    return std::string();
+  };
+  support::KvFile kv;
+  for (auto it = args.begin(); it != args.end();) {
+    if (const std::string key = key_of(*it, kSwitchKeys); !key.empty()) {
+      kv.set(key, "true");
+      it = args.erase(it);
+    } else if (const std::string key = key_of(*it, kValueKeys);
+               !key.empty()) {
+      if (std::next(it) == args.end()) {
+        throw std::invalid_argument(*it + " needs a value");
+      }
+      kv.set(key, *std::next(it));
+      it = args.erase(it, std::next(it, 2));
+    } else {
+      ++it;
+    }
+  }
+  return config_from_kv(kv, base);
+}
+
 namespace {
 
 [[noreturn]] void fail_unwritable(const std::string& what) {
@@ -498,10 +546,12 @@ std::map<std::string, std::string> config_to_kv(const PrecinctConfig& c) {
   kv["zipf_drift_step"] = format_number(c.zipf_drift_step_s);
   kv["policy"] = c.cache_policy;
   kv["cache"] = format_number(c.cache_fraction);
+  kv["prefetch"] = std::to_string(c.prefetch_count);
   kv["consistency"] = c.consistency_scheme.empty()
                           ? consistency::to_string(c.consistency)
                           : c.consistency_scheme;
   kv["ttr_alpha"] = format_number(c.ttr_alpha);
+  kv["push_retries"] = std::to_string(c.push_retries);
   kv["retrieval"] = c.retrieval_scheme.empty() ? to_string(c.retrieval)
                                                : c.retrieval_scheme;
   kv["replicas"] = std::to_string(c.replica_count);

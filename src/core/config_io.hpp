@@ -7,6 +7,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/config.hpp"
 #include "support/kv_file.hpp"
@@ -22,6 +23,17 @@ namespace precinct::core {
 /// Convenience: load a file and apply it (throws on I/O errors too).
 [[nodiscard]] PrecinctConfig config_from_file(const std::string& path,
                                               const PrecinctConfig& base = {});
+
+/// precinct_sim's config flags are the key schema spelled as flags: value
+/// flag `--speed-max 4` is key `speed_max = 4`, and a switch
+/// (`--updates`, `--dynamic-regions`) sets its boolean key to true.
+/// Removes every config flag from `args` and applies them through
+/// config_from_kv on top of `base`, so an unflagged field keeps exactly
+/// the value `base` (say, a loaded config file) gave it.  Other arguments
+/// stay in `args`.  Throws std::invalid_argument like config_from_kv, and
+/// for a value flag without a value.
+[[nodiscard]] PrecinctConfig config_from_flags(std::vector<std::string>& args,
+                                               const PrecinctConfig& base);
 
 /// Serialize `c` back into the key schema the reader accepts.  Every key
 /// is emitted (so reloading over any base reproduces `c` exactly), and

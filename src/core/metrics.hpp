@@ -86,7 +86,7 @@ struct Metrics {
   /// wire codec (transport/wire_format), summed over transmissions /
   /// deliveries in the window.  Deliberately NOT in fingerprint(): the
   /// nine pinned fingerprint configs predate the codec and must stay
-  /// byte-identical (the fleet fingerprint covers these separately).
+  /// byte-identical (the world fingerprint's domain sections cover them).
   std::uint64_t wire_bytes_sent = 0;
   std::uint64_t wire_bytes_received = 0;
   std::uint64_t frames_lost = 0;

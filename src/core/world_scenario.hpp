@@ -31,9 +31,12 @@
 // track liveness and region assignment with at most one window of
 // staleness (bounded by the lookahead, ~0.6 ms at the defaults).
 //
-// A cross-domain frame-conservation audit runs after the final window:
-// every posted frame/delta must have been processed at its destination
-// except those due beyond the run horizon.  run() throws on mismatch.
+// Every domain talks to the others through its core::DomainLink, the
+// same link a UDP fleet's daemon uses; here the transport is the
+// executor's mailboxes.  A cross-domain conservation audit runs after the
+// final window: every posted frame/delta must have been processed at its
+// destination except those due beyond the run horizon.  run() throws on
+// mismatch.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/domain_link.hpp"
 #include "core/metrics.hpp"
 #include "core/scenario.hpp"
 #include "sim/shard_exec.hpp"
@@ -72,38 +76,45 @@ namespace precinct::core {
 [[nodiscard]] std::vector<std::uint32_t> world_node_owners(
     const PrecinctConfig& config, net::WirelessNet& reference);
 
-/// Aggregate + per-domain results of a world-sharded run.  Everything
-/// except `shards` is invariant to the worker count; world_fingerprint()
-/// covers exactly the invariant part.
-struct WorldShardedMetrics {
+/// Aggregate + per-domain results of a world-sharded run, with the
+/// world's conservation ledger.  Everything except `shards` is invariant
+/// to the worker count; world_fingerprint() covers exactly the invariant
+/// part.
+struct WorldShardedMetrics : WorldLedger {
   Metrics aggregate;                 ///< merge_metrics over all domains
   std::vector<Metrics> per_domain;   ///< domain-order window metrics
   std::uint32_t domains = 1;         ///< region-column domains (fixed by config)
   std::uint32_t shards = 1;          ///< worker threads; excluded from the
                                      ///< fingerprint
   double lookahead_s = 0.0;          ///< derived conservative lookahead
-  std::uint64_t frames_posted = 0;   ///< cross-domain radio frames marshalled
-  std::uint64_t frames_processed = 0;  ///< re-delivered at their destination
-  std::uint64_t frames_beyond_horizon = 0;  ///< due after the run end
-  std::uint64_t deltas_posted = 0;     ///< liveness/region halo deltas sent
-  std::uint64_t deltas_processed = 0;  ///< halo deltas applied
-  std::uint64_t deltas_beyond_horizon = 0;
-  std::uint64_t windows = 0;           ///< executor lookahead windows
-  std::uint64_t messages_merged = 0;   ///< executor mailbox messages
 };
 
-/// Canonical text form of everything that must be byte-identical across
-/// worker counts: the derived lookahead, the cross-domain traffic and
-/// conservation counters, the aggregate fingerprint, then every domain's
-/// own fingerprint.  The determinism gate diffs this string for shards
-/// in {1, 2, 4, 8}.
+/// One domain's section of the world fingerprint: `--- domain d ---`, its
+/// wire-byte counters (kept out of core::fingerprint so the pinned plain
+/// fingerprints stay byte-identical), then its full metrics fingerprint.
+[[nodiscard]] std::string domain_section(std::uint32_t domain,
+                                         const Metrics& metrics);
+
+/// The world fingerprint: the domain count, the derived lookahead (`%a`),
+/// the ledger, then `sections` — every domain's domain_section, in domain
+/// order.  It is the string every execution of one world must agree on:
+/// any worker count in-process, and a UDP fleet of daemons (which render
+/// their sections themselves and ship them as text).
+[[nodiscard]] std::string world_fingerprint(std::uint32_t domains,
+                                            double lookahead_s,
+                                            const WorldLedger& ledger,
+                                            const std::string& sections);
+
+/// world_fingerprint of an in-process run.  The determinism gate diffs
+/// it for shards in {1, 2, 4, 8}; the fleet gate diffs it against
+/// `precinct_ctl up --fingerprint`.
 [[nodiscard]] std::string world_fingerprint(const WorldShardedMetrics& m);
 
 class WorldShardedScenario {
  public:
   /// Builds one full-world replica per region column, computes node
-  /// ownership from the t=0 positions, and binds every replica's radio
-  /// and engine into the shard.  Throws std::invalid_argument when the
+  /// ownership from the t=0 positions, and gives every replica its
+  /// DomainLink.  Throws std::invalid_argument when the
   /// config cannot be world-sharded (dynamic regions or a non-positive
   /// derived lookahead).
   explicit WorldShardedScenario(const PrecinctConfig& config);
@@ -132,14 +143,14 @@ class WorldShardedScenario {
   }
 
  private:
-  class Coupler;  // net::WorldCoupler -> executor mailboxes + counters
+  class Link;  // DomainLink over the executor's mailboxes
 
   PrecinctConfig config_;
   double lookahead_s_ = 0.0;
   std::vector<std::uint32_t> owner_;  ///< node -> domain
   std::vector<std::unique_ptr<Scenario>> domains_;
-  std::unique_ptr<Coupler> coupler_;
   std::unique_ptr<sim::ShardExecutor> exec_;
+  std::vector<std::unique_ptr<Link>> links_;  ///< one per domain
   bool ran_ = false;
 };
 

@@ -194,7 +194,7 @@ void WirelessNet::bind_world_shard(const WorldShardBinding& binding) {
 void WirelessNet::set_node_region(NodeId node, geo::RegionId region) {
   nodes_.set_region(node, region);
   if (world_.coupler != nullptr && owns(node)) {
-    world_.coupler->post_region(world_.domain, node, region, sim_.now());
+    world_.coupler->post_region(node, region, sim_.now());
   }
 }
 
@@ -243,8 +243,7 @@ void WirelessNet::post_world_frames(const Packet& p, double arrival,
   }
   for (std::uint32_t d = 0; d < world_.n_domains; ++d) {
     if (world_domain_flags_[d] == 0) continue;
-    world_.coupler->post_frame(world_.domain, d, arrival, p, is_unicast,
-                               next_hop);
+    world_.coupler->post_frame(d, arrival, p, is_unicast, next_hop);
   }
 }
 
@@ -455,7 +454,7 @@ void WirelessNet::kill(NodeId node) {
   nodes_.set_alive(node, false);
   ++topology_epoch_;  // invalidate every cached neighborhood
   if (world_.coupler != nullptr && owns(node)) {
-    world_.coupler->post_liveness(world_.domain, node, false, sim_.now());
+    world_.coupler->post_liveness(node, false, sim_.now());
   }
 }
 
@@ -465,7 +464,7 @@ void WirelessNet::revive(NodeId node) {
   busy_until_[node] = sim_.now();
   ++topology_epoch_;
   if (world_.coupler != nullptr && owns(node)) {
-    world_.coupler->post_liveness(world_.domain, node, true, sim_.now());
+    world_.coupler->post_liveness(node, true, sim_.now());
   }
 }
 

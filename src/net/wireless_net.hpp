@@ -85,21 +85,20 @@ using ReceiveHandler = std::function<void(NodeId, const Packet&)>;
 ///                     replica ever caches a version newer than its
 ///                     authoritative one).
 ///
-/// The implementation (core::WorldShardedScenario) routes these into the
-/// ShardExecutor's SPSC mailboxes and keeps the conservation counters the
-/// post-run audit checks.
+/// The one implementation, core::DomainLink, is bound to this radio's
+/// domain; it hands the posts to a transport (executor mailboxes or UDP)
+/// and keeps the conservation ledger the post-run audit checks.
 class WorldCoupler {
  public:
   virtual ~WorldCoupler() = default;
-  virtual void post_frame(std::uint32_t src_domain, std::uint32_t dst_domain,
-                          double due, const Packet& packet, bool is_unicast,
+  virtual void post_frame(std::uint32_t dst_domain, double due,
+                          const Packet& packet, bool is_unicast,
                           NodeId next_hop) = 0;
-  virtual void post_liveness(std::uint32_t src_domain, NodeId node, bool alive,
-                             double now) = 0;
-  virtual void post_region(std::uint32_t src_domain, NodeId node,
-                           geo::RegionId region, double now) = 0;
-  virtual void post_catalog_update(std::uint32_t src_domain, geo::Key key,
-                                   std::uint64_t version, double now) = 0;
+  virtual void post_liveness(NodeId node, bool alive, double now) = 0;
+  virtual void post_region(NodeId node, geo::RegionId region,
+                           double now) = 0;
+  virtual void post_catalog_update(geo::Key key, std::uint64_t version,
+                                   double now) = 0;
 };
 
 /// One domain's identity inside a world-sharded run: which nodes it owns
@@ -268,8 +267,7 @@ class WirelessNet {
   /// world-sharded mode, where there is only one catalog).
   void announce_catalog_update(geo::Key key, std::uint64_t version) {
     if (world_.coupler != nullptr) {
-      world_.coupler->post_catalog_update(world_.domain, key, version,
-                                          sim_.now());
+      world_.coupler->post_catalog_update(key, version, sim_.now());
     }
   }
 

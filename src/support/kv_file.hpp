@@ -23,6 +23,11 @@ class KvFile {
   /// Read and parse a file; throws std::runtime_error if unreadable.
   static KvFile load(const std::string& path);
 
+  /// Set (or replace) one key.
+  void set(const std::string& key, const std::string& value) {
+    values_[key] = value;
+  }
+
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 

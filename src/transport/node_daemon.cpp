@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <thread>
+#include <variant>
 
 #include "core/config_io.hpp"
 #include "sim/shard_exec.hpp"
@@ -42,114 +42,60 @@ std::uint64_t fleet_config_hash(const core::PrecinctConfig& config,
   return support::hash_combine(h, kWireVersion);
 }
 
-std::string hex_double(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%a", v);
-  return buf;
-}
-
-std::string domain_fragment(std::uint32_t domain,
-                            const core::Metrics& metrics) {
-  char buf[96];
-  std::string out;
-  std::snprintf(buf, sizeof(buf), "--- domain %" PRIu32 " ---\n", domain);
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "wire_bytes_sent=%" PRIu64 "\n",
-                metrics.wire_bytes_sent);
-  out += buf;
-  std::snprintf(buf, sizeof(buf), "wire_bytes_received=%" PRIu64 "\n",
-                metrics.wire_bytes_received);
-  out += buf;
-  out += core::fingerprint(metrics);
-  return out;
-}
-
-std::string fleet_header(std::uint32_t domains,
-                         const std::string& lookahead_hex,
-                         const FleetTotals& totals) {
-  char buf[96];
-  std::string out = "transport-fleet-v1\n";
-  const auto put = [&](const char* key, std::uint64_t value) {
-    std::snprintf(buf, sizeof(buf), "%s%" PRIu64 "\n", key, value);
-    out += buf;
-  };
-  std::snprintf(buf, sizeof(buf), "domains=%" PRIu32 "\n", domains);
-  out += buf;
-  out += "lookahead=";
-  out += lookahead_hex;
-  out += '\n';
-  put("windows=", totals.windows);
-  put("messages_merged=", totals.messages_merged);
-  put("frames_posted=", totals.frames_posted);
-  put("frames_processed=", totals.frames_processed);
-  put("frames_beyond_horizon=", totals.frames_beyond_horizon);
-  put("deltas_posted=", totals.deltas_posted);
-  put("deltas_processed=", totals.deltas_processed);
-  put("deltas_beyond_horizon=", totals.deltas_beyond_horizon);
-  return out;
-}
-
 std::string fleet_fingerprint(const std::vector<DomainReport>& reports) {
-  if (reports.empty()) {
-    throw std::invalid_argument("fleet_fingerprint: no reports");
-  }
-  const std::uint32_t n = reports.front().n_domains;
-  if (reports.size() != n) {
+  if (reports.empty() || reports.size() != reports.front().n_domains) {
     throw std::invalid_argument(
         "fleet_fingerprint: need one report per domain");
   }
-  FleetTotals t;
-  t.windows = reports.front().counters.windows;
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const DomainReport& r = reports[i];
-    if (r.domain != i || r.n_domains != n) {
+  const double lookahead_s = reports.front().lookahead_s;
+  core::WorldLedger ledger = reports.front().counters;
+  std::string sections;
+  for (std::uint32_t d = 0; d < reports.size(); ++d) {
+    const DomainReport& r = reports[d];
+    if (r.domain != d || r.n_domains != reports.size()) {
       throw std::invalid_argument(
           "fleet_fingerprint: reports must be in domain order and agree on "
           "the domain count");
     }
-    // Lockstep invariants: every daemon ran the same windows over the
-    // same derived lookahead, or the fleet was not the same computation.
-    if (r.counters.windows != t.windows ||
-        hex_double(r.lookahead_s) != hex_double(reports.front().lookahead_s)) {
+    // Lockstep invariants: every daemon ran the same windows (add_domain
+    // checks) over the same derived lookahead, or the fleet was not the
+    // same computation.
+    if (r.lookahead_s != lookahead_s) {
       throw std::invalid_argument(
-          "fleet_fingerprint: window/lookahead mismatch across domains");
+          "fleet_fingerprint: lookahead mismatch across domains");
     }
-    t.messages_merged += r.counters.messages_merged;
-    t.frames_posted += r.counters.frames_posted;
-    t.frames_processed += r.counters.frames_processed;
-    t.frames_beyond_horizon += r.counters.frames_beyond_horizon;
-    t.deltas_posted += r.counters.deltas_posted;
-    t.deltas_processed += r.counters.deltas_processed;
-    t.deltas_beyond_horizon += r.counters.deltas_beyond_horizon;
+    if (d > 0) ledger.add_domain(r.counters);
+    sections += core::domain_section(d, r.metrics);
   }
-  std::string out =
-      fleet_header(n, hex_double(reports.front().lookahead_s), t);
-  for (const DomainReport& r : reports) {
-    out += domain_fragment(r.domain, r.metrics);
-  }
-  return out;
-}
-
-std::string fleet_fingerprint(const core::WorldShardedMetrics& m) {
-  FleetTotals t;
-  t.windows = m.windows;
-  t.messages_merged = m.messages_merged;
-  t.frames_posted = m.frames_posted;
-  t.frames_processed = m.frames_processed;
-  t.frames_beyond_horizon = m.frames_beyond_horizon;
-  t.deltas_posted = m.deltas_posted;
-  t.deltas_processed = m.deltas_processed;
-  t.deltas_beyond_horizon = m.deltas_beyond_horizon;
-  std::string out = fleet_header(m.domains, hex_double(m.lookahead_s), t);
-  for (std::size_t d = 0; d < m.per_domain.size(); ++d) {
-    out += domain_fragment(static_cast<std::uint32_t>(d), m.per_domain[d]);
-  }
-  return out;
+  return core::world_fingerprint(reports.front().n_domains, lookahead_s,
+                                 ledger, sections);
 }
 
 // ---------------------------------------------------------------------------
 // NodeDaemon
 // ---------------------------------------------------------------------------
+
+/// This domain's link over UDP: the daemon's window loop sets the window
+/// end, and send() is a sequenced datagram to the peer.
+class NodeDaemon::Link final : public core::DomainLink {
+ public:
+  Link(core::Scenario& replica, std::uint32_t domain,
+       const std::vector<std::uint32_t>& owner, UdpNet& net)
+      : DomainLink(replica, domain, owner), net_(net) {}
+
+  void set_window_end(double window_end) noexcept {
+    window_end_ = window_end;
+  }
+
+ private:
+  [[nodiscard]] double window_end() const override { return window_end_; }
+  void send(std::uint32_t dst, const DataMsg& msg) override {
+    net_.send(dst, msg);
+  }
+
+  UdpNet& net_;
+  double window_end_ = 0.0;  ///< 0 while idle before the first window
+};
 
 NodeDaemon::NodeDaemon(const Options& opts) : opts_(opts) {
   const core::PrecinctConfig& config = opts_.config;
@@ -173,7 +119,6 @@ NodeDaemon::NodeDaemon(const Options& opts) : opts_(opts) {
   UdpNet::Options net_opts;
   net_opts.domain = opts_.domain;
   net_opts.n_domains = n_domains;
-  net_opts.horizon_s = config.end_time_s();
   net_opts.config_hash = fleet_config_hash(config, n_domains);
   net_opts.bind = opts_.peers[opts_.domain];
   net_opts.peer = opts_.peers;
@@ -181,18 +126,7 @@ NodeDaemon::NodeDaemon(const Options& opts) : opts_(opts) {
   net_opts.timeout_s = config.transport_timeout_s;
   net_ = std::make_unique<UdpNet>(net_opts);
 
-  net::WorldShardBinding binding;
-  binding.domain = opts_.domain;
-  binding.n_domains = n_domains;
-  binding.owner = owner_.data();
-  binding.coupler = net_.get();
-  scenario_->network().bind_world_shard(binding);
-
-  core::ShardView view;
-  view.domain = opts_.domain;
-  view.n_domains = n_domains;
-  view.owner = owner_.data();
-  scenario_->engine().set_shard_view(view);
+  link_ = std::make_unique<Link>(*scenario_, opts_.domain, owner_, *net_);
 
   report_.domain = opts_.domain;
   report_.n_domains = n_domains;
@@ -228,7 +162,7 @@ NodeDaemon::Outcome NodeDaemon::run(const std::function<bool()>& stop) {
   if (!run_phase(opts_.config.end_time_s(), stop)) return finish_stopped();
 
   report_.metrics = scenario_->engine().finalize();
-  report_.counters = net_->counters();
+  report_.counters = TransportCounters{link_->ledger(), net_->counters()};
   done_ = true;
   net_->send_bye(ByeReason::kDone);
   write_status("done");
@@ -245,7 +179,7 @@ bool NodeDaemon::run_phase(double phase_end,
   while (sim_now_ < phase_end) {
     const double we =
         sim::next_window_end(sim_now_, next_due, lookahead_s_, phase_end);
-    net_->set_window_end(we);
+    link_->set_window_end(we);
     scenario_->run_until(we);
     // Injections go in before the marker publishes our next-event bound,
     // so the frames and events they start hold back the next window.
@@ -257,7 +191,7 @@ bool NodeDaemon::run_phase(double phase_end,
                             batch_) != BarrierResult::kClosed) {
       return false;
     }
-    ++net_->counters().windows;
+    ++link_->ledger().windows;
     next_due = net_->agreed_next_due();
     schedule_batch(batch_);
     sim_now_ = we;
@@ -267,43 +201,17 @@ bool NodeDaemon::run_phase(double phase_end,
 }
 
 void NodeDaemon::schedule_batch(const std::vector<MergedMsg>& batch) {
+  link_->ledger().messages_merged += batch.size();
   // Already sorted by (due, src domain, seq) — schedule_at in batch order
-  // reproduces the ShardExecutor merge order tie-break.
-  for (const MergedMsg& m : batch) {
-    scenario_->simulator().schedule_at(m.due, [this, m] { apply_msg(m); });
-  }
-}
-
-void NodeDaemon::apply_msg(const MergedMsg& m) {
-  // Processed counters tick at execution time, like the in-sim Coupler's
-  // callbacks: merged-but-beyond-horizon messages never reach here, which
-  // is what makes the conservation ledger match the oracle's.
-  TransportCounters& c = net_->counters();
-  net::WirelessNet& radio = scenario_->network();
-  switch (m.type) {
-    case MsgType::kFrame:
-      ++c.frames_processed;
-      if (m.frame.is_unicast) {
-        radio.deliver_remote_unicast(m.frame.packet, m.frame.next_hop);
-      } else {
-        radio.deliver_remote_broadcast(m.frame.packet);
-      }
-      break;
-    case MsgType::kLiveness:
-      ++c.deltas_processed;
-      radio.apply_remote_liveness(m.liveness.node, m.liveness.alive);
-      break;
-    case MsgType::kRegion:
-      ++c.deltas_processed;
-      radio.apply_remote_region(m.region.node, m.region.region);
-      break;
-    case MsgType::kCatalog:
-      ++c.deltas_processed;
-      scenario_->catalog().observe_update(m.catalog.key, m.catalog.version,
-                                          m.catalog.written_at);
-      break;
-    default:
-      break;
+  // reproduces the ShardExecutor merge order tie-break.  Each closure
+  // holds the concrete message, like the in-sim link's.
+  for (const MergedMsg& merged : batch) {
+    std::visit(
+        [&](const auto& m) {
+          scenario_->simulator().schedule_at(
+              m.due, [link = link_.get(), m] { link->apply(m); });
+        },
+        merged.msg);
   }
 }
 
@@ -360,15 +268,10 @@ void NodeDaemon::write_status(const std::string& state) {
         wall_t0_ns_ != 0
             ? static_cast<double>(steady_ns() - wall_t0_ns_) / 1e9
             : 0.0);
-  const TransportCounters& c = net_->counters();
-  j.set("windows", c.windows);
-  j.set("messages_merged", c.messages_merged);
-  j.set("frames_posted", c.frames_posted);
-  j.set("frames_processed", c.frames_processed);
-  j.set("frames_beyond_horizon", c.frames_beyond_horizon);
-  j.set("deltas_posted", c.deltas_posted);
-  j.set("deltas_processed", c.deltas_processed);
-  j.set("deltas_beyond_horizon", c.deltas_beyond_horizon);
+  for (const core::LedgerField& f : core::kLedgerFields) {
+    j.set(f.name, link_->ledger().*f.count);
+  }
+  const DatagramCounters& c = net_->counters();
   j.set("datagrams_sent", c.datagrams_sent);
   j.set("datagrams_received", c.datagrams_received);
   j.set("datagram_bytes_sent", c.datagram_bytes_sent);
@@ -388,10 +291,12 @@ void NodeDaemon::write_status(const std::string& state) {
     j.set("wire_bytes_sent", m.wire_bytes_sent);
     j.set("wire_bytes_received", m.wire_bytes_received);
     // Exact values travel as text: %a for the lookahead, and the whole
-    // per-domain fingerprint fragment precinct_ctl splices verbatim into
-    // the fleet fingerprint (JSON doubles would round-trip lossily).
-    j.set("lookahead_hex", hex_double(lookahead_s_));
-    j.set("fleet_fragment", domain_fragment(opts_.domain, m));
+    // domain section precinct_ctl splices verbatim into the world
+    // fingerprint (JSON doubles would round-trip lossily).
+    char lookahead_hex[48];
+    std::snprintf(lookahead_hex, sizeof(lookahead_hex), "%a", lookahead_s_);
+    j.set("lookahead_hex", std::string(lookahead_hex));
+    j.set("domain_section", core::domain_section(opts_.domain, m));
   }
   // Atomic snapshot: readers never see a torn file.
   const std::string tmp = opts_.status_path + ".tmp";

@@ -3,12 +3,13 @@
 //
 // The daemon builds the same full same-seed Scenario replica the in-sim
 // WorldShardedScenario would build for its domain (world_domain_config /
-// world_node_owners are shared), drives it through the identical
-// lookahead-window cadence, and lets UdpNet stand in for the
-// ShardExecutor's mailboxes.  Because everything else — replica
-// construction, ownership, window boundaries, merge order — is shared
-// code, a fleet's merged results are bit-identical to the DES oracle's,
-// and fleet_fingerprint() is the string both sides must agree on.
+// world_node_owners are shared), couples it through the same
+// core::DomainLink, drives it through the identical lookahead-window
+// cadence, and lets UdpNet stand in for the ShardExecutor's mailboxes.
+// Because everything else — replica construction, ownership, the
+// coupling rules, window boundaries, merge order — is shared code, a
+// fleet's merged results are bit-identical to the DES oracle's, and both
+// render the one core::world_fingerprint.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +30,10 @@ namespace precinct::transport {
 [[nodiscard]] std::uint64_t fleet_config_hash(
     const core::PrecinctConfig& config, std::uint32_t n_domains);
 
+/// One daemon's counters: its domain link's ledger and its socket's
+/// datagram diagnostics.
+struct TransportCounters : core::WorldLedger, DatagramCounters {};
+
 /// One domain's contribution to the fleet fingerprint.
 struct DomainReport {
   std::uint32_t domain = 0;
@@ -38,44 +43,18 @@ struct DomainReport {
   TransportCounters counters;
 };
 
-/// `%a` hex-float rendering (exact equality, like core::fingerprint).
-[[nodiscard]] std::string hex_double(double v);
-
-/// The per-domain section of the fleet fingerprint: wire-byte counters
-/// (excluded from core::fingerprint to keep the pinned sim fingerprints
-/// byte-identical) followed by the domain's full metrics fingerprint.
-[[nodiscard]] std::string domain_fragment(std::uint32_t domain,
-                                          const core::Metrics& metrics);
-
-/// Fleet-wide conservation totals (summed over domains).
-struct FleetTotals {
-  std::uint64_t windows = 0;  ///< per-domain value; must agree, not sum
-  std::uint64_t messages_merged = 0;
-  std::uint64_t frames_posted = 0;
-  std::uint64_t frames_processed = 0;
-  std::uint64_t frames_beyond_horizon = 0;
-  std::uint64_t deltas_posted = 0;
-  std::uint64_t deltas_processed = 0;
-  std::uint64_t deltas_beyond_horizon = 0;
-};
-
-/// Header of the fleet fingerprint ("transport-fleet-v1\n...").
-/// `lookahead_hex` is the hex_double rendering (passed as text so
-/// precinct_ctl can splice it from daemon status files untouched).
-[[nodiscard]] std::string fleet_header(std::uint32_t domains,
-                                       const std::string& lookahead_hex,
-                                       const FleetTotals& totals);
-
-/// Assemble the full fleet fingerprint from per-domain reports (the
+/// The world fingerprint of a fleet from its per-domain reports (the
 /// in-process harness path).  Reports must be in domain order and agree
 /// on windows/lookahead; throws std::invalid_argument otherwise.
 [[nodiscard]] std::string fleet_fingerprint(
     const std::vector<DomainReport>& reports);
 
-/// The oracle side: the identical string from an in-sim world-sharded
-/// run's metrics.  `fleet == oracle` is the CI equivalence gate.
-[[nodiscard]] std::string fleet_fingerprint(
-    const core::WorldShardedMetrics& m);
+/// The oracle side: the in-sim run's world fingerprint, the string a
+/// fleet of the same config must reproduce.
+[[nodiscard]] inline std::string fleet_fingerprint(
+    const core::WorldShardedMetrics& m) {
+  return core::world_fingerprint(m);
+}
 
 class NodeDaemon {
  public:
@@ -115,10 +94,11 @@ class NodeDaemon {
   [[nodiscard]] double lookahead_s() const noexcept { return lookahead_s_; }
 
  private:
+  class Link;  // DomainLink over UdpNet
+
   [[nodiscard]] bool run_phase(double phase_end,
                                const std::function<bool()>& stop);
   void schedule_batch(const std::vector<MergedMsg>& batch);
-  void apply_msg(const MergedMsg& m);
   void apply_injections();
   void pace_and_status();
   void write_status(const std::string& state);
@@ -129,6 +109,7 @@ class NodeDaemon {
   std::vector<std::uint32_t> owner_;
   std::unique_ptr<core::Scenario> scenario_;
   std::unique_ptr<UdpNet> net_;
+  std::unique_ptr<Link> link_;
   DomainReport report_;
   std::vector<MergedMsg> batch_;
   std::uint64_t window_ = 0;   ///< barrier counter; 0 = init idle merge

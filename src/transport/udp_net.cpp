@@ -42,99 +42,6 @@ UdpNet::UdpNet(const Options& opts)
   }
 }
 
-// -- WorldCoupler posts -----------------------------------------------------
-
-bool UdpNet::beyond_horizon(double due) const noexcept {
-  // Same predicate as the in-sim Coupler: due past the horizon, or due
-  // exactly at the horizon posted during the final window (merged after
-  // the last compute phase, so it never executes).
-  return due > opts_.horizon_s ||
-         (due == opts_.horizon_s && window_end_ >= opts_.horizon_s);
-}
-
-void UdpNet::post_frame(std::uint32_t src_domain, std::uint32_t dst_domain,
-                        double due, const net::Packet& packet,
-                        bool is_unicast, net::NodeId next_hop) {
-  if (src_domain != opts_.domain || dst_domain >= opts_.n_domains ||
-      dst_domain == src_domain) {
-    throw std::logic_error("UdpNet::post_frame: bad src/dst domain");
-  }
-  if (due < window_end_) {
-    // ShardExecutor::post's conservative-safety rule, verbatim.
-    throw std::logic_error("UdpNet::post_frame: due precedes window end");
-  }
-  ++counters_.frames_posted;
-  if (beyond_horizon(due)) ++counters_.frames_beyond_horizon;
-  posted_min_due_ = std::min(posted_min_due_, due);
-  FrameMsg m;
-  m.due = due;
-  m.is_unicast = is_unicast;
-  m.next_hop = next_hop;
-  m.packet = packet;
-  WireWriter body;
-  encode_frame(m, body);
-  post_data(dst_domain, MsgType::kFrame, body);
-}
-
-template <typename Encode>
-void UdpNet::post_delta(std::uint32_t src, double now, MsgType type,
-                        Encode encode) {
-  if (src != opts_.domain) {
-    throw std::logic_error("UdpNet::post_delta: not our domain");
-  }
-  // Earliest due the conservative bound admits; while idle (initialize,
-  // window_end_ == 0) that is `now` itself, so init-time deltas merge at
-  // barrier 0 — identical to the in-sim Coupler.
-  const double due = std::max(now, window_end_);
-  const bool beyond = beyond_horizon(due);
-  posted_min_due_ = std::min(posted_min_due_, due);
-  WireWriter body;
-  encode(due, body);
-  for (std::uint32_t dst = 0; dst < opts_.n_domains; ++dst) {
-    if (dst == src) continue;
-    ++counters_.deltas_posted;
-    if (beyond) ++counters_.deltas_beyond_horizon;
-    post_data(dst, type, body);
-  }
-}
-
-void UdpNet::post_liveness(std::uint32_t src_domain, net::NodeId node,
-                           bool alive, double now) {
-  post_delta(src_domain, now, MsgType::kLiveness,
-             [&](double due, WireWriter& w) {
-               LivenessMsg m;
-               m.due = due;
-               m.node = node;
-               m.alive = alive;
-               encode_liveness(m, w);
-             });
-}
-
-void UdpNet::post_region(std::uint32_t src_domain, net::NodeId node,
-                         geo::RegionId region, double now) {
-  post_delta(src_domain, now, MsgType::kRegion,
-             [&](double due, WireWriter& w) {
-               RegionMsg m;
-               m.due = due;
-               m.node = node;
-               m.region = region;
-               encode_region(m, w);
-             });
-}
-
-void UdpNet::post_catalog_update(std::uint32_t src_domain, geo::Key key,
-                                 std::uint64_t version, double now) {
-  post_delta(src_domain, now, MsgType::kCatalog,
-             [&](double due, WireWriter& w) {
-               CatalogMsg m;
-               m.due = due;
-               m.key = key;
-               m.version = version;
-               m.written_at = now;
-               encode_catalog(m, w);
-             });
-}
-
 // -- sending ----------------------------------------------------------------
 
 void UdpNet::send_raw(std::uint32_t dst, const std::uint8_t* data,
@@ -146,16 +53,19 @@ void UdpNet::send_raw(std::uint32_t dst, const std::uint8_t* data,
   counters_.datagram_bytes_sent += n;
 }
 
-void UdpNet::post_data(std::uint32_t dst, MsgType type,
-                       const WireWriter& body) {
+void UdpNet::send(std::uint32_t dst, const DataMsg& msg) {
+  if (dst >= opts_.n_domains || dst == opts_.domain) {
+    throw std::logic_error("UdpNet::send: bad destination domain");
+  }
+  posted_min_due_ = std::min(posted_min_due_, due_of(msg));
   PeerState& peer = peers_[dst];
   Envelope e;
-  e.type = type;
+  e.type = type_of(msg);
   e.src_domain = opts_.domain;
   e.seq = peer.next_seq++;
   WireWriter dgram;
   encode_envelope(e, dgram);
-  dgram.bytes(body.data().data(), body.size());
+  encode_data(msg, dgram);
   auto [it, inserted] = peer.resend.emplace(e.seq, dgram.data());
   (void)inserted;
   send_raw(dst, it->second.data(), it->second.size());
@@ -320,32 +230,13 @@ void UdpNet::handle_datagram(const std::uint8_t* data, std::size_t n) {
         return;
       }
       MergedMsg m;
-      m.type = e.type;
       m.src_domain = e.src_domain;
       m.seq = e.seq;
-      bool ok = false;
-      switch (e.type) {
-        case MsgType::kFrame:
-          ok = decode_frame(r, m.frame);
-          m.due = m.frame.due;
-          break;
-        case MsgType::kLiveness:
-          ok = decode_liveness(r, m.liveness);
-          m.due = m.liveness.due;
-          break;
-        case MsgType::kRegion:
-          ok = decode_region(r, m.region);
-          m.due = m.region.due;
-          break;
-        default:
-          ok = decode_catalog(r, m.catalog);
-          m.due = m.catalog.due;
-          break;
-      }
-      if (!ok || r.remaining() != 0) {
+      if (!decode_data(e.type, r, m.msg) || r.remaining() != 0) {
         ++counters_.malformed_dropped;
         return;
       }
+      m.due = due_of(m.msg);
       peer.pending.emplace(e.seq, std::move(m));
       return;
     }
@@ -446,7 +337,6 @@ void UdpNet::extract_batch(std::uint64_t window, std::vector<MergedMsg>& out) {
     // prev_cum_sent.
     peer.cum_at_prev_barrier = peer.next_seq;
   }
-  counters_.messages_merged += out.size();
   // The ShardExecutor merge order, verbatim: (due, src domain, seq).
   std::sort(out.begin(), out.end(),
             [](const MergedMsg& a, const MergedMsg& b) {

@@ -1,13 +1,14 @@
-// UDP-backed WorldCoupler: the cross-domain transport for a fleet of
-// precinct_node processes (DESIGN.md §14).
+// UdpNet: the cross-domain transport for a fleet of precinct_node
+// processes (DESIGN.md §14).
 //
 // One process hosts ONE domain of a world-sharded run.  Inside the
 // process the full PReCinCt stack runs on its own sim::Simulator exactly
-// as in-sim; only the ShardExecutor's SPSC mailboxes are replaced by UDP
-// datagrams.  The contract is therefore bit-exact equivalence with
-// core::WorldShardedScenario: the same windows, the same merge order
-// (due, src domain, per-stream seq), the same conservation counters —
-// which is what lets the DES act as the fleet's test oracle.
+// as in-sim, coupled to the other domains through the same
+// core::DomainLink; only the ShardExecutor's SPSC mailboxes are replaced
+// by UDP datagrams (send() here).  The contract is therefore bit-exact
+// equivalence with core::WorldShardedScenario: the same windows and the
+// same merge order (due, src domain, per-stream seq) — which is what lets
+// the DES act as the fleet's test oracle.
 //
 // Reliability: UDP drops, duplicates and reorders; the window barrier
 // restores exactly-once in-order *merge* semantics.  Data messages
@@ -30,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "net/wireless_net.hpp"
 #include "transport/udp_socket.hpp"
 #include "transport/wire_format.hpp"
 
@@ -40,20 +40,9 @@ namespace precinct::transport {
 /// an operator, not a domain peer).
 inline constexpr std::uint32_t kCtlDomain = 0xFFFFFFFFu;
 
-/// Transport-level counters.  The frame/delta cells mirror the in-sim
-/// Coupler's conservation ledger (they appear in the fleet fingerprint);
-/// the datagram cells are wall-clock diagnostics (retries are timing
-/// dependent, so they are reported but never fingerprinted).
-struct TransportCounters {
-  std::uint64_t frames_posted = 0;
-  std::uint64_t frames_beyond_horizon = 0;
-  std::uint64_t deltas_posted = 0;
-  std::uint64_t deltas_beyond_horizon = 0;
-  std::uint64_t frames_processed = 0;
-  std::uint64_t deltas_processed = 0;
-  std::uint64_t messages_merged = 0;
-  std::uint64_t windows = 0;
-
+/// Datagram-level diagnostics.  Retries and losses depend on wall-clock
+/// timing, so these are reported but never fingerprinted.
+struct DatagramCounters {
   std::uint64_t datagrams_sent = 0;
   std::uint64_t datagrams_received = 0;
   std::uint64_t datagram_bytes_sent = 0;
@@ -67,14 +56,10 @@ struct TransportCounters {
 /// One merged cross-domain message, decoded and ready to schedule into
 /// the local simulator at `due`.
 struct MergedMsg {
-  MsgType type = MsgType::kFrame;
   std::uint32_t src_domain = 0;
   std::uint64_t seq = 0;
   double due = 0.0;
-  FrameMsg frame;        // valid when type == kFrame
-  LivenessMsg liveness;  // valid when type == kLiveness
-  RegionMsg region;      // valid when type == kRegion
-  CatalogMsg catalog;    // valid when type == kCatalog
+  DataMsg msg;
 };
 
 /// Why close_barrier() returned without closing.
@@ -84,12 +69,11 @@ enum class BarrierResult {
   kPeerStopped,    ///< a peer sent Bye(kStopped); drain gracefully
 };
 
-class UdpNet final : public net::WorldCoupler {
+class UdpNet {
  public:
   struct Options {
     std::uint32_t domain = 0;
     std::uint32_t n_domains = 1;
-    double horizon_s = 0.0;       ///< config end time (beyond-horizon test)
     std::uint64_t config_hash = 0;
     UdpAddress bind;              ///< this domain's socket address
     std::vector<UdpAddress> peer; ///< domain -> address (peer[domain] unused)
@@ -99,22 +83,11 @@ class UdpNet final : public net::WorldCoupler {
 
   explicit UdpNet(const Options& opts);
 
-  // -- WorldCoupler (called from inside the local sim's compute phase) --
-  void post_frame(std::uint32_t src_domain, std::uint32_t dst_domain,
-                  double due, const net::Packet& packet, bool is_unicast,
-                  net::NodeId next_hop) override;
-  void post_liveness(std::uint32_t src_domain, net::NodeId node, bool alive,
-                     double now) override;
-  void post_region(std::uint32_t src_domain, net::NodeId node,
-                   geo::RegionId region, double now) override;
-  void post_catalog_update(std::uint32_t src_domain, geo::Key key,
-                           std::uint64_t version, double now) override;
-
-  /// Mirror of ShardExecutor's conservative bound: post() of anything due
-  /// earlier than this throws.  The daemon sets it before each compute
-  /// phase (and halo deltas posted mid-window land exactly on it).
-  void set_window_end(double window_end) noexcept { window_end_ = window_end; }
-  [[nodiscard]] double window_end() const noexcept { return window_end_; }
+  /// Sequence `msg` on our stream to `dst` and send it (the domain link's
+  /// transport; called from inside the local sim's compute phase).  It is
+  /// buffered for resend until `dst` acknowledges it, and lowers the
+  /// next-event bound our next marker publishes.
+  void send(std::uint32_t dst, const DataMsg& msg);
 
   /// Hello exchange: solicit every peer until all have answered (and
   /// answered *us* — replies carry the config hash, so a split-brain
@@ -153,8 +126,7 @@ class UdpNet final : public net::WorldCoupler {
   /// Draining hands ownership to the caller.
   [[nodiscard]] std::vector<InjectMsg> take_injections();
 
-  [[nodiscard]] TransportCounters& counters() noexcept { return counters_; }
-  [[nodiscard]] const TransportCounters& counters() const noexcept {
+  [[nodiscard]] const DatagramCounters& counters() const noexcept {
     return counters_;
   }
   [[nodiscard]] std::uint16_t local_port() const { return sock_.local_port(); }
@@ -178,11 +150,6 @@ class UdpNet final : public net::WorldCoupler {
     bool bye_done = false;
   };
 
-  [[nodiscard]] bool beyond_horizon(double due) const noexcept;
-  void post_data(std::uint32_t dst, MsgType type, const WireWriter& body);
-  template <typename Encode>
-  void post_delta(std::uint32_t src, double now, MsgType type, Encode encode);
-
   void send_control(std::uint32_t dst, MsgType type, const WireWriter& body);
   void send_raw(std::uint32_t dst, const std::uint8_t* data, std::size_t n);
   void send_hello(std::uint32_t dst, bool is_reply);
@@ -203,7 +170,6 @@ class UdpNet final : public net::WorldCoupler {
 
   Options opts_;
   UdpSocket sock_;
-  double window_end_ = 0.0;
   std::uint64_t last_window_ = 0;
   double last_window_end_s_ = 0.0;
   /// Earliest due posted since the last barrier.
@@ -213,7 +179,7 @@ class UdpNet final : public net::WorldCoupler {
   double agreed_next_due_ = 0.0;  ///< fleet minimum at the last barrier
   ByeReason bye_reason_ = ByeReason::kDone;
   std::vector<PeerState> peers_;  // indexed by domain; [domain_] unused
-  TransportCounters counters_;
+  DatagramCounters counters_;
   std::set<std::uint64_t> seen_inject_ids_;
   std::vector<InjectMsg> injections_;
   bool peer_stopped_ = false;

@@ -421,6 +421,47 @@ bool decode_catalog(WireReader& r, CatalogMsg& m) noexcept {
          r.f64(m.written_at);
 }
 
+MsgType type_of(const DataMsg& m) noexcept {
+  return static_cast<MsgType>(static_cast<std::size_t>(MsgType::kFrame) +
+                              m.index());
+}
+
+double due_of(const DataMsg& m) noexcept {
+  return std::visit([](const auto& body) { return body.due; }, m);
+}
+
+void encode_data(const DataMsg& m, WireWriter& w) {
+  switch (type_of(m)) {
+    case MsgType::kFrame:
+      encode_frame(std::get<FrameMsg>(m), w);
+      break;
+    case MsgType::kLiveness:
+      encode_liveness(std::get<LivenessMsg>(m), w);
+      break;
+    case MsgType::kRegion:
+      encode_region(std::get<RegionMsg>(m), w);
+      break;
+    default:
+      encode_catalog(std::get<CatalogMsg>(m), w);
+      break;
+  }
+}
+
+bool decode_data(MsgType type, WireReader& r, DataMsg& m) noexcept {
+  switch (type) {
+    case MsgType::kFrame:
+      return decode_frame(r, m.emplace<FrameMsg>());
+    case MsgType::kLiveness:
+      return decode_liveness(r, m.emplace<LivenessMsg>());
+    case MsgType::kRegion:
+      return decode_region(r, m.emplace<RegionMsg>());
+    case MsgType::kCatalog:
+      return decode_catalog(r, m.emplace<CatalogMsg>());
+    default:
+      return false;
+  }
+}
+
 void encode_window_end(const WindowEndMsg& m, WireWriter& w) {
   w.u64(m.window);
   w.u64(m.cum_sent);

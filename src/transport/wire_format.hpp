@@ -29,6 +29,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -178,6 +179,15 @@ struct CatalogMsg {
   double written_at = 0.0;
 };
 
+/// One sequenced data message, as one domain link sends it to another
+/// (core::DomainLink): alternatives in MsgType order, kFrame..kCatalog.
+using DataMsg = std::variant<FrameMsg, LivenessMsg, RegionMsg, CatalogMsg>;
+
+/// The envelope type of `m`'s alternative.
+[[nodiscard]] MsgType type_of(const DataMsg& m) noexcept;
+/// When `m` applies at its destination.
+[[nodiscard]] double due_of(const DataMsg& m) noexcept;
+
 /// kWindowEnd body: the barrier marker closing `window` (0 is the
 /// initialization barrier before the first lookahead window).  `cum_sent`
 /// counts every data message this sender has addressed to the receiver up
@@ -245,6 +255,8 @@ void encode_hello(const HelloMsg& m, WireWriter& w);
 void encode_nack(const NackMsg& m, WireWriter& w);
 void encode_bye(const ByeMsg& m, WireWriter& w);
 void encode_inject(const InjectMsg& m, WireWriter& w);
+/// The body of whichever data message `m` holds.
+void encode_data(const DataMsg& m, WireWriter& w);
 
 [[nodiscard]] bool decode_frame(WireReader& r, FrameMsg& m) noexcept;
 [[nodiscard]] bool decode_liveness(WireReader& r, LivenessMsg& m) noexcept;
@@ -255,6 +267,10 @@ void encode_inject(const InjectMsg& m, WireWriter& w);
 [[nodiscard]] bool decode_nack(WireReader& r, NackMsg& m) noexcept;
 [[nodiscard]] bool decode_bye(WireReader& r, ByeMsg& m) noexcept;
 [[nodiscard]] bool decode_inject(WireReader& r, InjectMsg& m) noexcept;
+/// Decode a data body of envelope type `type` into `m`; false for a
+/// non-data type or on truncation.
+[[nodiscard]] bool decode_data(MsgType type, WireReader& r,
+                               DataMsg& m) noexcept;
 
 // -- hex repro helpers ------------------------------------------------------
 

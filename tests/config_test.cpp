@@ -1,11 +1,13 @@
 // Configuration-surface tests: table-driven validate() rejections (with
-// error-message assertions) and the config_io write -> read -> write
-// fixed point over every fingerprint scenario plus a fuzzer-drawn one.
+// error-message assertions), the config_io write -> read -> write fixed
+// point over every fingerprint scenario plus fuzzer-drawn ones, and
+// precinct_sim's flags applied as keys.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/scenario_fuzz.hpp"
@@ -299,10 +301,60 @@ TEST(ConfigIo, RoundTrippedConfigRunsByteIdentically) {
   c.wireless.channel.model = "bernoulli";
   c.wireless.channel.loss_p = 0.1;
   c.request_retries = 2;
-  const PrecinctConfig reread =
-      core::config_from_kv(support::KvFile::parse(core::config_to_string(c)));
-  EXPECT_EQ(core::fingerprint(core::run_scenario(c)),
-            core::fingerprint(core::run_scenario(reread)));
+  std::vector<std::pair<std::string, PrecinctConfig>> cases{{"lossy", c}};
+  // Every field the fuzzer draws must survive its repro file, or the
+  // documented `precinct_sim --config <repro>` replays another scenario.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    PrecinctConfig drawn = check::draw_scenario(seed).config;
+    drawn.check.clear();  // observe-only, and the slowest part under ASan
+    cases.emplace_back("fuzz case " + std::to_string(seed), drawn);
+  }
+  for (const auto& [name, config] : cases) {
+    const PrecinctConfig reread = core::config_from_kv(
+        support::KvFile::parse(core::config_to_string(config)));
+    EXPECT_EQ(core::fingerprint(core::run_scenario(config)),
+              core::fingerprint(core::run_scenario(reread)))
+        << name;
+  }
+}
+
+TEST(ConfigIo, FlagsOverrideOnlyTheirKeys) {
+  // Seeds past 2^53: each must run as written, and a --seed flag must
+  // set exactly its value (a trip through double merges all three).
+  for (const char* seed : {"1152921504606846976", "1152921504606846977",
+                           "1152921504606846978"}) {
+    const PrecinctConfig file = core::config_from_kv(
+        support::KvFile::parse(std::string("seed = ") + seed + "\n"));
+    std::vector<std::string> none;
+    EXPECT_EQ(std::to_string(core::config_from_flags(none, file).seed), seed);
+    std::vector<std::string> flag{"--seed", seed};
+    EXPECT_EQ(std::to_string(core::config_from_flags(flag, {}).seed), seed);
+  }
+
+  // An explicit `updates = false` stays off under a consistency mode
+  // unless --updates turns it on.
+  const PrecinctConfig quiet = core::config_from_kv(support::KvFile::parse(
+      "consistency = push-adaptive-pull\nupdates = false\n"));
+  ASSERT_FALSE(quiet.updates_enabled);
+  std::vector<std::string> none;
+  EXPECT_FALSE(core::config_from_flags(none, quiet).updates_enabled);
+  std::vector<std::string> updates{"--updates"};
+  EXPECT_TRUE(core::config_from_flags(updates, quiet).updates_enabled);
+
+  // Flags are keys with `-` for `_`; everything else is left in place.
+  std::vector<std::string> args{"--seeds", "4",          "--speed-max",
+                                "3.5",     "--csv",      "--dynamic-regions",
+                                "--nodes", "50"};
+  const PrecinctConfig c = core::config_from_flags(args, quiet);
+  EXPECT_EQ(c.v_max, 3.5);
+  EXPECT_EQ(c.n_nodes, 50u);
+  EXPECT_TRUE(c.dynamic_regions);
+  EXPECT_EQ(c.consistency, consistency::Mode::kPushAdaptivePull);
+  EXPECT_EQ(args, (std::vector<std::string>{"--seeds", "4", "--csv"}));
+
+  std::vector<std::string> dangling{"--nodes"};
+  EXPECT_THROW((void)core::config_from_flags(dangling, {}),
+               std::invalid_argument);
 }
 
 TEST(ConfigIo, ShardingKnobsRoundTrip) {

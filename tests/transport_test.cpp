@@ -2,7 +2,7 @@
 // rejection gates, hex repro helpers, transport-layer byte accounting,
 // scripted workloads, the FlatJson status reader, loopback UDP sockets,
 // fleet-fingerprint assembly, and the headline contract — a two-daemon
-// in-process UDP fleet whose fleet fingerprint is byte-identical to the
+// in-process UDP fleet whose world fingerprint is byte-identical to the
 // in-sim world-sharded oracle's.
 #include <gtest/gtest.h>
 
@@ -401,7 +401,7 @@ TEST(FleetFingerprint, ValidatesDomainOrderAndAgreement) {
   d1.domain = 1;
 
   const std::string fp = tw::fleet_fingerprint({d0, d1});
-  EXPECT_EQ(fp.rfind("transport-fleet-v1\ndomains=2\n", 0), 0u) << fp;
+  EXPECT_EQ(fp.rfind("domains=2\n", 0), 0u) << fp;
   EXPECT_NE(fp.find("--- domain 0 ---"), std::string::npos);
   EXPECT_NE(fp.find("--- domain 1 ---"), std::string::npos);
 

@@ -2,18 +2,25 @@
 // conservative lookahead, the shards-invariance contract with real radio
 // traffic crossing the cut, the cross-domain conservation audit, the
 // observe-only invariant checker, single-domain equivalence with the
-// plain scenario, idle window skipping, and the one-window bound on halo
-// staleness.
+// plain scenario, idle window skipping, the one-window bound on halo
+// staleness, and the coupling rules every execution shares (DomainLink
+// and its ledger) driven through a recording fake transport.
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
+#include "core/domain_link.hpp"
+#include "core/scenario.hpp"
 #include "core/world_scenario.hpp"
 #include "geo/shard_partition.hpp"
 #include "net/wireless_net.hpp"
 #include "sim/shard_exec.hpp"
+#include "transport/wire_format.hpp"
 
 namespace {
 
@@ -205,6 +212,173 @@ TEST(WorldShardedScenarioTest, HaloLivenessStalenessIsBoundedByTheHorizon) {
     }
   }
   EXPECT_LE(disagreements, m.deltas_beyond_horizon);
+}
+
+// ---- the coupling rules (core::DomainLink, core::WorldLedger) --------------
+
+/// A conserving world ledger: 4 of 5 frames and 4 of 6 deltas processed,
+/// the rest due beyond the horizon.
+core::WorldLedger balanced_ledger() {
+  core::WorldLedger l;
+  l.windows = 7;
+  l.messages_merged = 11;
+  l.frames_posted = 5;
+  l.frames_processed = 4;
+  l.frames_beyond_horizon = 1;
+  l.deltas_posted = 6;
+  l.deltas_processed = 4;
+  l.deltas_beyond_horizon = 2;
+  return l;
+}
+
+/// The message of the std::logic_error `ledger.audit()` throws, or "".
+std::string audit_error(const core::WorldLedger& ledger) {
+  try {
+    ledger.audit();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(WorldLedger, AuditThrowsNamingTheCountsWhenAMessageIsMissing) {
+  core::WorldLedger l = balanced_ledger();
+  EXPECT_EQ(audit_error(l), "");
+
+  --l.frames_processed;  // one frame never executed at its destination
+  const std::string frames = audit_error(l);
+  EXPECT_NE(frames.find("frames processed 3 of 4"), std::string::npos)
+      << frames;
+
+  l = balanced_ledger();
+  --l.deltas_processed;  // one halo delta lost
+  const std::string deltas = audit_error(l);
+  EXPECT_NE(deltas.find("deltas processed 3 of 4"), std::string::npos)
+      << deltas;
+}
+
+TEST(WorldLedger, AddDomainSumsAndRequiresEqualWindows) {
+  core::WorldLedger world = balanced_ledger();
+  world.add_domain(balanced_ledger());
+  EXPECT_EQ(world.windows, 7u);  // shared, not summed
+  EXPECT_EQ(world.messages_merged, 22u);
+  EXPECT_EQ(world.frames_posted, 10u);
+  EXPECT_EQ(world.deltas_beyond_horizon, 4u);
+  EXPECT_NO_THROW(world.audit());
+
+  core::WorldLedger lagging = balanced_ledger();
+  lagging.windows = 6;
+  EXPECT_THROW(world.add_domain(lagging), std::invalid_argument);
+}
+
+/// A DomainLink over a fake transport: the test sets the window end, and
+/// send() records every (destination, message) it is handed.
+class RecordingLink final : public core::DomainLink {
+ public:
+  RecordingLink(core::Scenario& replica,
+                const std::vector<std::uint32_t>& owner)
+      : DomainLink(replica, 0, owner) {}
+
+  double window_end_s = 0.0;
+  std::vector<std::pair<std::uint32_t, transport::DataMsg>> sent;
+
+ private:
+  [[nodiscard]] double window_end() const override { return window_end_s; }
+  void send(std::uint32_t dst, const transport::DataMsg& msg) override {
+    sent.emplace_back(dst, msg);
+  }
+};
+
+/// Domain 0 of the 3-column world_config world, linked through a
+/// RecordingLink; the run horizon is 30 s.
+struct LinkedReplica {
+  PrecinctConfig config = world_config(1);
+  core::Scenario replica{core::world_domain_config(config)};
+  std::vector<std::uint32_t> owner =
+      core::world_node_owners(config, replica.network());
+  RecordingLink link{replica, owner};
+
+  /// A node domain 0 does not own.
+  [[nodiscard]] net::NodeId foreign() const {
+    for (net::NodeId i = 0; i < owner.size(); ++i) {
+      if (owner[i] != 0) return i;
+    }
+    return net::kNoNode;
+  }
+};
+
+TEST(DomainLink, FrameDueAtTheHorizonIsBeyondOnlyInTheFinalWindow) {
+  LinkedReplica w;
+  const double horizon = w.config.end_time_s();
+  net::Packet p;
+  p.src = w.foreign();
+
+  w.link.window_end_s = horizon - 1.0;  // merged before the last window
+  w.link.post_frame(1, horizon, p, false, net::kNoNode);
+  EXPECT_EQ(w.link.ledger().frames_beyond_horizon, 0u);
+  w.link.post_frame(2, horizon + 0.5, p, false, net::kNoNode);
+  EXPECT_EQ(w.link.ledger().frames_beyond_horizon, 1u);
+
+  w.link.window_end_s = horizon;  // posted in the final window
+  w.link.post_frame(1, horizon, p, false, net::kNoNode);
+  EXPECT_EQ(w.link.ledger().frames_beyond_horizon, 2u);
+  EXPECT_EQ(w.link.ledger().frames_posted, 3u);
+  ASSERT_EQ(w.link.sent.size(), 3u);
+  EXPECT_EQ(w.link.sent[1].first, 2u);
+}
+
+TEST(DomainLink, FrameDueBeforeTheWindowEndThrows) {
+  LinkedReplica w;
+  net::Packet p;
+  p.src = w.foreign();
+  w.link.window_end_s = 10.0;
+  EXPECT_THROW(w.link.post_frame(1, 9.999, p, false, net::kNoNode),
+               std::logic_error);
+  EXPECT_TRUE(w.link.sent.empty());
+  EXPECT_EQ(w.link.ledger().frames_posted, 0u);
+}
+
+TEST(DomainLink, DeltaPostedMidWindowIsDueAtTheWindowEnd) {
+  LinkedReplica w;
+  const geo::Key key = w.replica.catalog().key_of(0);
+  w.link.window_end_s = 5.0;
+  w.link.post_catalog_update(key, 3, 4.25);
+
+  // One copy to every other domain, due at the window boundary; the
+  // write instant travels unchanged.
+  ASSERT_EQ(w.link.sent.size(), 2u);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(w.link.sent[i].first, i + 1);
+    const auto& m = std::get<transport::CatalogMsg>(w.link.sent[i].second);
+    EXPECT_EQ(m.due, 5.0);
+    EXPECT_EQ(m.written_at, 4.25);
+    EXPECT_EQ(m.version, 3u);
+  }
+  EXPECT_EQ(w.link.ledger().deltas_posted, 2u);
+  EXPECT_EQ(w.link.ledger().deltas_beyond_horizon, 0u);
+}
+
+TEST(DomainLink, ApplyCountsProcessedMessages) {
+  LinkedReplica w;
+  const net::NodeId node = w.foreign();
+  const geo::Key key = w.replica.catalog().key_of(0);
+
+  w.link.apply(transport::LivenessMsg{1.0, node, false});
+  EXPECT_FALSE(w.replica.network().is_alive(node));
+  w.link.apply(transport::RegionMsg{1.0, node, 0});
+  w.link.apply(transport::CatalogMsg{1.0, key, 9, 0.5});
+  EXPECT_EQ(w.replica.catalog().item(key).version, 9u);
+  // A frame from the node just killed: counted, then dropped by the
+  // replica's halo copy of the sender's liveness.
+  transport::FrameMsg frame;
+  frame.due = 1.0;
+  frame.packet.src = node;
+  w.link.apply(frame);
+
+  EXPECT_EQ(w.link.ledger().frames_processed, 1u);
+  EXPECT_EQ(w.link.ledger().deltas_processed, 3u);
+  EXPECT_EQ(w.link.ledger().frames_posted, 0u);
+  EXPECT_TRUE(w.link.sent.empty());  // applying never echoes a delta
 }
 
 }  // namespace
