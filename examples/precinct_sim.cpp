@@ -105,18 +105,19 @@ scenario packs
                        drift)
   --write-golden       regenerate NAME.golden from this build (do this
                        deliberately, with a PR explaining why)
-  --world K            force world-sharded execution with K workers, even
-                       K = 1 (the pack K-invariance gate diffs
-                       --world 1/2/4 fingerprints)
+  --world K            force world-sharded execution with at most K
+                       workers, even K = 1 (the pack K-invariance gate
+                       diffs --world 1/2/4 fingerprints)
 
 run control
   --config FILE        key=value scenario file, run exactly as written
                        except for the fields flags override (each flag
                        is its key: --speed-max 4 is speed_max = 4; see
                        examples/scenario.conf.example)
-  --shards K           parallel workers; K > 1 world-shards the run (one
-                       world cut into region-column domains with real
-                       radio traffic across the cut; results are
+  --shards K           at most K workers, never more than the CPUs this
+                       process may run on; K > 1 world-shards the run
+                       (one world cut into region-column domains with
+                       real radio traffic across the cut; results are
                        byte-identical for any K)          (default 1)
   --warmup S           warm-up before measuring           (default 150)
   --measure S          measurement window                 (default 900)

@@ -200,7 +200,8 @@ struct PrecinctConfig {
   /// default) runs the classic single-threaded path; K > 1 selects *world
   /// sharding* — ONE world cut into region-column domains with real radio
   /// frames crossing the cut (WorldShardedScenario), whose lookahead is
-  /// derived from the radio MAC/propagation timing.  Results are
+  /// derived from the radio MAC/propagation timing.  At most
+  /// min(shards, regions_x, usable CPUs) workers run.  Results are
   /// byte-identical for any value — shards only decide which thread does
   /// the work.
   std::uint32_t shards = 1;

@@ -1,5 +1,6 @@
 #include "core/world_scenario.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <stdexcept>
@@ -7,6 +8,7 @@
 
 #include "geo/shard_partition.hpp"
 #include "net/wireless_net.hpp"
+#include "support/thread_pool.hpp"
 
 namespace precinct::core {
 
@@ -94,10 +96,15 @@ WorldShardedScenario::WorldShardedScenario(const PrecinctConfig& config)
   std::vector<sim::Simulator*> sims;
   sims.reserve(n_domains);
   for (const auto& d : domains_) sims.push_back(&d->simulator());
-  // Region-column domains -> worker shards; K > regions_x clamps (a
-  // worker with no domain is dead weight, never a correctness concern).
-  geo::ShardPartition partition =
-      geo::partition_grid(n_domains, config_.shards);
+  // Region-column domains -> min(shards, domains, usable CPUs) workers.
+  // A worker with no domain is dead weight, and one more worker than the
+  // CPUs that can run it turns every window's barrier into a futex
+  // hand-off between threads that take turns; on one CPU every domain
+  // runs inline on the caller.  The cohort size only decides which
+  // thread runs a domain, never the result.
+  const auto workers = static_cast<std::uint32_t>(
+      std::min<std::size_t>(support::usable_cpus(), config_.shards));
+  geo::ShardPartition partition = geo::partition_grid(n_domains, workers);
   sim::ShardExecutor::Options opts;
   opts.n_shards = partition.n_shards;
   opts.lookahead_s = lookahead_s_;

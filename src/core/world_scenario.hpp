@@ -84,7 +84,9 @@ struct WorldShardedMetrics : WorldLedger {
   Metrics aggregate;                 ///< merge_metrics over all domains
   std::vector<Metrics> per_domain;   ///< domain-order window metrics
   std::uint32_t domains = 1;         ///< region-column domains (fixed by config)
-  std::uint32_t shards = 1;          ///< worker threads; excluded from the
+  std::uint32_t shards = 1;          ///< workers that ran the domains:
+                                     ///< min(config shards, domains,
+                                     ///< usable CPUs); excluded from the
                                      ///< fingerprint
   double lookahead_s = 0.0;          ///< derived conservative lookahead
 };

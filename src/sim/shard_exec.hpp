@@ -51,7 +51,11 @@
 // ThreadPool: queued pool tasks have no co-scheduling guarantee, so K
 // mutually-blocking barrier participants on a busy pool would deadlock
 // (see support/thread_pool.hpp).  n_shards == 1 runs the identical
-// window loop inline with zero threads.
+// window loop inline with zero threads.  The executor starts exactly
+// the workers it is handed; callers size the cohort — WorldShardedScenario
+// caps it at min(shards, domains, support::usable_cpus()), since a
+// worker that cannot run alongside its peers only adds a futex hand-off
+// to every window.
 #pragma once
 
 #include <cstdint>

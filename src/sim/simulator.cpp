@@ -248,13 +248,19 @@ void Simulator::refill_run(SimTime bound) {
 }
 
 void Simulator::drain(SimTime bound) {
+  rescan_seq_ = 0;  // a count taken under another bound says nothing here
   for (;;) {
     if (run_pos_ == run_.size()) {
       run_.clear();
       run_pos_ = 0;
       if (heap_.size() >= kBatchMin && heap_[0].time <= bound &&
-          count_due(bound) == kBatchMin) {
-        refill_run(bound);
+          next_seq_ >= rescan_seq_) {
+        const std::size_t due = count_due(bound);
+        if (due == kBatchMin) {
+          refill_run(bound);
+        } else {
+          rescan_seq_ = next_seq_ + (kBatchMin - due);
+        }
       }
     }
     // A nested run_until with an earlier bound must not consume later run_
@@ -304,6 +310,7 @@ void Simulator::drain(SimTime bound) {
     recycle_slot(slot);
     if (post_event_) post_event_();
   }
+  rescan_seq_ = 0;  // an enclosing drain's bound may differ
 }
 
 SimTime Simulator::next_event_time() const noexcept {

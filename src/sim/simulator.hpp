@@ -155,6 +155,12 @@ class Simulator {
   // against the heap root for events scheduled mid-drain.  The merge uses
   // the same (time, key) order as the heap, so execution order is
   // bit-identical to pure heap pops.
+  //
+  // A count that finds c < kBatchMin due entries is not repeated until
+  // kBatchMin - c more events have been scheduled (rescan_seq_): each
+  // schedule adds at most one due entry and each pop removes one, so no
+  // skipped count could have reached kBatchMin.  A small window then pays
+  // one count, not one per popped event.
   static constexpr std::size_t kBatchMin = 64;
 
   EventHandle schedule_impl(SimTime when, EventCallback&& fn);
@@ -172,6 +178,9 @@ class Simulator {
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
+  /// drain() counts due entries again only once next_seq_ reaches this;
+  /// every drain() starts and ends with it cleared.
+  std::uint64_t rescan_seq_ = 0;
   std::uint64_t executed_ = 0;
   EventCallback post_event_;  ///< observe-only; see set_post_event_hook
   std::vector<HeapEntry> heap_;

@@ -5,16 +5,30 @@
 #include <exception>
 #include <memory>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace precinct::support {
 
 namespace {
 thread_local bool t_in_pool_worker = false;
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t n_threads) {
-  if (n_threads == 0) {
-    n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+std::size_t usable_cpus() noexcept {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
   }
+#endif
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(std::size_t n_threads) {
+  if (n_threads == 0) n_threads = usable_cpus();
   workers_.reserve(n_threads);
   for (std::size_t i = 0; i < n_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });

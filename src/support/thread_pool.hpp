@@ -24,9 +24,16 @@
 
 namespace precinct::support {
 
+/// CPUs this process may run on: the size of the calling thread's
+/// sched_getaffinity mask (so `taskset -c 0` reads 1), or
+/// hardware_concurrency when the mask cannot be read.  Always >= 1.  The
+/// one answer to "how many threads can make progress at once" for both
+/// the sweep pool and the shard executor's cohort.
+[[nodiscard]] std::size_t usable_cpus() noexcept;
+
 class ThreadPool {
  public:
-  /// n_threads == 0 selects hardware_concurrency (min 1).
+  /// n_threads == 0 selects usable_cpus().
   explicit ThreadPool(std::size_t n_threads = 0);
   ~ThreadPool();
 
@@ -38,8 +45,8 @@ class ThreadPool {
   /// Enqueue a task; the future resolves when it has run.
   std::future<void> submit(std::function<void()> task);
 
-  /// Process-wide persistent pool (hardware_concurrency workers), created
-  /// on first use and joined at program exit.
+  /// Process-wide persistent pool (usable_cpus() workers), created on
+  /// first use and joined at program exit.
   static ThreadPool& global();
 
   /// True when called from a worker thread of any ThreadPool.

@@ -2,6 +2,7 @@
 // clock semantics, determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -28,8 +29,13 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Never inlined: GCC 12 inlines a replacement delete into its callers and
+// then flags the std::free of memory from (our) operator new as
+// -Wmismatched-new-delete, a false positive.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -307,6 +313,50 @@ TEST(Simulator, NestedRunUntilHonorsBoundDuringBatchDrain) {
   EXPECT_EQ(nested_now, 50.0);
   EXPECT_EQ(fired_at_nested_return, 50);
   EXPECT_EQ(fired, 200);
+}
+
+TEST(Simulator, SmallWindowDrainKeepsOrderAcrossTheSkippedAndResumedScan) {
+  // A small-bound run_until over a large heap: 8 of its 208 entries are
+  // due, fewer than the batch threshold (64), so the drain pops them one
+  // by one and does not count again until 56 more events are scheduled.
+  // Each of the 8 callbacks schedules 10 events due later in the window:
+  // the count resumes after the sixth (62 due, still short) and again
+  // after the seventh, which crosses the threshold, so the rest drain as
+  // one sorted batch merged against the eighth's children in the heap.
+  // Whichever path each event takes, execution follows (time, insertion)
+  // order exactly.
+  Simulator sim;
+  struct Scheduled {
+    double time;
+    int id;
+  };
+  std::vector<Scheduled> due;
+  std::vector<int> order;
+  int next_id = 0;
+  const auto add = [&](double t, bool spawn, const auto& self) -> void {
+    const int id = next_id++;
+    if (t <= 2.0) due.push_back({t, id});
+    sim.schedule_at(t, [&, id, spawn] {
+      order.push_back(id);
+      if (!spawn) return;
+      // Every parent's children tie with the other parents' children.
+      for (int k = 0; k < 10; ++k) self(1.5 + 0.05 * (k % 4), false, self);
+    });
+  };
+  for (int i = 0; i < 200; ++i) add(10.0 + i, false, add);  // not due
+  for (int i = 0; i < 8; ++i) add(1.0 + 0.05 * i, true, add);
+  sim.run_until(2.0);
+
+  ASSERT_EQ(due.size(), 8u + 80u);
+  std::sort(due.begin(), due.end(),
+            [](const Scheduled& a, const Scheduled& b) {
+              return a.time < b.time || (a.time == b.time && a.id < b.id);
+            });
+  std::vector<int> expected;
+  for (const Scheduled& e : due) expected.push_back(e.id);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.pending(), 200u);
+  EXPECT_EQ(sim.now(), 2.0);
 }
 
 TEST(Simulator, HandlesStayDeadAcrossManyRecycles) {

@@ -1,5 +1,5 @@
 // Unit tests for support: RNG determinism and distributions, streaming
-// statistics, thread pool, table formatting.
+// statistics, thread pool, usable CPUs, table formatting.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "support/thread_pool.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -281,6 +282,16 @@ TEST(ThreadPool, InWorkerDetectsPoolThreads) {
   auto fut = ThreadPool::global().submit(
       [] { EXPECT_TRUE(ThreadPool::in_worker()); });
   fut.get();
+}
+
+TEST(UsableCpus, CountsTheAffinityMaskAndNeverZero) {
+  const std::size_t all = usable_cpus();
+  EXPECT_GE(all, 1u);
+  {
+    const precinct::test_util::OneCpuAffinity pin;
+    EXPECT_EQ(usable_cpus(), 1u);  // what `taskset -c 0` would report
+  }
+  EXPECT_EQ(usable_cpus(), all);  // the mask is restored
 }
 
 TEST(Table, FormatsAlignedColumns) {

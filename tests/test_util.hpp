@@ -1,11 +1,14 @@
-// Shared test scaffolding: the deterministic 3x3 grid harness and the
+// Shared test scaffolding: the deterministic 3x3 grid harness, the
 // small scenario builders that were previously duplicated across
 // engine_test.cpp, modules_test.cpp, channel_test.cpp and
-// integration_test.cpp.
+// integration_test.cpp, and a scoped one-CPU affinity mask.
 #pragma once
+
+#include <sched.h>
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -164,6 +167,37 @@ class GridHarness {
 
  private:
   std::unique_ptr<core::PrecinctEngine> engine_;
+};
+
+/// Restricts the calling thread to the first CPU of its affinity mask
+/// for the guard's lifetime (threads it starts meanwhile inherit that),
+/// then restores the saved mask — `taskset -c 0` for one test.
+class OneCpuAffinity {
+ public:
+  OneCpuAffinity() {
+    CPU_ZERO(&saved_);
+    if (sched_getaffinity(0, sizeof(saved_), &saved_) != 0) {
+      throw std::runtime_error("OneCpuAffinity: cannot read the CPU mask");
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (CPU_ISSET(cpu, &saved_)) {
+        CPU_SET(cpu, &one);
+        break;
+      }
+    }
+    if (sched_setaffinity(0, sizeof(one), &one) != 0) {
+      throw std::runtime_error("OneCpuAffinity: cannot restrict the mask");
+    }
+  }
+  ~OneCpuAffinity() { sched_setaffinity(0, sizeof(saved_), &saved_); }
+
+  OneCpuAffinity(const OneCpuAffinity&) = delete;
+  OneCpuAffinity& operator=(const OneCpuAffinity&) = delete;
+
+ private:
+  cpu_set_t saved_;
 };
 
 }  // namespace precinct::test_util

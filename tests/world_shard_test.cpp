@@ -2,9 +2,10 @@
 // conservative lookahead, the shards-invariance contract with real radio
 // traffic crossing the cut, the cross-domain conservation audit, the
 // observe-only invariant checker, single-domain equivalence with the
-// plain scenario, idle window skipping, the one-window bound on halo
-// staleness, and the coupling rules every execution shares (DomainLink
-// and its ledger) driven through a recording fake transport.
+// plain scenario, the worker cap at the usable CPUs, idle window
+// skipping, the one-window bound on halo staleness, and the coupling
+// rules every execution shares (DomainLink and its ledger) driven through
+// a recording fake transport.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -20,6 +21,7 @@
 #include "geo/shard_partition.hpp"
 #include "net/wireless_net.hpp"
 #include "sim/shard_exec.hpp"
+#include "test_util.hpp"
 #include "transport/wire_format.hpp"
 
 namespace {
@@ -116,6 +118,19 @@ TEST(WorldShardedScenarioTest, FingerprintInvariantAcrossShardCounts) {
         core::run_world_scenario(world_config(k));
     EXPECT_EQ(core::world_fingerprint(sharded), expected) << "shards=" << k;
   }
+}
+
+TEST(WorldShardedScenarioTest, WorkersNeverOutnumberUsableCpus) {
+  // On one usable CPU a second worker could only take turns with the
+  // first, so shards = 4 runs every domain inline on the caller — with
+  // the world fingerprint of shards = 1.
+  const std::string expected =
+      core::world_fingerprint(core::run_world_scenario(world_config(1)));
+  const precinct::test_util::OneCpuAffinity pin;
+  const core::WorldShardedMetrics m = core::run_world_scenario(world_config(4));
+  EXPECT_EQ(m.domains, 3u);
+  EXPECT_EQ(m.shards, 1u);
+  EXPECT_EQ(core::world_fingerprint(m), expected);
 }
 
 TEST(WorldShardedScenarioTest, CheckAllHoldsAndConservationAudits) {
