@@ -171,11 +171,6 @@ class ArgParser {
     return fallback;
   }
 
-  [[nodiscard]] double number(const std::string& name, double fallback) {
-    const std::string v = value(name, "");
-    return v.empty() ? fallback : std::stod(v);
-  }
-
   /// Arguments not consumed yet.
   [[nodiscard]] std::vector<std::string>& rest() { return args_; }
 
@@ -251,14 +246,15 @@ int main(int argc, char** argv) {
     // Flags override single keys; every other field runs exactly as the
     // pack or config file gave it.
     c = core::config_from_flags(args.rest(), c);
-    const auto seeds = static_cast<std::size_t>(args.number("--seeds", 1));
+    const auto seeds =
+        core::parse_integer<std::size_t>(args.value("--seeds", "1"), "--seeds");
     const bool csv = args.flag("--csv");
     const bool json = args.flag("--json");
     const bool print_fingerprint = args.flag("--fingerprint");
     const bool golden_check = args.flag("--golden-check");
     const bool write_golden = args.flag("--write-golden");
-    const auto world_k =
-        static_cast<std::uint32_t>(args.number("--world", 0));
+    const auto world_k = core::parse_integer<std::uint32_t>(
+        args.value("--world", "0"), "--world");
     if (world_k > 0) c.shards = world_k;
     // --trace takes either a count ("--trace 50": last 50 events, all
     // categories) or a category list ("--trace channel,protocol": every

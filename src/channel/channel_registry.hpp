@@ -1,6 +1,6 @@
-// ChannelRegistry — config-driven construction of channel models,
-// mirroring core::SchemeRegistry: models register by name, configs select
-// them with `channel=` keys, and validation checks names here.
+// ChannelRegistry — config-driven construction of channel models: models
+// register by name, configs select them with `channel=` keys, and
+// validation checks names here.
 //
 // The singleton is mutex-guarded: Scenario::run_seeds constructs radios
 // (and therefore channel models) concurrently from worker threads.

@@ -127,10 +127,6 @@ struct PrecinctConfig {
 
   // -- consistency (§4) -------------------------------------------------------
   consistency::Mode consistency = consistency::Mode::kNone;
-  /// Consistency scheme by registry name; overrides `consistency` when
-  /// non-empty.  Lets externally registered schemes (SchemeRegistry) be
-  /// selected from configs without extending the enum.
-  std::string consistency_scheme;
   double ttr_alpha = 0.5;       ///< Eq. 2's alpha
   double ttr_initial_s = 30.0;  ///< TTR seed before any update is seen
   /// Retransmissions of an unacknowledged update push (0 = fire and
@@ -152,9 +148,6 @@ struct PrecinctConfig {
 
   // -- retrieval ---------------------------------------------------------------
   RetrievalKind retrieval = RetrievalKind::kPrecinct;
-  /// Retrieval scheme by registry name; overrides `retrieval` when
-  /// non-empty (same extension hook as consistency_scheme).
-  std::string retrieval_scheme;
   routing::ExpandingRingConfig ring;
   int region_flood_ttl = 8;       ///< TTL for localized floods
   int network_flood_ttl = 32;     ///< TTL for the flooding baseline

@@ -28,9 +28,9 @@ std::vector<channel::Blackout> parse_blackouts(const std::string& spec) {
           "config: blackout window '" + window +
           "' must be node:start:end (';'-separated list)");
     }
+    channel::Blackout b;
+    b.node = parse_integer<std::uint32_t>(window.substr(0, c1), "blackout");
     try {
-      channel::Blackout b;
-      b.node = static_cast<std::uint32_t>(std::stoul(window.substr(0, c1)));
       b.start_s = std::stod(window.substr(c1 + 1, c2 - c1 - 1));
       b.end_s = std::stod(window.substr(c2 + 1));
       out.push_back(b);
@@ -42,46 +42,30 @@ std::vector<channel::Blackout> parse_blackouts(const std::string& spec) {
   return out;
 }
 
-/// Exact 64-bit parse: seeds use the full uint64_t range, which a round
-/// trip through double would truncate past 2^53.
-std::uint64_t parse_u64(const std::string& value, const char* key) {
-  std::uint64_t out = 0;
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
-  if (ec != std::errc{} || ptr != end) {
-    throw std::invalid_argument("config: key '" + std::string(key) +
-                                "' is not an unsigned integer: '" + value +
-                                "'");
-  }
-  return out;
-}
-
-/// Built-in names map onto the enum; anything else is kept as a registry
-/// name for validate()/SchemeRegistry to resolve.
 void set_retrieval(PrecinctConfig& c, const std::string& name) {
-  c.retrieval_scheme.clear();
-  if (name == "precinct") {
-    c.retrieval = RetrievalKind::kPrecinct;
-  } else if (name == "flooding") {
-    c.retrieval = RetrievalKind::kFlooding;
-  } else if (name == "expanding-ring") {
-    c.retrieval = RetrievalKind::kExpandingRing;
-  } else {
-    c.retrieval_scheme = name;
+  for (const RetrievalKind kind :
+       {RetrievalKind::kPrecinct, RetrievalKind::kFlooding,
+        RetrievalKind::kExpandingRing}) {
+    if (name == to_string(kind)) {
+      c.retrieval = kind;
+      return;
+    }
   }
+  throw std::invalid_argument(
+      "config: key 'retrieval' names no built-in scheme: '" + name +
+      "' (built-in: precinct, flooding, expanding-ring)");
 }
 
 void set_consistency(PrecinctConfig& c, const std::string& name) {
-  c.consistency_scheme.clear();
   try {
     c.consistency = consistency::mode_from_string(name);
   } catch (const std::invalid_argument&) {
-    c.consistency_scheme = name;  // externally registered scheme
+    throw std::invalid_argument(
+        "config: key 'consistency' names no built-in scheme: '" + name +
+        "' (built-in: none, plain-push, pull-every-time, "
+        "push-adaptive-pull)");
   }
-  if (c.consistency != consistency::Mode::kNone ||
-      !c.consistency_scheme.empty()) {
-    c.updates_enabled = true;
-  }
+  if (c.consistency != consistency::Mode::kNone) c.updates_enabled = true;
 }
 
 /// Apply one `class.<name>.<attr>` key to the heterogeneous-fleet list.
@@ -110,7 +94,7 @@ void apply_class_key(PrecinctConfig& c, const std::string& key,
     cls = &c.node_classes.back();
   }
   if (attr == "count") {
-    cls->count = static_cast<std::size_t>(parse_u64(value, key.c_str()));
+    cls->count = parse_integer<std::size_t>(value, key);
   } else if (attr == "cache_kb") {
     cls->cache_kb = kv.get_number(key, 0.0);
   } else if (attr == "speed") {
@@ -156,8 +140,8 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
   const std::map<std::string, std::function<void(const std::string&)>>
       handlers{
           {"nodes",
-           [&](const std::string&) {
-             c.n_nodes = static_cast<std::size_t>(kv.get_number("nodes", 0));
+           [&](const std::string& v) {
+             c.n_nodes = parse_integer<std::size_t>(v, "nodes");
            }},
           {"area",
            [&](const std::string&) {
@@ -165,9 +149,9 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.area = {{0.0, 0.0}, {side, side}};
            }},
           {"regions",
-           [&](const std::string&) {
+           [&](const std::string& v) {
              c.regions_x = c.regions_y =
-                 static_cast<std::uint32_t>(kv.get_number("regions", 3));
+                 parse_integer<std::uint32_t>(v, "regions");
            }},
           {"range",
            [&](const std::string&) {
@@ -203,14 +187,12 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.commuter_period_s = kv.get_number("commuter_period", 400.0);
            }},
           {"commuter_hubs",
-           [&](const std::string&) {
-             c.commuter_hubs =
-                 static_cast<std::size_t>(kv.get_number("commuter_hubs", 3));
+           [&](const std::string& v) {
+             c.commuter_hubs = parse_integer<std::size_t>(v, "commuter_hubs");
            }},
           {"items",
-           [&](const std::string&) {
-             c.catalog.n_items =
-                 static_cast<std::size_t>(kv.get_number("items", 1000));
+           [&](const std::string& v) {
+             c.catalog.n_items = parse_integer<std::size_t>(v, "items");
            }},
           {"request_interval",
            [&](const std::string&) {
@@ -248,9 +230,8 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.cache_fraction = kv.get_number("cache", 0.02);
            }},
           {"prefetch",
-           [&](const std::string&) {
-             c.prefetch_count =
-                 static_cast<std::size_t>(kv.get_number("prefetch", 0));
+           [&](const std::string& v) {
+             c.prefetch_count = parse_integer<std::size_t>(v, "prefetch");
            }},
           {"consistency",
            [&](const std::string& v) { set_consistency(c, v); }},
@@ -259,21 +240,18 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.ttr_alpha = kv.get_number("ttr_alpha", 0.5);
            }},
           {"push_retries",
-           [&](const std::string&) {
-             c.push_retries =
-                 static_cast<int>(kv.get_number("push_retries", 2));
+           [&](const std::string& v) {
+             c.push_retries = parse_integer<int>(v, "push_retries");
            }},
           {"retrieval",
            [&](const std::string& v) { set_retrieval(c, v); }},
           {"replicas",
-           [&](const std::string&) {
-             c.replica_count =
-                 static_cast<std::size_t>(kv.get_number("replicas", 1));
+           [&](const std::string& v) {
+             c.replica_count = parse_integer<std::size_t>(v, "replicas");
            }},
           {"retries",
-           [&](const std::string&) {
-             c.request_retries =
-                 static_cast<int>(kv.get_number("retries", 0));
+           [&](const std::string& v) {
+             c.request_retries = parse_integer<int>(v, "retries");
            }},
           {"channel",
            [&](const std::string& v) { c.wireless.channel.model = v; }},
@@ -348,9 +326,8 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
                  kv.get_number("hotspot_interval", 0.0);
            }},
           {"hotspot_shift",
-           [&](const std::string&) {
-             c.hotspot_shift =
-                 static_cast<std::size_t>(kv.get_number("hotspot_shift", 100));
+           [&](const std::string& v) {
+             c.hotspot_shift = parse_integer<std::size_t>(v, "hotspot_shift");
            }},
           {"warmup",
            [&](const std::string&) {
@@ -361,16 +338,15 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.measure_s = kv.get_number("measure", 900.0);
            }},
           {"shards",
-           [&](const std::string&) {
-             c.shards =
-                 static_cast<std::uint32_t>(kv.get_number("shards", 1.0));
+           [&](const std::string& v) {
+             c.shards = parse_integer<std::uint32_t>(v, "shards");
            }},
           {"workload_script",
            [&](const std::string& v) { c.workload_script = v; }},
           {"transport_base_port",
            [&](const std::string& v) {
-             c.transport_base_port = static_cast<std::uint32_t>(
-                 parse_u64(v, "transport_base_port"));
+             c.transport_base_port =
+                 parse_integer<std::uint32_t>(v, "transport_base_port");
            }},
           {"transport_pace",
            [&](const std::string& v) { c.transport_pace = v; }},
@@ -396,11 +372,13 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.transport_linger_s = kv.get_number("transport_linger", 5.0);
            }},
           {"seed",
-           [&](const std::string& v) { c.seed = parse_u64(v, "seed"); }},
+           [&](const std::string& v) {
+             c.seed = parse_integer<std::uint64_t>(v, "seed");
+           }},
           {"check", [&](const std::string& v) { c.check = v; }},
           {"check_stride",
            [&](const std::string& v) {
-             c.check_stride = parse_u64(v, "check_stride");
+             c.check_stride = parse_integer<std::uint64_t>(v, "check_stride");
            }},
       };
   bool saw_class = false;
@@ -547,13 +525,10 @@ std::map<std::string, std::string> config_to_kv(const PrecinctConfig& c) {
   kv["policy"] = c.cache_policy;
   kv["cache"] = format_number(c.cache_fraction);
   kv["prefetch"] = std::to_string(c.prefetch_count);
-  kv["consistency"] = c.consistency_scheme.empty()
-                          ? consistency::to_string(c.consistency)
-                          : c.consistency_scheme;
+  kv["consistency"] = consistency::to_string(c.consistency);
   kv["ttr_alpha"] = format_number(c.ttr_alpha);
   kv["push_retries"] = std::to_string(c.push_retries);
-  kv["retrieval"] = c.retrieval_scheme.empty() ? to_string(c.retrieval)
-                                               : c.retrieval_scheme;
+  kv["retrieval"] = to_string(c.retrieval);
   kv["replicas"] = std::to_string(c.replica_count);
   kv["retries"] = std::to_string(c.request_retries);
   kv["channel"] = c.wireless.channel.model;

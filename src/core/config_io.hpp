@@ -5,14 +5,39 @@
 // `examples/scenario.conf.example` for a complete annotated file.
 #pragma once
 
+#include <charconv>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/config.hpp"
 #include "support/kv_file.hpp"
 
 namespace precinct::core {
+
+/// Parse `value` as a plain decimal integer of the field's own type T.
+/// Throws std::invalid_argument naming `key` for anything else: a sign
+/// on an unsigned type, a fraction, an exponent, NaN, surrounding
+/// whitespace, or a value outside T's range.  Every integer config key
+/// and precinct_sim's integer flags read through this.
+template <typename T>
+[[nodiscard]] T parse_integer(const std::string& value,
+                              const std::string& key) {
+  T out{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument(
+        "'" + key + "' needs an integer in [" +
+        std::to_string(std::numeric_limits<T>::min()) + ", " +
+        std::to_string(std::numeric_limits<T>::max()) + "], got '" + value +
+        "'");
+  }
+  return out;
+}
 
 /// Apply every key in `kv` on top of `base`.  Throws
 /// std::invalid_argument for unknown keys or unparsable values.  The

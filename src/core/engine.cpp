@@ -1,26 +1,43 @@
 #include "core/engine.hpp"
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "check/invariant_checker.hpp"
-#include "core/scheme_registry.hpp"
+#include "core/retrieval_baselines.hpp"
+#include "core/retrieval_precinct.hpp"
 
 namespace precinct::core {
 
 namespace {
 
-/// Effective scheme names: the free-form config strings win; otherwise
-/// the enum fields map to the built-in names.
-std::string retrieval_name(const PrecinctConfig& config) {
-  return config.retrieval_scheme.empty() ? to_string(config.retrieval)
-                                         : config.retrieval_scheme;
+std::unique_ptr<RetrievalScheme> make_retrieval(RetrievalKind kind,
+                                                EngineContext& ctx) {
+  switch (kind) {
+    case RetrievalKind::kPrecinct:
+      return std::make_unique<PrecinctLookup>(ctx);
+    case RetrievalKind::kFlooding:
+      return std::make_unique<FloodingRetrieval>(ctx);
+    case RetrievalKind::kExpandingRing:
+      return std::make_unique<ExpandingRingRetrieval>(ctx);
+  }
+  throw std::invalid_argument("PrecinctEngine: bad RetrievalKind");
 }
 
-std::string consistency_name(const PrecinctConfig& config) {
-  return config.consistency_scheme.empty()
-             ? consistency::to_string(config.consistency)
-             : config.consistency_scheme;
+std::unique_ptr<ConsistencyScheme> make_consistency(consistency::Mode mode,
+                                                    EngineContext& ctx) {
+  switch (mode) {
+    case consistency::Mode::kNone:
+      return std::make_unique<NoConsistency>(ctx);
+    case consistency::Mode::kPlainPush:
+      return std::make_unique<PlainPush>(ctx);
+    case consistency::Mode::kPullEveryTime:
+      return std::make_unique<PullEveryTime>(ctx);
+    case consistency::Mode::kPushAdaptivePull:
+      return std::make_unique<PushAdaptivePull>(ctx);
+  }
+  throw std::invalid_argument("PrecinctEngine: bad consistency::Mode");
 }
 
 }  // namespace
@@ -69,11 +86,10 @@ PrecinctEngine::PrecinctEngine(const PrecinctConfig& config,
   ctx_.beacons = beacons_.get();
   ctx_.refresh_region_diameter();
 
-  // Resolve the strategy modules by name and wire them into the context,
-  // then let each claim the packet kinds it owns.
-  const SchemeRegistry& registry = SchemeRegistry::instance();
-  retrieval_ = registry.make_retrieval(retrieval_name(config_), ctx_);
-  consistency_ = registry.make_consistency(consistency_name(config_), ctx_);
+  // Build the strategy modules the config selects and wire them into the
+  // context, then let each claim the packet kinds it owns.
+  retrieval_ = make_retrieval(config_.retrieval, ctx_);
+  consistency_ = make_consistency(config_.consistency, ctx_);
   custody_ = std::make_unique<CustodyManager>(ctx_);
   workload_ = std::make_unique<WorkloadDriver>(ctx_);
   ctx_.retrieval = retrieval_.get();

@@ -7,9 +7,8 @@
 // (placement, handoff, churn, region management) and the WorkloadDriver
 // (request/update/beacon generators, failure injection).  Received
 // packets route to the owning module through a typed per-PacketKind
-// dispatch table; which scheme implementations run is resolved by name
-// through the SchemeRegistry, so new schemes plug in without touching
-// this file.  See DESIGN.md §8.
+// dispatch table; the config's RetrievalKind and consistency::Mode pick
+// which scheme implementations run.  See DESIGN.md §8.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,6 @@
 #include "channel/channel_registry.hpp"
 #include "check/categories.hpp"
 #include "core/config.hpp"
-#include "core/scheme_registry.hpp"
 
 namespace precinct::core {
 
@@ -119,14 +118,12 @@ void PrecinctConfig::validate() const {
   if (regional_timeout_s <= 0.0 || remote_timeout_s <= 0.0) {
     fail("timeouts must be > 0");
   }
-  if (replica_count + 1 >
-      static_cast<std::size_t>(regions_x) * regions_y) {
+  if (replica_count >= static_cast<std::size_t>(regions_x) * regions_y) {
     fail("replica_count needs at least replica_count+1 regions");
   }
   if (request_retries < 0) fail("request retries must be >= 0");
   // Channel-model knobs: names resolve in the channel registry and every
-  // probability/duration is in range (same fail-fast contract as the
-  // scheme names below).
+  // probability/duration is in range.
   {
     const channel::ChannelConfig& ch = wireless.channel;
     if (!channel::ChannelRegistry::instance().has(ch.model)) {
@@ -211,25 +208,15 @@ void PrecinctConfig::validate() const {
     }
   }
   if (check_stride == 0) fail("check stride must be >= 1");
-  // Scheme wiring: names must resolve in the registry, and the
-  // combination must make sense.  The unstructured baselines search by
-  // flooding, without the region infrastructure the pull-based schemes
-  // poll — running them together would silently measure nonsense.
-  if (!retrieval_scheme.empty() &&
-      !SchemeRegistry::instance().has_retrieval(retrieval_scheme)) {
-    fail("unknown retrieval scheme '" + retrieval_scheme + "'");
-  }
-  if (!consistency_scheme.empty() &&
-      !SchemeRegistry::instance().has_consistency(consistency_scheme)) {
-    fail("unknown consistency scheme '" + consistency_scheme + "'");
-  }
-  const bool baseline_retrieval =
-      retrieval_scheme.empty() && (retrieval == RetrievalKind::kFlooding ||
-                                   retrieval == RetrievalKind::kExpandingRing);
+  // Scheme wiring: the combination must make sense.  The unstructured
+  // baselines search by flooding, without the region infrastructure the
+  // pull-based schemes poll — running them together would silently
+  // measure nonsense.
+  const bool baseline_retrieval = retrieval == RetrievalKind::kFlooding ||
+                                  retrieval == RetrievalKind::kExpandingRing;
   const bool polling_consistency =
-      consistency_scheme.empty() &&
-      (consistency == consistency::Mode::kPullEveryTime ||
-       consistency == consistency::Mode::kPushAdaptivePull);
+      consistency == consistency::Mode::kPullEveryTime ||
+      consistency == consistency::Mode::kPushAdaptivePull;
   if (baseline_retrieval && polling_consistency) {
     fail(std::string("the '") + to_string(retrieval) +
          "' baseline has no region-based lookup, so the '" +

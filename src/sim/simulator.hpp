@@ -5,12 +5,13 @@
 // identically.  The engine is single-threaded by design — parallelism in
 // this codebase lives one level up, across independent scenario runs.
 //
-// Hot-path internals (DESIGN.md §"Event-queue internals"): events live in a
-// chunked slot arena (stable addresses, intrusive free list, no realloc
-// moves) and are ordered by an indexed 4-ary min-heap of 16-byte
-// (time, seq|slot) entries.  Callbacks are small-buffer-optimized
-// (EventCallback), so steady-state scheduling allocates nothing; cancel()
-// is an O(1) tombstone on the pooled slot, skipped when popped.
+// Hot-path internals (DESIGN.md §7): events live in a chunked slot arena
+// (stable addresses, intrusive free list, no realloc moves) and are
+// ordered by one 4-ary min-heap of 16-byte (time, seq|slot) entries; the
+// drain pops its root while the root is due, and that is the only pop
+// path.  Callbacks are small-buffer-optimized (EventCallback), so
+// steady-state scheduling allocates nothing; cancel() is an O(1)
+// tombstone on the pooled slot, skipped when popped.
 #pragma once
 
 #include <cstdint>
@@ -82,18 +83,13 @@ class Simulator {
   }
 
   /// Number of events currently pending (including cancelled-but-queued).
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() + (run_.size() - run_pos_);
-  }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Time of the earliest pending event, +infinity when none is queued.
   /// Cancelled-but-queued tombstones count, so this is a lower bound on
   /// the next event that will actually fire — which is all the shard
   /// window agreement (ShardExecutor, NodeDaemon) needs.
   [[nodiscard]] SimTime next_event_time() const noexcept;
-
-  /// Pre-size the slot pool and heap for `n` concurrently pending events.
-  void reserve(std::size_t n);
 
   /// Install an observer invoked synchronously after every executed
   /// event (the invariant checker's audit point).  The hook is NOT an
@@ -146,48 +142,19 @@ class Simulator {
     return blocks_[slot >> kBlockShift][slot & (kBlockSize - 1)];
   }
 
-  // Draining a large batch pops ready events through a sorted run instead
-  // of one-by-one heap pops: once at least kBatchMin entries are due,
-  // refill_run() moves every entry with time <= bound out of the heap,
-  // sorts them (bucket sort on the time's bit pattern — order-preserving
-  // for the engine's non-negative times — with a comparison-sort fallback
-  // on skew), and drain() then consumes the run sequentially, merging
-  // against the heap root for events scheduled mid-drain.  The merge uses
-  // the same (time, key) order as the heap, so execution order is
-  // bit-identical to pure heap pops.
-  //
-  // A count that finds c < kBatchMin due entries is not repeated until
-  // kBatchMin - c more events have been scheduled (rescan_seq_): each
-  // schedule adds at most one due entry and each pop removes one, so no
-  // skipped count could have reached kBatchMin.  A small window then pays
-  // one count, not one per popped event.
-  static constexpr std::size_t kBatchMin = 64;
-
   EventHandle schedule_impl(SimTime when, EventCallback&& fn);
   [[nodiscard]] std::uint32_t alloc_slot();
   void recycle_slot(std::uint32_t slot);
   void heap_push(HeapEntry entry);
   void heap_pop_root();
-  void heapify();
-  /// Heap entries due by `bound`, counted no further than kBatchMin.
-  [[nodiscard]] std::size_t count_due(SimTime bound) const noexcept;
-  void refill_run(SimTime bound);
-  void sort_run();
   /// Pops ready events (time <= bound) and executes non-cancelled ones.
   void drain(SimTime bound);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  /// drain() counts due entries again only once next_seq_ reaches this;
-  /// every drain() starts and ends with it cleared.
-  std::uint64_t rescan_seq_ = 0;
   std::uint64_t executed_ = 0;
   EventCallback post_event_;  ///< observe-only; see set_post_event_hook
   std::vector<HeapEntry> heap_;
-  std::vector<HeapEntry> run_;   // sorted ready batch, consumed from run_pos_
-  std::size_t run_pos_ = 0;
-  std::vector<HeapEntry> sort_scratch_;
-  std::vector<std::uint32_t> bucket_hist_;
   std::vector<std::unique_ptr<Slot[]>> blocks_;
   std::uint32_t next_unused_ = 0;      // first never-allocated slot index
   std::uint32_t free_head_ = kNullSlot;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -34,12 +35,6 @@ const std::vector<RejectionCase>& rejection_cases() {
   static const std::vector<RejectionCase> cases = {
       {"zero nodes", [](PrecinctConfig& c) { c.n_nodes = 0; },
        "n_nodes must be > 0"},
-      {"unknown retrieval scheme",
-       [](PrecinctConfig& c) { c.retrieval_scheme = "warp-drive"; },
-       "unknown retrieval scheme 'warp-drive'"},
-      {"unknown consistency scheme",
-       [](PrecinctConfig& c) { c.consistency_scheme = "quorum"; },
-       "unknown consistency scheme 'quorum'"},
       {"unknown channel model",
        [](PrecinctConfig& c) { c.wireless.channel.model = "quantum"; },
        "unknown channel model 'quantum'"},
@@ -72,6 +67,11 @@ const std::vector<RejectionCase>& rejection_cases() {
        [](PrecinctConfig& c) {
          c.regions_x = c.regions_y = 1;
          c.replica_count = 1;
+       },
+       "replica_count needs at least replica_count+1 regions"},
+      {"replica count at the top of its range",
+       [](PrecinctConfig& c) {
+         c.replica_count = std::numeric_limits<std::size_t>::max();
        },
        "replica_count needs at least replica_count+1 regions"},
       {"unknown mobility model",
@@ -494,6 +494,64 @@ TEST(ConfigIo, MalformedClassKeysThrow) {
                  std::invalid_argument)
         << text;
   }
+}
+
+TEST(ConfigIo, IntegerKeysParseExactlyIntoTheirFieldType) {
+  // Every integer key reads its value exactly into the field's own type,
+  // and anything else fails naming the key: a cast from a double would
+  // turn nodes = -1 into SIZE_MAX and 40.9 into 40.
+  const struct {
+    const char* key;
+    const char* value;
+  } rejected[] = {
+      {"nodes", "-1"},
+      {"nodes", "40.9"},
+      {"nodes", "4e1"},
+      {"items", "-3"},
+      {"regions", "2.5"},
+      {"regions", "4294967296"},
+      {"commuter_hubs", "nan"},
+      {"prefetch", "+2"},
+      {"push_retries", "2147483648"},
+      {"push_retries", "1.5"},
+      {"replicas", "-1"},
+      {"retries", "1e9"},
+      {"hotspot_shift", "inf"},
+      {"shards", "-1"},
+      {"transport_base_port", "4295014696"},
+      {"check_stride", "7.0"},
+      {"seed", "18446744073709551616"},
+      {"class.x.count", "2.5"},
+      {"blackout", "-1:0:10"},
+  };
+  for (const auto& r : rejected) {
+    const std::string text = std::string(r.key) + " = " + r.value + "\n";
+    try {
+      (void)core::config_from_kv(support::KvFile::parse(text));
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + r.key + "'"), std::string::npos)
+          << text << what;
+    }
+  }
+
+  // Plain integers read exactly, up to each type's extremes, with signs
+  // where the field is signed.
+  const PrecinctConfig c = core::config_from_kv(
+      support::KvFile::parse("nodes = 40\n"
+                             "regions = 4294967295\n"
+                             "retries = -1\n"
+                             "push_retries = -2147483648\n"
+                             "transport_base_port = 47401\n"
+                             "seed = 18446744073709551615\n"));
+  EXPECT_EQ(c.n_nodes, 40u);
+  EXPECT_EQ(c.regions_x, 4294967295u);
+  EXPECT_EQ(c.regions_y, 4294967295u);
+  EXPECT_EQ(c.request_retries, -1);
+  EXPECT_EQ(c.push_retries, std::numeric_limits<int>::min());
+  EXPECT_EQ(c.transport_base_port, 47401u);
+  EXPECT_EQ(c.seed, std::numeric_limits<std::uint64_t>::max());
 }
 
 TEST(ConfigIo, UnwritableConfigsThrow) {

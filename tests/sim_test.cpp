@@ -6,9 +6,12 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -266,8 +269,8 @@ TEST(Simulator, CancelledEventStillAdvancesClock) {
 }
 
 TEST(Simulator, MassSameTimestampKeepsInsertionOrder) {
-  // Large enough to engage the batch drain, with every event tied on time:
-  // order must still be exactly insertion order.
+  // Thousands of entries, every one tied on time: the heap must still pop
+  // them in exactly insertion order.
   Simulator sim;
   constexpr int kN = 5000;
   std::vector<int> order;
@@ -283,8 +286,8 @@ TEST(Simulator, MassSameTimestampKeepsInsertionOrder) {
 }
 
 TEST(Simulator, CancelDuringDrainSkipsQueuedEvent) {
-  // The victim is already sorted into the ready batch when the canceller
-  // runs; the tombstone must still suppress it.
+  // The victim is already queued behind the canceller in the same drain;
+  // its tombstone must suppress it when it reaches the heap root.
   Simulator sim;
   bool victim_fired = false;
   for (int i = 0; i < 100; ++i) sim.schedule(1.0 + i, [] {});
@@ -317,14 +320,10 @@ TEST(Simulator, NestedRunUntilHonorsBoundDuringBatchDrain) {
 
 TEST(Simulator, SmallWindowDrainKeepsOrderAcrossTheSkippedAndResumedScan) {
   // A small-bound run_until over a large heap: 8 of its 208 entries are
-  // due, fewer than the batch threshold (64), so the drain pops them one
-  // by one and does not count again until 56 more events are scheduled.
-  // Each of the 8 callbacks schedules 10 events due later in the window:
-  // the count resumes after the sixth (62 due, still short) and again
-  // after the seventh, which crosses the threshold, so the rest drain as
-  // one sorted batch merged against the eighth's children in the heap.
-  // Whichever path each event takes, execution follows (time, insertion)
-  // order exactly.
+  // due, and each of their callbacks schedules 10 events due later in the
+  // same window, tied with the other parents' children.  Execution
+  // follows (time, insertion) order exactly, and the 200 entries past the
+  // bound stay queued.
   Simulator sim;
   struct Scheduled {
     double time;
@@ -357,6 +356,206 @@ TEST(Simulator, SmallWindowDrainKeepsOrderAcrossTheSkippedAndResumedScan) {
   EXPECT_EQ(order, expected);
   EXPECT_EQ(sim.pending(), 200u);
   EXPECT_EQ(sim.now(), 2.0);
+}
+
+// The queue's contract with none of its machinery: pending entries in a
+// vector, each pop a linear scan for the least (time, insertion seq).
+class ReferenceQueue {
+ public:
+  using Handle = std::size_t;  // index into entries_, never reused
+
+  [[nodiscard]] double now() const { return now_; }
+  [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  [[nodiscard]] std::size_t pending() const { return queued_.size(); }
+  [[nodiscard]] double next_event_time() const {
+    double t = std::numeric_limits<double>::infinity();
+    for (const Handle h : queued_) t = std::min(t, entries_[h].time);
+    return t;
+  }
+
+  Handle schedule(double delay, std::function<void()> fn) {
+    return schedule_at(now_ + (delay > 0.0 ? delay : 0.0), std::move(fn));
+  }
+  Handle schedule_at(double when, std::function<void()> fn) {
+    entries_.push_back({when > now_ ? when : now_, std::move(fn), kQueued});
+    queued_.push_back(entries_.size() - 1);
+    return entries_.size() - 1;
+  }
+  bool cancel(Handle h) {
+    if (h >= entries_.size() || entries_[h].state != kQueued) return false;
+    entries_[h].state = kCancelled;
+    return true;
+  }
+  void run_until(double end) {
+    for (;;) {
+      auto next = queued_.end();
+      for (auto it = queued_.begin(); it != queued_.end(); ++it) {
+        const double t = entries_[*it].time;
+        if (next == queued_.end() || t < entries_[*next].time ||
+            (t == entries_[*next].time && *it < *next)) {
+          next = it;
+        }
+      }
+      if (next == queued_.end() || entries_[*next].time > end) break;
+      const Handle h = *next;
+      queued_.erase(next);
+      now_ = entries_[h].time;
+      const bool cancelled = entries_[h].state == kCancelled;
+      entries_[h].state = kDone;
+      if (cancelled) continue;
+      ++executed_;
+      const std::function<void()> fn = std::move(entries_[h].fn);
+      fn();  // may schedule, which can reallocate entries_
+    }
+    now_ = std::max(now_, end);
+  }
+
+ private:
+  enum State { kQueued, kCancelled, kDone };
+  struct Entry {
+    double time;
+    std::function<void()> fn;
+    State state;
+  };
+  double now_ = 0.0;
+  std::uint64_t executed_ = 0;
+  std::vector<Entry> entries_;
+  std::vector<Handle> queued_;
+};
+
+// A seeded random program that runs identically on any queue with the
+// Simulator's interface.  Each event's actions are a pure function of its
+// id, so two queues that execute the same order make the same calls and
+// write the same log; the first differing log line is the first
+// divergence.
+template <typename Queue>
+class RandomProgram {
+ public:
+  RandomProgram(Queue& q, std::uint64_t seed) : q_(q), seed_(seed) {}
+
+  /// Schedule and cancel from outside any event, run_until(bound), then
+  /// log everything the queue exposes.
+  void round(std::uint64_t r, double bound) {
+    precinct::support::Rng rng(
+        precinct::support::hash_combine(seed_, ~std::uint64_t{0} - r));
+    const std::uint64_t n = 1 + rng.uniform_int(r % 10 == 3 ? 120 : 6);
+    for (std::uint64_t i = 0; i < n; ++i) act(rng);
+    bounds_.push_back(bound);
+    q_.run_until(bound);
+    bounds_.pop_back();
+    std::ostringstream line;
+    line << std::hexfloat << "round " << r << " now=" << q_.now()
+         << " executed=" << q_.events_executed()
+         << " pending=" << q_.pending() << " next=" << q_.next_event_time();
+    log_.push_back(line.str());
+  }
+
+  [[nodiscard]] const std::vector<std::string>& log() const { return log_; }
+
+ private:
+  using Handle = decltype(std::declval<Queue&>().schedule(0.0, [] {}));
+
+  // Tied and zero delays are common on purpose; -1 exercises the clamp.
+  void act(precinct::support::Rng& rng) {
+    static constexpr double kDelays[] = {-1.0, 0.0, 0.0, 0.25,
+                                         0.5,  1.0, 1.0, 2.75};
+    std::ostringstream line;
+    line << std::hexfloat;
+    switch (rng.uniform_int(3)) {
+      case 0:
+        line << "schedule e" << add(false, kDelays[rng.uniform_int(8)]);
+        break;
+      case 1: {  // absolute time, one time in three in the past
+        const double offset =
+            rng.uniform_int(3) == 0
+                ? -2.0
+                : 0.25 * static_cast<double>(rng.uniform_int(8));
+        line << "schedule_at e" << add(true, q_.now() + offset);
+        break;
+      }
+      default: {
+        if (handles_.empty()) return;
+        const std::uint64_t target = rng.uniform_int(handles_.size());
+        line << "cancel e" << target << '=' << q_.cancel(handles_[target]);
+      }
+    }
+    line << " @" << q_.now();
+    log_.push_back(line.str());
+  }
+
+  std::uint64_t add(bool absolute, double t) {
+    const std::uint64_t id = handles_.size();
+    handles_.emplace_back();
+    const auto fn = [this, id] { fire(id); };
+    handles_[id] = absolute ? q_.schedule_at(t, fn) : q_.schedule(t, fn);
+    return id;
+  }
+
+  void fire(std::uint64_t id) {
+    std::ostringstream line;
+    line << std::hexfloat << "fire e" << id << " @" << q_.now();
+    log_.push_back(line.str());
+    precinct::support::Rng rng(precinct::support::hash_combine(seed_, id));
+    if (rng.uniform_int(8) == 0) {  // too late: the event is running
+      log_.push_back("self-cancel=" +
+                     std::to_string(q_.cancel(handles_[id])));
+    }
+    const std::uint64_t before = rng.uniform_int(3);
+    for (std::uint64_t i = 0; i < before; ++i) act(rng);
+    if (bounds_.size() < 3 && rng.uniform_int(5) == 0) {
+      // A nested run_until with an earlier bound: sometimes in the past,
+      // otherwise somewhere between now and the enclosing bound.
+      const double bound =
+          rng.uniform_int(4) == 0
+              ? q_.now() - 1.0
+              : q_.now() + (bounds_.back() - q_.now()) * rng.uniform();
+      bounds_.push_back(bound);
+      q_.run_until(bound);
+      bounds_.pop_back();
+      std::ostringstream ret;
+      ret << std::hexfloat << "return e" << id << " @" << q_.now()
+          << " executed=" << q_.events_executed()
+          << " pending=" << q_.pending();
+      log_.push_back(ret.str());
+      if (rng.uniform_int(2) == 0) act(rng);
+    }
+  }
+
+  Queue& q_;
+  std::uint64_t seed_;
+  std::vector<Handle> handles_;
+  std::vector<double> bounds_;
+  std::vector<std::string> log_;
+};
+
+TEST(Simulator, MatchesAPlainTimeSeqSortedReference) {
+  // Top-level bounds land on the delay grid (ties with event times) and
+  // sometimes step backwards, which must run nothing.
+  static constexpr double kSteps[] = {-0.5, 0.0, 0.25, 0.5, 1.0, 2.75};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Simulator sim;
+    ReferenceQueue ref;
+    RandomProgram<Simulator> on_sim(sim, seed);
+    RandomProgram<ReferenceQueue> on_ref(ref, seed);
+    double bound = 0.0;
+    precinct::support::Rng steps(seed);
+    for (std::uint64_t r = 0; r < 60; ++r) {
+      bound += kSteps[steps.uniform_int(6)];
+      on_sim.round(r, bound);
+      on_ref.round(r, bound);
+    }
+    const std::vector<std::string>& got = on_sim.log();
+    const std::vector<std::string>& want = on_ref.log();
+    const auto diverged =
+        std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+    ASSERT_TRUE(diverged.first == got.end() && diverged.second == want.end())
+        << "seed " << seed << ", log line " << (diverged.first - got.begin())
+        << "\n  simulator: "
+        << (diverged.first == got.end() ? "<end>" : *diverged.first)
+        << "\n  reference: "
+        << (diverged.second == want.end() ? "<end>" : *diverged.second);
+    EXPECT_GT(sim.events_executed(), 100u) << "seed " << seed;
+  }
 }
 
 TEST(Simulator, HandlesStayDeadAcrossManyRecycles) {
