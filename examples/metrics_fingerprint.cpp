@@ -21,9 +21,10 @@
 // diff K=1 against K in {2,4,8} to gate the parallel executor's
 // determinism contract.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 
+#include "core/config_io.hpp"
 #include "core/scenario.hpp"
 #include "core/world_scenario.hpp"
 
@@ -72,7 +73,12 @@ PrecinctConfig base(std::uint64_t seed) {
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--world") == 0 && i + 1 < argc) {
-      g_world = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      try {
+        g_world = core::parse_integer<std::uint32_t>(argv[++i], "--world");
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "usage: %s [--world K]\n", argv[0]);
       return 2;

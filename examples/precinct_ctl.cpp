@@ -39,9 +39,9 @@ namespace {
 
 using namespace precinct;
 
-[[noreturn]] void die(const std::string& what) {
+[[noreturn]] void die(const std::string& what, int status = 1) {
   std::cerr << "precinct_ctl: " << what << '\n';
-  std::exit(1);
+  std::exit(status);
 }
 
 void print_help() {
@@ -278,8 +278,13 @@ int cmd_up(Args& args) {
   const core::PrecinctConfig config = core::config_from_file(config_path);
   // Fail before spawning anything if the config cannot be world-sharded.
   (void)core::world_validate(config);
-  const std::uint32_t base_port = static_cast<std::uint32_t>(std::stoul(
-      args.value("--base-port", std::to_string(config.transport_base_port))));
+  std::uint32_t base_port = config.transport_base_port;
+  try {
+    base_port = core::parse_integer<std::uint32_t>(
+        args.value("--base-port", std::to_string(base_port)), "--base-port");
+  } catch (const std::invalid_argument& e) {
+    die(e.what(), 2);  // a bad flag value is a usage error
+  }
   args.expect_empty();
 
   Fleet f;

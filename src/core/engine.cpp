@@ -125,6 +125,18 @@ PrecinctEngine::PrecinctEngine(const PrecinctConfig& config,
   }
 }
 
+void PrecinctEngine::set_shard_view(const ShardView& view) {
+  ctx_.shard = view;
+  ctx_.stride_correlation_ids(view.domain + 1, view.n_domains);
+  // Every mark_seen caller in a domain is an owned receiver, requester or
+  // forwarder, so a foreign mark is a broken ownership rule and throws.
+  std::vector<net::NodeId> owned;
+  for (net::NodeId i = 0; i < net_.node_count(); ++i) {
+    if (view.owns(i)) owned.push_back(i);
+  }
+  flood_.restrict_to(owned);
+}
+
 PrecinctEngine::~PrecinctEngine() {
   // The simulator outlives the engine in some harnesses; never leave a
   // hook pointing at a dead checker.

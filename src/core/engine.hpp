@@ -43,12 +43,10 @@ class PrecinctEngine {
   /// Enter world-sharded mode (DESIGN.md §13): this engine simulates only
   /// the nodes `view.owner` maps to `view.domain`; workload generators,
   /// beacons, failure injection and static-copy placement are gated to
-  /// owned nodes, and correlation ids stride by the domain count.  Must
-  /// be called before initialize().
-  void set_shard_view(const ShardView& view) {
-    ctx_.shard = view;
-    ctx_.stride_correlation_ids(view.domain + 1, view.n_domains);
-  }
+  /// owned nodes, correlation ids stride by the domain count, and flood
+  /// dedup records carry one bit per owned node.  Must be called before
+  /// initialize().
+  void set_shard_view(const ShardView& view);
 
   /// Place initial custody/replica copies and schedule workload generators,
   /// region checks and failure injection.  Call once before running.

@@ -12,16 +12,23 @@ namespace {
 [[noreturn]] void fail(const std::string& what) {
   throw std::invalid_argument("PrecinctConfig: " + what);
 }
+
+// Range rules hold only for values inside the range, so a NaN (which
+// compares false against everything) fails them: configs built in code
+// never pass KvFile's rejection of non-finite numbers.
+[[nodiscard]] bool positive(double x) { return x > 0.0; }
+[[nodiscard]] bool non_negative(double x) { return x >= 0.0; }
+[[nodiscard]] bool probability(double x) { return x >= 0.0 && x <= 1.0; }
 }  // namespace
 
 void PrecinctConfig::validate() const {
   if (n_nodes == 0) fail("n_nodes must be > 0");
-  if (area.width() <= 0.0 || area.height() <= 0.0) {
+  if (!positive(area.width()) || !positive(area.height())) {
     fail("area must have positive extent");
   }
   if (regions_x == 0 || regions_y == 0) fail("region grid must be >= 1x1");
-  if (wireless.range_m <= 0.0) fail("radio range must be > 0");
-  if (wireless.bandwidth_bps <= 0.0) fail("bandwidth must be > 0");
+  if (!positive(wireless.range_m)) fail("radio range must be > 0");
+  if (!positive(wireless.bandwidth_bps)) fail("bandwidth must be > 0");
   {
     static constexpr const char* kMobilityModels[] = {
         "static",       "random-waypoint", "random-direction",
@@ -31,14 +38,14 @@ void PrecinctConfig::validate() const {
     if (!known) fail("unknown mobility model '" + mobility_model + "'");
   }
   if (mobile && mobility_model != "static") {
-    if (v_min <= 0.0 || v_max < v_min) fail("need 0 < v_min <= v_max");
-    if (pause_s < 0.0) fail("pause must be >= 0");
-    if (region_check_interval_s <= 0.0) {
+    if (!positive(v_min) || !(v_max >= v_min)) fail("need 0 < v_min <= v_max");
+    if (!non_negative(pause_s)) fail("pause must be >= 0");
+    if (!positive(region_check_interval_s)) {
       fail("region check interval must be > 0");
     }
   }
-  if (street_spacing_m <= 0.0) fail("street spacing must be > 0");
-  if (turn_probability < 0.0 || turn_probability > 1.0) {
+  if (!positive(street_spacing_m)) fail("street spacing must be > 0");
+  if (!probability(turn_probability)) {
     fail("turn probability must be in [0, 1]");
   }
   if (mobile && mobility_model == "manhattan" &&
@@ -46,7 +53,7 @@ void PrecinctConfig::validate() const {
     fail("street spacing too wide for the area (need a 2x2 intersection "
          "grid)");
   }
-  if (commuter_period_s <= 0.0) fail("commuter period must be > 0");
+  if (!positive(commuter_period_s)) fail("commuter period must be > 0");
   if (commuter_hubs == 0) fail("commuter fleet needs at least one hub");
   // Heterogeneous fleet: classes are the canonical name-sorted list with
   // contiguous id ranges, so ordering and counts must be well-formed
@@ -71,10 +78,10 @@ void PrecinctConfig::validate() const {
       if (cls.count == 0) {
         fail("node class '" + cls.name + "' must have count > 0");
       }
-      if (cls.cache_kb < 0.0) {
+      if (!non_negative(cls.cache_kb)) {
         fail("node class '" + cls.name + "' cache_kb must be >= 0");
       }
-      if (cls.speed < 0.0) {
+      if (!non_negative(cls.speed)) {
         fail("node class '" + cls.name + "' speed must be >= 0");
       }
       total += cls.count;
@@ -89,33 +96,33 @@ void PrecinctConfig::validate() const {
       catalog.max_item_bytes < catalog.min_item_bytes) {
     fail("bad catalog item size range");
   }
-  if (zipf_theta < 0.0) fail("zipf theta must be >= 0");
-  if (!(request_rate_multiplier > 0.0)) {
+  if (!non_negative(zipf_theta)) fail("zipf theta must be >= 0");
+  if (!positive(request_rate_multiplier)) {
     fail("request rate multiplier must be > 0");
   }
-  if (zipf_drift_per_s != 0.0 && zipf_drift_step_s <= 0.0) {
+  if (zipf_drift_per_s != 0.0 && !positive(zipf_drift_step_s)) {
     fail("zipf drift step must be > 0 when drift is enabled");
   }
-  if (mean_request_interval_s <= 0.0) fail("request interval must be > 0");
-  if (updates_enabled && mean_update_interval_s <= 0.0) {
+  if (!positive(mean_request_interval_s)) fail("request interval must be > 0");
+  if (updates_enabled && !positive(mean_update_interval_s)) {
     fail("update interval must be > 0");
   }
-  if (cache_fraction < 0.0 || cache_fraction > 1.0) {
+  if (!probability(cache_fraction)) {
     fail("cache fraction must be in [0, 1]");
   }
-  if (ttr_alpha < 0.0 || ttr_alpha > 1.0) fail("ttr alpha must be in [0, 1]");
-  if (ttr_initial_s < 0.0) fail("initial TTR must be >= 0");
+  if (!probability(ttr_alpha)) fail("ttr alpha must be in [0, 1]");
+  if (!non_negative(ttr_initial_s)) fail("initial TTR must be >= 0");
   if (push_retries < 0) fail("push retries must be >= 0");
   if (use_beacons) {
-    if (beacon_interval_s <= 0.0) fail("beacon interval must be > 0");
-    if (neighbor_lifetime_s < beacon_interval_s) {
+    if (!positive(beacon_interval_s)) fail("beacon interval must be > 0");
+    if (!(neighbor_lifetime_s >= beacon_interval_s)) {
       fail("neighbor lifetime must cover at least one beacon interval");
     }
   }
   if (region_flood_ttl < 1) fail("region flood TTL must be >= 1");
   if (network_flood_ttl < 1) fail("network flood TTL must be >= 1");
   if (max_route_hops < 1) fail("route hop budget must be >= 1");
-  if (regional_timeout_s <= 0.0 || remote_timeout_s <= 0.0) {
+  if (!positive(regional_timeout_s) || !positive(remote_timeout_s)) {
     fail("timeouts must be > 0");
   }
   if (replica_count >= static_cast<std::size_t>(regions_x) * regions_y) {
@@ -129,34 +136,37 @@ void PrecinctConfig::validate() const {
     if (!channel::ChannelRegistry::instance().has(ch.model)) {
       fail("unknown channel model '" + ch.model + "'");
     }
-    if (ch.loss_p < 0.0 || ch.loss_p > 1.0) {
+    if (!probability(ch.loss_p)) {
       fail("channel loss probability must be in [0, 1]");
     }
-    if (ch.edge_start_fraction < 0.0 || ch.edge_start_fraction > 1.0) {
+    if (!probability(ch.edge_start_fraction)) {
       fail("channel edge_start_fraction must be in [0, 1]");
     }
-    if (ch.edge_loss_p < 0.0 || ch.edge_loss_p > 1.0) {
+    if (!probability(ch.edge_loss_p)) {
       fail("channel edge loss probability must be in [0, 1]");
     }
-    if (ch.ge_enter_burst_p < 0.0 || ch.ge_enter_burst_p > 1.0) {
+    if (!probability(ch.ge_enter_burst_p)) {
       fail("channel burst-entry probability must be in [0, 1]");
     }
-    if (ch.ge_mean_burst_frames < 0.0) {
+    if (!non_negative(ch.ge_mean_burst_frames)) {
       fail("channel mean burst length must be >= 0");
     }
-    if (ch.ge_loss_good < 0.0 || ch.ge_loss_good > 1.0 ||
-        ch.ge_loss_bad < 0.0 || ch.ge_loss_bad > 1.0) {
+    if (!probability(ch.ge_loss_good) || !probability(ch.ge_loss_bad)) {
       fail("channel per-state loss probabilities must be in [0, 1]");
     }
     for (const channel::Blackout& b : ch.blackouts) {
-      if (b.end_s < b.start_s) fail("channel blackout window must not end before it starts");
+      if (!(b.end_s >= b.start_s)) {
+        fail("channel blackout window must not end before it starts");
+      }
     }
     for (const channel::Partition& w : ch.partitions) {
-      if (w.end_s < w.start_s) fail("channel partition window must not end before it starts");
+      if (!(w.end_s >= w.start_s)) {
+        fail("channel partition window must not end before it starts");
+      }
     }
   }
   if (dynamic_regions) {
-    if (region_reconfig_interval_s <= 0.0) {
+    if (!positive(region_reconfig_interval_s)) {
       fail("region reconfig interval must be > 0");
     }
     if (max_region_peers <= min_region_peers) {
@@ -166,12 +176,12 @@ void PrecinctConfig::validate() const {
   if (prefetch_count > catalog.n_items) {
     fail("prefetch_count cannot exceed the catalog size");
   }
-  if (crash_rate_per_s < 0.0) fail("crash rate must be >= 0");
-  if (join_rate_per_s < 0.0) fail("join rate must be >= 0");
-  if (graceful_fraction < 0.0 || graceful_fraction > 1.0) {
+  if (!non_negative(crash_rate_per_s)) fail("crash rate must be >= 0");
+  if (!non_negative(join_rate_per_s)) fail("join rate must be >= 0");
+  if (!probability(graceful_fraction)) {
     fail("graceful fraction must be in [0, 1]");
   }
-  if (warmup_s < 0.0 || measure_s <= 0.0) {
+  if (!non_negative(warmup_s) || !positive(measure_s)) {
     fail("warmup must be >= 0 and measure window > 0");
   }
   // World sharding (DESIGN.md §13): `shards > 1` cuts one world into
@@ -189,15 +199,15 @@ void PrecinctConfig::validate() const {
   if (transport_pace != "asap" && transport_pace != "realtime") {
     fail("transport_pace must be 'asap' or 'realtime'");
   }
-  if (!(transport_speedup > 0.0)) fail("transport_speedup must be > 0");
-  if (transport_status_interval_s < 0.0) {
+  if (!positive(transport_speedup)) fail("transport_speedup must be > 0");
+  if (!non_negative(transport_status_interval_s)) {
     fail("transport_status_interval must be >= 0");
   }
-  if (!(transport_retry_s > 0.0)) fail("transport_retry must be > 0");
+  if (!positive(transport_retry_s)) fail("transport_retry must be > 0");
   if (!(transport_timeout_s > transport_retry_s)) {
     fail("transport_timeout must exceed transport_retry");
   }
-  if (transport_linger_s < 0.0) fail("transport_linger must be >= 0");
+  if (!non_negative(transport_linger_s)) fail("transport_linger must be >= 0");
   // Correctness-harness knobs: category names must parse and the audit
   // stride must be at least one event.
   if (!check.empty()) {

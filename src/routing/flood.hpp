@@ -13,25 +13,33 @@ namespace precinct::routing {
 /// Per-node flood state: remembers which packet ids each node has already
 /// processed so each flood visits a node at most once.
 ///
-/// Stored as one flat open-addressing table over (node, id) pairs instead
-/// of a per-node std::unordered_set — a flood round touches every node
-/// once, so per-node sets meant one cache-missing hash container per hop.
-/// Slots are generation-stamped: a slot whose gen differs from the current
-/// generation counts as empty, which makes clear() an O(1) generation
-/// bump (entries are never deleted individually, so probe chains stay
-/// intact).
+/// Stored as one flat open-addressing table keyed by packet id, one record
+/// per id: the id, a generation stamp and one bit per simulated node.  A
+/// flood's lookups arrive in one burst and mark a few dozen nodes, so they
+/// all hit one record in a hot cache line.  A record whose generation
+/// differs from the current one counts as empty, which makes clear() an
+/// O(1) generation bump (records are never deleted individually, so probe
+/// chains stay intact).
 class FloodController {
  public:
-  /// `n_nodes` sizes the initial table: one flood round marks about one
-  /// entry per node, so start with room for a few rounds and grow by
-  /// doubling as ids accumulate over the run.
+  /// Simulates nodes 0 .. n_nodes-1: every record carries n_nodes bits.
+  /// The table starts small and doubles as ids accumulate over the run.
   explicit FloodController(std::size_t n_nodes);
 
+  /// Shrink the records to `nodes` (a world-sharded domain's owned
+  /// nodes, DESIGN.md §13): each gets one bit, every other node becomes
+  /// foreign.  Drops every mark and restarts the table at its initial
+  /// size.  Throws std::out_of_range for a node beyond the constructor's
+  /// n_nodes and std::invalid_argument for a node listed twice.
+  void restrict_to(const std::vector<net::NodeId>& nodes);
+
   /// Record that `node` processed packet `id`.  Returns true the first
-  /// time, false on duplicates.
+  /// time, false on duplicates.  Throws std::out_of_range naming the node
+  /// if it is foreign: only simulated nodes receive, request or forward.
   bool mark_seen(net::NodeId node, std::uint64_t id);
 
-  /// True if the node already processed this packet id.
+  /// True if the node already processed this packet id (always false for
+  /// a foreign node).
   [[nodiscard]] bool has_seen(net::NodeId node, std::uint64_t id) const;
 
   /// Whether a node should rebroadcast a flood packet: not a duplicate
@@ -48,28 +56,41 @@ class FloodController {
   /// Total duplicate suppressions observed (diagnostics).
   [[nodiscard]] std::uint64_t duplicates() const noexcept { return dups_; }
 
-  /// Live (current-generation) entries — diagnostics and tests.
+  /// Live (current-generation) marks — diagnostics and tests.
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return slots_.size();
-  }
+  /// Record slots (one per packet id at most).
+  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
  private:
-  struct Slot {
-    std::uint64_t id = 0;
-    net::NodeId node = 0;
-    std::uint32_t gen = 0;  ///< 0 never matches a live generation
-  };
-  static_assert(sizeof(Slot) == 16);
+  // Record layout, in 64-bit words: [kId] packet id, [kGen] generation
+  // (0 never matches a live one), then one bit per simulated node.
+  static constexpr std::size_t kId = 0;
+  static constexpr std::size_t kGen = 1;
+  static constexpr std::size_t kBits = 2;
+  static constexpr std::uint32_t kForeign = UINT32_MAX;
 
-  [[nodiscard]] static std::uint64_t mix(net::NodeId node,
-                                         std::uint64_t id) noexcept;
+  [[nodiscard]] std::uint32_t bit_of(net::NodeId node) const noexcept {
+    return node < bit_of_.size() ? bit_of_[node] : kForeign;
+  }
+  [[nodiscard]] std::uint64_t* record(std::size_t slot) noexcept {
+    return table_.data() + slot * stride_;
+  }
+  [[nodiscard]] const std::uint64_t* record(std::size_t slot) const noexcept {
+    return table_.data() + slot * stride_;
+  }
+  /// The slot holding `id`'s live record, or else the first slot of its
+  /// probe chain without one.
+  [[nodiscard]] std::size_t probe(std::uint64_t id) const noexcept;
+  void reset(std::size_t n_bits);
   void grow();
 
-  std::vector<Slot> slots_;  // power-of-two size
-  std::size_t mask_ = 0;
-  std::size_t size_ = 0;  // live entries in the current generation
-  std::uint32_t gen_ = 1;
+  std::vector<std::uint32_t> bit_of_;  // node -> bit index or kForeign
+  std::vector<std::uint64_t> table_;   // power-of-two slots x stride_ words
+  std::size_t stride_ = kBits;         // words per record
+  std::size_t mask_ = 0;               // slots - 1
+  std::size_t records_ = 0;  // live records (one per id) in this generation
+  std::size_t size_ = 0;     // live marks in this generation
+  std::uint64_t gen_ = 1;
   std::uint64_t dups_ = 0;
 };
 

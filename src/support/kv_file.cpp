@@ -1,6 +1,7 @@
 #include "support/kv_file.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -74,14 +75,17 @@ std::string KvFile::get_string(const std::string& key,
 double KvFile::get_number(const std::string& key, double fallback) const {
   const auto v = get(key);
   if (!v.has_value()) return fallback;
+  // std::stod also reads nan and inf, which no key means: reject them
+  // here, where the message can name the key.
   try {
     std::size_t used = 0;
     const double parsed = std::stod(*v, &used);
     if (used != v->size()) throw std::invalid_argument("trailing junk");
+    if (!std::isfinite(parsed)) throw std::invalid_argument("not finite");
     return parsed;
   } catch (const std::exception&) {
     throw std::invalid_argument("KvFile: key '" + key +
-                                "' is not a number: " + *v);
+                                "' is not a finite number: " + *v);
   }
 }
 

@@ -32,7 +32,8 @@ class KvFile {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
 
   /// Typed getters: return `fallback` when absent; throw
-  /// std::invalid_argument when present but unparsable.
+  /// std::invalid_argument when present but unparsable (for get_number,
+  /// also when it reads nan or an infinity).
   [[nodiscard]] std::string get_string(const std::string& key,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_number(const std::string& key,

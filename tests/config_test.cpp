@@ -151,6 +151,18 @@ const std::vector<RejectionCase>& rejection_cases() {
          c.zipf_drift_step_s = 0.0;
        },
        "zipf drift step must be > 0"},
+      // Configs built in code skip the file parser's non-finite check, so
+      // every range rule must also fail a NaN.
+      {"NaN radio range",
+       [](PrecinctConfig& c) {
+         c.wireless.range_m = std::numeric_limits<double>::quiet_NaN();
+       },
+       "radio range must be > 0"},
+      {"NaN cache fraction",
+       [](PrecinctConfig& c) {
+         c.cache_fraction = std::numeric_limits<double>::quiet_NaN();
+       },
+       "cache fraction must be in [0, 1]"},
   };
   return cases;
 }
@@ -552,6 +564,30 @@ TEST(ConfigIo, IntegerKeysParseExactlyIntoTheirFieldType) {
   EXPECT_EQ(c.push_retries, std::numeric_limits<int>::min());
   EXPECT_EQ(c.transport_base_port, 47401u);
   EXPECT_EQ(c.seed, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(ConfigIo, NonFiniteNumbersThrowNamingTheKey) {
+  // std::stod reads nan and the infinities, which no key means: a NaN
+  // range used to pass validate() and crash the run.
+  const struct {
+    const char* key;
+    const char* value;
+  } rejected[] = {
+      {"range", "nan"},
+      {"cache", "inf"},
+      {"speed_max", "-inf"},
+  };
+  for (const auto& r : rejected) {
+    const std::string text = std::string(r.key) + " = " + r.value + "\n";
+    try {
+      (void)core::config_from_kv(support::KvFile::parse(text));
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + r.key + "'"), std::string::npos)
+          << text << what;
+    }
+  }
 }
 
 TEST(ConfigIo, UnwritableConfigsThrow) {

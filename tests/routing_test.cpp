@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mobility/static_placement.hpp"
 #include "net/wireless_net.hpp"
@@ -314,6 +321,139 @@ TEST(FloodController, ClearKeepsCapacityAndDropsEntries) {
     EXPECT_TRUE(fc.mark_seen(2, id));
   }
   EXPECT_EQ(fc.size(), 100u);
+}
+
+TEST(FloodController, MatchesASetReferenceAcrossDoublingsAndClears) {
+  // Seeded differential run: every answer, size() and duplicates() must
+  // equal a std::set of (node, id) pairs through 10^5 random calls.
+  // Fresh ids keep arriving, so the table doubles many times between
+  // clears; extreme ids and out-of-range nodes are mixed in.
+  constexpr std::size_t kNodes = 200;
+  routing::FloodController fc(kNodes);
+  const std::size_t initial_capacity = fc.capacity();
+  std::size_t max_capacity = initial_capacity;
+  std::set<std::pair<NodeId, std::uint64_t>> ref;
+  std::uint64_t ref_dups = 0;
+  std::mt19937_64 rng(20240611);
+  std::uint64_t next_id = 1;
+  auto pick_id = [&]() -> std::uint64_t {
+    const std::uint64_t roll = rng() % 100;
+    if (roll == 0) return 0;
+    if (roll == 1) return std::numeric_limits<std::uint64_t>::max();
+    if (roll < 40) return next_id++;
+    return next_id - 1 - rng() % std::min<std::uint64_t>(next_id, 64);
+  };
+  for (int step = 1; step <= 100000; ++step) {
+    if (step % 30000 == 0) {  // three clears, each after ~7k records
+      fc.clear();
+      ref.clear();
+      ref_dups = 0;
+      continue;
+    }
+    const std::uint64_t id = pick_id();
+    if (rng() % 3 == 0) {
+      // Nodes past the end are foreign: never seen.
+      const auto node = static_cast<NodeId>(rng() % (kNodes + 8));
+      ASSERT_EQ(fc.has_seen(node, id), ref.count({node, id}) == 1)
+          << "step " << step;
+    } else {
+      const auto node = static_cast<NodeId>(rng() % kNodes);
+      const bool fresh = ref.insert({node, id}).second;
+      if (!fresh) ++ref_dups;
+      ASSERT_EQ(fc.mark_seen(node, id), fresh) << "step " << step;
+    }
+    ASSERT_EQ(fc.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(fc.duplicates(), ref_dups) << "step " << step;
+    max_capacity = std::max(max_capacity, fc.capacity());
+  }
+  EXPECT_GE(max_capacity, 8 * initial_capacity);  // three or more doublings
+}
+
+TEST(FloodController, BitBoundariesExtremeIdsAndReuseAfterClear) {
+  constexpr std::uint64_t kMaxId = std::numeric_limits<std::uint64_t>::max();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{64},
+                              std::size_t{65}, std::size_t{200}}) {
+    std::vector<NodeId> nodes;
+    for (const NodeId node : {NodeId{0}, NodeId{63}, NodeId{64},
+                              static_cast<NodeId>(n - 1)}) {
+      if (node < n && std::find(nodes.begin(), nodes.end(), node) ==
+                          nodes.end()) {
+        nodes.push_back(node);
+      }
+    }
+    routing::FloodController fc(n);
+    for (int round = 0; round < 2; ++round) {  // before and after clear()
+      for (const std::uint64_t id : {std::uint64_t{0}, kMaxId}) {
+        for (const NodeId node : nodes) {
+          EXPECT_FALSE(fc.has_seen(node, id)) << n << " " << node << " " << id;
+          EXPECT_TRUE(fc.mark_seen(node, id)) << n << " " << node << " " << id;
+          EXPECT_FALSE(fc.mark_seen(node, id)) << n << " " << node;
+          EXPECT_TRUE(fc.has_seen(node, id)) << n << " " << node;
+        }
+      }
+      // Only the marked bits are set, in both records.
+      for (NodeId node = 0; node < n; ++node) {
+        const bool marked =
+            std::find(nodes.begin(), nodes.end(), node) != nodes.end();
+        EXPECT_EQ(fc.has_seen(node, 0), marked) << n << " " << node;
+        EXPECT_EQ(fc.has_seen(node, kMaxId), marked) << n << " " << node;
+      }
+      EXPECT_FALSE(fc.has_seen(static_cast<NodeId>(n), 0));  // foreign
+      EXPECT_EQ(fc.size(), 2 * nodes.size());
+      EXPECT_EQ(fc.duplicates(), 2 * nodes.size());
+      fc.clear();
+      EXPECT_EQ(fc.size(), 0u);
+      for (const NodeId node : nodes) {
+        EXPECT_FALSE(fc.has_seen(node, 0));
+        EXPECT_FALSE(fc.has_seen(node, kMaxId));
+      }
+    }
+  }
+}
+
+TEST(FloodController, OwnedSubsetMarksOnlyOwnedNodes) {
+  // A world-sharded domain simulates only its owned nodes: every third
+  // node of 200 here, bits assigned in list order.
+  routing::FloodController fc(200);
+  std::vector<NodeId> owned;
+  for (NodeId node = 1; node < 200; node += 3) owned.push_back(node);
+  fc.restrict_to(owned);
+  for (std::uint64_t id = 1; id <= 300; ++id) {
+    for (const NodeId node : owned) EXPECT_TRUE(fc.mark_seen(node, id));
+  }
+  EXPECT_EQ(fc.size(), 300 * owned.size());
+  for (const NodeId node : owned) {
+    EXPECT_TRUE(fc.has_seen(node, 300));
+    EXPECT_FALSE(fc.mark_seen(node, 300));
+  }
+  // A foreign mark fails loudly, naming the node, and changes nothing.
+  try {
+    fc.mark_seen(3, 300);
+    ADD_FAILURE() << "foreign mark accepted";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("node 3 "), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(fc.mark_seen(200, 1), std::out_of_range);  // past the end
+  EXPECT_FALSE(fc.has_seen(3, 300));
+  EXPECT_FALSE(fc.has_seen(0, 1));
+  EXPECT_EQ(fc.size(), 300 * owned.size());
+  EXPECT_EQ(fc.duplicates(), owned.size());
+
+  EXPECT_THROW(fc.restrict_to({4, 4}), std::invalid_argument);
+  EXPECT_THROW(fc.restrict_to({200}), std::out_of_range);
+  EXPECT_TRUE(fc.has_seen(1, 300));  // a refused restriction keeps state
+}
+
+TEST(FloodController, FootprintIsOneRecordPerId) {
+  // 1,000 floods over 40 nodes need 1,000 records, which fit 2,048 slots
+  // under the 3/4 load cap; a slot per (node, id) pair would need 65,536.
+  routing::FloodController fc(40);
+  for (std::uint64_t id = 1; id <= 1000; ++id) {
+    for (NodeId node = 0; node < 40; ++node) fc.mark_seen(node, id);
+  }
+  EXPECT_EQ(fc.size(), 40000u);
+  EXPECT_LE(fc.capacity(), 2048u);
 }
 
 TEST(FloodController, TtlGate) {
