@@ -82,24 +82,11 @@ void BM_NeighborQuery(benchmark::State& state) {
   RadioFixtureState fx(static_cast<std::size_t>(state.range(0)), 7);
   net::NodeId i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fx.net.neighbors(i));
+    benchmark::DoNotOptimize(fx.net.neighbors(i).size());
     i = (i + 1) % fx.net.node_count();
   }
 }
 BENCHMARK(BM_NeighborQuery)->Arg(80)->Arg(160);
-
-// Same query through the into-scratch overload: no per-call vector.
-void BM_NeighborQueryScratch(benchmark::State& state) {
-  RadioFixtureState fx(static_cast<std::size_t>(state.range(0)), 7);
-  net::NodeId i = 0;
-  std::vector<net::NodeId> scratch;
-  for (auto _ : state) {
-    fx.net.neighbors(i, scratch);
-    benchmark::DoNotOptimize(scratch.size());
-    i = (i + 1) % fx.net.node_count();
-  }
-}
-BENCHMARK(BM_NeighborQueryScratch)->Arg(80)->Arg(160);
 
 // Network-wide flood from a rotating origin: every receiver re-broadcasts
 // once (flood dedup + TTL), so one iteration exercises the full radio
@@ -178,26 +165,14 @@ void BM_GpsrNextHop(benchmark::State& state) {
 }
 BENCHMARK(BM_GpsrNextHop)->Arg(80)->Arg(160);
 
-void BM_GabrielPlanarization(benchmark::State& state) {
-  RadioFixtureState fx(static_cast<std::size_t>(state.range(0)), 13);
-  routing::Gpsr gpsr(fx.net);
-  net::NodeId i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gpsr.planar_neighbors(i));
-    i = (i + 1) % fx.net.node_count();
-  }
-}
-BENCHMARK(BM_GabrielPlanarization)->Arg(80)->Arg(160);
-
-// Epoch-cached planarization: after the first lap every call is a cache
-// hit until the topology epoch bumps.  Compare against the uncached
-// BM_GabrielPlanarization above.
+// Epoch-cached planarization: the world is static and the clock stands
+// still, so after the first lap every call is a cache hit.
 void BM_GabrielPlanarizationCached(benchmark::State& state) {
   RadioFixtureState fx(static_cast<std::size_t>(state.range(0)), 13);
   routing::Gpsr gpsr(fx.net);
   net::NodeId i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gpsr.planar_neighbors_cached(i).size());
+    benchmark::DoNotOptimize(gpsr.planar_neighbors(i).size());
     i = (i + 1) % fx.net.node_count();
   }
 }
@@ -257,18 +232,19 @@ BENCHMARK(BM_GeoHashHomeRegion);
 void BM_SpatialGridRebuildQuery(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   support::Rng rng(21);
-  std::vector<geo::Point> pts;
+  std::vector<double> xs(n), ys(n);
   for (std::size_t i = 0; i < n; ++i) {
-    pts.push_back({rng.uniform(0, 2400), rng.uniform(0, 2400)});
+    xs[i] = rng.uniform(0, 2400);
+    ys[i] = rng.uniform(0, 2400);
   }
-  const std::vector<char> alive(n, 1);
   net::SpatialGrid grid({{0, 0}, {2400, 2400}}, 250.0);
   std::vector<std::uint32_t> out;
   for (auto _ : state) {
-    grid.rebuild(pts, alive);
+    grid.rebuild(xs.data(), ys.data(), n);
     for (int q = 0; q < 16; ++q) {
+      const std::size_t c = static_cast<std::size_t>(q) % n;
       out.clear();
-      grid.query(pts[static_cast<std::size_t>(q) % n], 250.0, out);
+      grid.query({xs[c], ys[c]}, 250.0, out);
       benchmark::DoNotOptimize(out.size());
     }
   }
@@ -285,16 +261,14 @@ void BM_SpatialGridRebuild(benchmark::State& state) {
   const double side =
       1200.0 * std::sqrt(static_cast<double>(n) / 160.0);
   support::Rng rng(29);
-  std::vector<geo::Point> pts;
-  pts.reserve(n);
+  std::vector<double> xs(n), ys(n);
   for (std::size_t i = 0; i < n; ++i) {
-    pts.push_back({rng.uniform(0, side), rng.uniform(0, side)});
+    xs[i] = rng.uniform(0, side);
+    ys[i] = rng.uniform(0, side);
   }
-  std::vector<char> alive(n, 1);
-  for (std::size_t i = 0; i < n; i += 16) alive[i] = 0;  // dead-node skips
   net::SpatialGrid grid({{0, 0}, {side, side}}, 250.0);
   for (auto _ : state) {
-    grid.rebuild(pts, alive);
+    grid.rebuild(xs.data(), ys.data(), n);
     benchmark::DoNotOptimize(grid.indexed_count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

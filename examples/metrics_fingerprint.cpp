@@ -157,5 +157,13 @@ int main(int argc, char** argv) {
     c.measure_s = 150;
     run_config("gilbert_elliott_s37", c);
   }
+  {
+    // Beacon-fed GPSR: neighbor knowledge from expiring position tables
+    // (refreshed by beacons and by overheard frames), not the radio's
+    // ground truth.
+    auto c = base(41);
+    c.use_beacons = true;
+    run_config("beacons_s41", c);
+  }
   return 0;
 }

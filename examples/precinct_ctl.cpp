@@ -102,6 +102,17 @@ struct Args {
   }
 };
 
+/// `value` read exactly as flag `name`'s integer; anything else is a
+/// usage error naming the flag (never a wrapped or truncated value).
+template <typename T>
+T integer_flag(const std::string& value, const std::string& name) {
+  try {
+    return core::parse_integer<T>(value, name);
+  } catch (const std::invalid_argument& e) {
+    die(e.what(), 2);
+  }
+}
+
 // -- file helpers ------------------------------------------------------------
 
 std::string read_file(const std::string& path) {
@@ -278,13 +289,9 @@ int cmd_up(Args& args) {
   const core::PrecinctConfig config = core::config_from_file(config_path);
   // Fail before spawning anything if the config cannot be world-sharded.
   (void)core::world_validate(config);
-  std::uint32_t base_port = config.transport_base_port;
-  try {
-    base_port = core::parse_integer<std::uint32_t>(
-        args.value("--base-port", std::to_string(base_port)), "--base-port");
-  } catch (const std::invalid_argument& e) {
-    die(e.what(), 2);  // a bad flag value is a usage error
-  }
+  const auto base_port = integer_flag<std::uint32_t>(
+      args.value("--base-port", std::to_string(config.transport_base_port)),
+      "--base-port");
   args.expect_empty();
 
   Fleet f;
@@ -384,7 +391,7 @@ int cmd_stop(Args& args) {
 }
 
 int cmd_inject(Args& args) {
-  const Fleet f = read_manifest(args.value("--dir", "fleet"));
+  const std::string dir = args.value("--dir", "fleet");
   const bool is_update = args.flag("--update");
   const bool is_request = args.flag("--request");
   if (is_update == is_request) die("inject: pass exactly one of --request / --update");
@@ -393,10 +400,12 @@ int cmd_inject(Args& args) {
   if (node_s.empty()) die("inject: --node is required");
   args.expect_empty();
 
+  // Flags first: a bad value fails as a usage error without a fleet.
   transport::InjectMsg msg;
   msg.op = is_update ? 1 : 0;
-  msg.node = static_cast<net::NodeId>(std::stoul(node_s));
-  msg.key_rank = std::stoull(rank_s);
+  msg.node = integer_flag<net::NodeId>(node_s, "--node");
+  msg.key_rank = integer_flag<std::uint64_t>(rank_s, "--rank");
+  const Fleet f = read_manifest(dir);
   // Unique per invocation; daemons dedupe the retries below on it.
   msg.inject_id = support::hash_combine(
       static_cast<std::uint64_t>(std::time(nullptr)),

@@ -15,9 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "check/scenario_fuzz.hpp"
+#include "core/config_io.hpp"
 
 namespace {
 
@@ -53,15 +55,25 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A bad count or seed is a usage error naming its flag: it must never
+    // run as 0 cases, which would pass vacuously.
+    const auto integer = [&]() -> std::uint64_t {
+      try {
+        return core::parse_integer<std::uint64_t>(value(), arg);
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+      }
+    };
     if (arg == "--help") return usage();
     if (arg == "--scenarios") {
-      scenarios = std::strtoull(value(), nullptr, 10);
+      scenarios = integer();
     } else if (arg == "--seed") {
-      first_seed = std::strtoull(value(), nullptr, 10);
+      first_seed = integer();
     } else if (arg == "--repro-dir") {
       repro_dir = value();
     } else if (arg == "--replay") {
-      first_seed = std::strtoull(value(), nullptr, 10);
+      first_seed = integer();
       scenarios = 1;
       replay_one = true;
     } else if (arg == "--packet-hex") {

@@ -135,8 +135,8 @@ config-file-only keys (no flag; see examples/scenario.conf.example)
   workload_script      deterministic `<t> request|update <node> <rank>`
                        events layered on the Poisson generators — the same
                        file drives in-sim runs and UDP fleets identically
-  transport_*          real-transport fleet knobs (base_port, pace,
-                       speedup, status_interval, retry, timeout, linger)
+  transport_*          real-transport fleet knobs (base_port,
+                       status_interval, retry, timeout, linger)
                        read by precinct_node / precinct_ctl; the sim
                        ignores them, so one file can describe both runs
 )";
@@ -264,7 +264,7 @@ int main(int argc, char** argv) {
     std::vector<sim::TraceCategory> trace_cats;
     if (!trace_arg.empty()) {
       if (trace_arg.find_first_not_of("0123456789") == std::string::npos) {
-        trace_n = static_cast<std::size_t>(std::stoull(trace_arg));
+        trace_n = core::parse_integer<std::size_t>(trace_arg, "--trace");
       } else {
         std::size_t begin = 0;
         while (begin <= trace_arg.size()) {

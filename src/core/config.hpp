@@ -208,13 +208,6 @@ struct PrecinctConfig {
   /// First UDP port of a local fleet: domain d binds base_port + d
   /// (precinct_ctl's default address plan; explicit --peers overrides).
   std::uint32_t transport_base_port = 47400;
-  /// Fleet pacing: "asap" advances windows as fast as barriers close
-  /// (virtual-time lockstep — what the equivalence oracle compares
-  /// against); "realtime" sleeps each window so sim time tracks wall
-  /// time scaled by transport_speedup.
-  std::string transport_pace = "asap";
-  /// Sim seconds per wall second in realtime pace (ignored for asap).
-  double transport_speedup = 1.0;
   /// Wall-clock interval between daemon status-file snapshots (0 = only
   /// the final snapshot).
   double transport_status_interval_s = 0.5;

@@ -348,12 +348,6 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.transport_base_port =
                  parse_integer<std::uint32_t>(v, "transport_base_port");
            }},
-          {"transport_pace",
-           [&](const std::string& v) { c.transport_pace = v; }},
-          {"transport_speedup",
-           [&](const std::string&) {
-             c.transport_speedup = kv.get_number("transport_speedup", 1.0);
-           }},
           {"transport_status_interval",
            [&](const std::string&) {
              c.transport_status_interval_s =
@@ -557,8 +551,6 @@ std::map<std::string, std::string> config_to_kv(const PrecinctConfig& c) {
   kv["shards"] = std::to_string(c.shards);
   if (!c.workload_script.empty()) kv["workload_script"] = c.workload_script;
   kv["transport_base_port"] = std::to_string(c.transport_base_port);
-  kv["transport_pace"] = c.transport_pace;
-  kv["transport_speedup"] = format_number(c.transport_speedup);
   kv["transport_status_interval"] =
       format_number(c.transport_status_interval_s);
   kv["transport_retry"] = format_number(c.transport_retry_s);

@@ -336,7 +336,7 @@ net::NodeId CustodyManager::pick_custody_target(net::NodeId mover,
     if (i == mover || !alive[i] || reg[i] != region) continue;
     const double dist = geo::distance(ctx_.net.position(i), r->center);
     bool flood_reachable = false;
-    for (const net::NodeId nb : ctx_.net.neighbors_cached(i)) {
+    for (const net::NodeId nb : ctx_.net.neighbors(i)) {
       if (nb != mover && ctx_.peers[nb].region == region) {
         flood_reachable = true;
         break;

@@ -59,11 +59,10 @@ PrecinctEngine::PrecinctEngine(const PrecinctConfig& config,
                          network, network.node_count(),
                          config.neighbor_lifetime_s)
                    : nullptr),
-      gpsr_(beacons_ ? std::make_unique<routing::Gpsr>(network, *beacons_)
-                     : std::make_unique<routing::Gpsr>(network)),
+      gpsr_(network, beacons_.get()),
       flood_(network.node_count()),
       rng_(support::hash_combine(config.seed, 0xEC61)),
-      ctx_(config_, sim_, net_, regions_, hash_, catalog_, zipf_, *gpsr_,
+      ctx_(config_, sim_, net_, regions_, hash_, catalog_, zipf_, gpsr_,
            flood_, rng_, peers_, metrics_) {
   const std::size_t capacity =
       config_.cache_capacity_bytes(catalog_.total_bytes());

@@ -172,7 +172,7 @@ class PrecinctEngine {
   workload::DataCatalog& catalog_;
   workload::ZipfGenerator zipf_;
   std::unique_ptr<routing::BeaconNeighborProvider> beacons_;
-  std::unique_ptr<routing::Gpsr> gpsr_;
+  routing::Gpsr gpsr_;
   routing::FloodController flood_;
   support::Rng rng_;
 

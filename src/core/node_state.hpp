@@ -13,7 +13,7 @@
 // writes the region column through EngineContext::set_region so
 // PeerState::region and the column never diverge.  Protocol modules do
 // not see these arrays — they keep going through the existing seams
-// (WirelessNet::position/neighbors, NeighborProvider, CacheStore); only
+// (WirelessNet::position/neighbors, routing::Gpsr, CacheStore); only
 // substrate internals and engine-level full-population sweeps read the
 // columns directly.
 //
@@ -48,8 +48,6 @@ class NodeStateSoA {
       : x_(n, 0.0),
         y_(n, 0.0),
         pos_stamp_(n, kNever),
-        speed_(n, 0.0),
-        speed_stamp_(n, kNever),
         alive_(n, 1),
         fixed_(n, 0),
         region_(n, geo::kInvalidRegion) {}
@@ -85,17 +83,6 @@ class NodeStateSoA {
       y_[i] = p.y;
       pos_stamp_[i] = now;
     }
-  }
-
-  /// Node `i`'s scalar speed at `now` (same lazy-stamp discipline).
-  [[nodiscard]] double speed_cached(std::size_t i, double now,
-                                    mobility::MobilityModel& mobility) {
-    assert(i < speed_.size());
-    if (speed_stamp_[i] != now) {
-      speed_[i] = mobility.speed_at(i, now);
-      speed_stamp_[i] = now;
-    }
-    return speed_[i];
   }
 
   /// Node `i`'s position straight from the columns, with no freshness
@@ -137,9 +124,6 @@ class NodeStateSoA {
     assert(i < fixed_.size());
     fixed_[i] = f ? 1 : 0;
   }
-  [[nodiscard]] const std::uint8_t* fixed_data() const noexcept {
-    return fixed_.data();
-  }
 
   // -- region membership ----------------------------------------------------
 
@@ -159,8 +143,6 @@ class NodeStateSoA {
   std::vector<double> x_;
   std::vector<double> y_;
   std::vector<double> pos_stamp_;
-  std::vector<double> speed_;
-  std::vector<double> speed_stamp_;
   std::vector<std::uint8_t> alive_;
   std::vector<std::uint8_t> fixed_;
   std::vector<geo::RegionId> region_;

@@ -196,10 +196,6 @@ void PrecinctConfig::validate() const {
   if (transport_base_port < 1024 || transport_base_port > 65000) {
     fail("transport_base_port must be in [1024, 65000]");
   }
-  if (transport_pace != "asap" && transport_pace != "realtime") {
-    fail("transport_pace must be 'asap' or 'realtime'");
-  }
-  if (!positive(transport_speedup)) fail("transport_speedup must be > 0");
   if (!non_negative(transport_status_interval_s)) {
     fail("transport_status_interval must be >= 0");
   }

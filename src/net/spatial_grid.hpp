@@ -31,16 +31,10 @@ class SpatialGrid {
   /// cells.
   SpatialGrid(const geo::Rect& area, double cell_m);
 
-  /// Replace the index contents with `positions` (indexed by node id);
-  /// `alive[id] == 0` entries are skipped.
-  void rebuild(const std::vector<geo::Point>& positions,
-               const std::vector<char>& alive);
-
-  /// Column-oriented overload for SoA node state: `x`/`y` are parallel
-  /// coordinate arrays of length `n`, `alive[id] == 0` entries are
-  /// skipped (`alive` may be null meaning all alive).
-  void rebuild(const double* x, const double* y, const std::uint8_t* alive,
-               std::size_t n);
+  /// Replace the index contents with nodes 0..n-1 at (x[id], y[id]):
+  /// parallel coordinate columns, as the SoA node state keeps them.
+  /// Every node is indexed; callers judge liveness at query time.
+  void rebuild(const double* x, const double* y, std::size_t n);
 
   /// Call `fn(id, x, y)` with the snapshot position of every indexed
   /// node binned into a cell that the box [center ± reach] touches.  The
@@ -71,7 +65,6 @@ class SpatialGrid {
              std::vector<std::uint32_t>& out) const;
 
   [[nodiscard]] std::size_t indexed_count() const noexcept { return count_; }
-  [[nodiscard]] double cell_size() const noexcept { return cell_m_; }
 
  private:
   /// Cell column (or row) of coordinate `v`: monotone non-decreasing in
@@ -84,11 +77,8 @@ class SpatialGrid {
   [[nodiscard]] std::size_t cell_of(geo::Point p) const noexcept {
     return bin(p.y, area_.min.y, ny_) * nx_ + bin(p.x, area_.min.x, nx_);
   }
-  template <typename PointAt, typename IsAlive>
-  void rebuild_impl(std::size_t n, PointAt&& point_at, IsAlive&& is_alive);
 
   geo::Rect area_;
-  double cell_m_;
   double inv_cell_m_;
   std::size_t nx_;
   std::size_t ny_;
@@ -96,9 +86,8 @@ class SpatialGrid {
   std::vector<std::uint32_t> offsets_;
   std::vector<std::uint32_t> indices_;
   std::vector<geo::Point> points_;
-  // Counting-sort scratch, retained across rebuilds: accepted node ids
-  // and their cell ids (pass 1), placement cursors (pass 3).
-  std::vector<std::uint32_t> scratch_ids_;
+  // Counting-sort scratch, retained across rebuilds: each node's cell id
+  // (pass 1), placement cursors (pass 3).
   std::vector<std::uint32_t> scratch_cells_;
   std::vector<std::uint32_t> cursor_;
   std::size_t count_ = 0;

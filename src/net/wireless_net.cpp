@@ -85,7 +85,7 @@ void WirelessNet::refresh_grid() {
   // once at construction.  Dead nodes are indexed too — liveness is read
   // at query time — so kill/revive never forces a rebuild.
   if (!static_world_) nodes_.sync_positions(now, mobility_);
-  grid_.rebuild(nodes_.x(), nodes_.y(), /*alive=*/nullptr, n_nodes_);
+  grid_.rebuild(nodes_.x(), nodes_.y(), n_nodes_);
   grid_time_ = now;
   ++topology_epoch_;
 }
@@ -130,7 +130,7 @@ void WirelessNet::compute_neighbors(NodeId node, std::vector<NodeId>& out) {
   std::sort(out.begin(), out.end());  // grid order is by cell, not by id
 }
 
-const std::vector<NodeId>& WirelessNet::neighbors_cached(NodeId node) {
+const std::vector<NodeId>& WirelessNet::neighbors(NodeId node) {
   assert(node < n_nodes_);
   NeighborCache& c = neighbor_cache_[node];
   const double now = sim_.now();
@@ -142,17 +142,6 @@ const std::vector<NodeId>& WirelessNet::neighbors_cached(NodeId node) {
     c.at = now;
   }
   return c.ids;
-}
-
-std::vector<NodeId> WirelessNet::neighbors(NodeId node) {
-  return neighbors_cached(node);
-}
-
-void WirelessNet::neighbors(NodeId node, std::vector<NodeId>& out) {
-  // Snapshot overload: element copy into `out`'s existing capacity.  Hot
-  // paths that do not need a snapshot iterate neighbors_cached directly.
-  const std::vector<NodeId>& ids = neighbors_cached(node);
-  out.assign(ids.begin(), ids.end());
 }
 
 bool WirelessNet::in_range(NodeId a, NodeId b) {
@@ -302,49 +291,24 @@ void WirelessNet::deliver_broadcast_impl(const PacketRef& packet,
   if (!remote) {
     energy_.charge(p.src, energy::RadioOp::kBroadcastSend, p.size_bytes);
   }
-  // Iterate the cached neighborhood by reference: the loops below only
+  // Iterate the cached neighborhood by reference: the loop below only
   // charge energy/stats and schedule closures — nothing reenters the
   // neighbor cache before the last use.  Foreign-owned receivers are
   // skipped: their own domain delivers the marshalled copy of this frame,
   // so across all domains every receiver is charged exactly once.
-  const std::vector<NodeId>& receivers = neighbors_cached(p.src);
+  const std::vector<NodeId>& receivers = neighbors(p.src);
   // Position stamping precedes this, so the charged size matches what the
   // transport would deliver on the wire.
   const std::size_t wire_bytes = transport::wire_size(p);
-  if (!lossless_) {
-    // Lossy path: consult the channel per receiver and deliver the batch
-    // only to the survivors.  Receiver order (sorted, owned only — each
-    // directed link's draws always happen in the receiver's owner domain)
-    // fixes the draw order, so a given seed always erases the same
-    // frames.
-    std::vector<NodeId> rx = acquire_rx_list();
-    rx.clear();  // recycled lists keep their old contents (assign() below
-                 // overwrites; this append loop must not)
-    for (const NodeId receiver : receivers) {
-      if (!owns(receiver)) continue;
-      if (channel_dropped(p, receiver)) continue;
-      energy_.charge(receiver, energy::RadioOp::kBroadcastRecv, p.size_bytes);
-      stats_.count_delivery(p.kind);
-      stats_.count_wire_received(p.kind, wire_bytes);
-      rx.push_back(receiver);
-    }
-    if (!on_receive_ || rx.empty()) {
-      release_rx_list(std::move(rx));
-      return;
-    }
-    sim_.schedule(config_.proc_delay_s,
-                  [this, packet, rx = std::move(rx)]() mutable {
-                    for (const NodeId receiver : rx) {
-                      if (nodes_.alive(receiver)) on_receive_(receiver, *packet);
-                    }
-                    release_rx_list(std::move(rx));
-                  });
-    return;
-  }
+  // A lossy channel is consulted per receiver and the batch goes only to
+  // the survivors.  Receiver order (sorted, owned only — each directed
+  // link's draws always happen in the receiver's owner domain) fixes the
+  // draw order, so a given seed always erases the same frames.
   std::vector<NodeId> rx = acquire_rx_list();
-  rx.clear();
+  rx.clear();  // recycled lists keep their old contents
   for (const NodeId receiver : receivers) {
     if (!owns(receiver)) continue;
+    if (!lossless_ && channel_dropped(p, receiver)) continue;
     energy_.charge(receiver, energy::RadioOp::kBroadcastRecv, p.size_bytes);
     stats_.count_delivery(p.kind);
     stats_.count_wire_received(p.kind, wire_bytes);
@@ -402,7 +366,7 @@ void WirelessNet::deliver_unicast_impl(PacketRef packet, NodeId next_hop,
   // the snoop hook runs inline below and may itself query neighborhoods,
   // invalidating a cached reference mid-loop.
   {
-    const std::vector<NodeId>& ids = neighbors_cached(p.src);
+    const std::vector<NodeId>& ids = neighbors(p.src);
     deliver_scratch_.assign(ids.begin(), ids.end());
   }
   // The addressed target is judged (reached / lost / erased) only in its

@@ -166,11 +166,6 @@ class WirelessNet {
     return nodes_.position_cached(node, sim_.now(), mobility_);
   }
 
-  /// Node's current scalar speed, cached like position().
-  [[nodiscard]] double speed(NodeId node) {
-    return nodes_.speed_cached(node, sim_.now(), mobility_);
-  }
-
   /// The SoA node-state columns this radio keeps current (positions,
   /// liveness) and the engine annotates (regions).  Engine-level sweeps
   /// read columns directly; protocol modules should keep using the
@@ -181,25 +176,16 @@ class WirelessNet {
   }
 
   /// Live nodes within radio range of `node` (excluding itself), sorted.
-  [[nodiscard]] std::vector<NodeId> neighbors(NodeId node);
-
-  /// Into-scratch overload: replaces `out`'s contents with the neighbor
-  /// list (reusing its capacity, so steady-state queries do not allocate).
-  void neighbors(NodeId node, std::vector<NodeId>& out);
-
-  /// Zero-copy access to the cached neighbor list.  The reference is valid
-  /// until the next topology change (grid rebuild, kill/revive) or sim
-  /// time advance; copy it if the neighborhood must be snapshotted.
-  [[nodiscard]] const std::vector<NodeId>& neighbors_cached(NodeId node);
+  /// Served from a per-node cache keyed on (topology epoch, sim time), so
+  /// the reference stays valid until the next query for `node` at a new
+  /// epoch or time (every query, with the neighbor cache off); copy it if
+  /// the neighborhood must outlive that.
+  [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId node);
 
   /// Bumped on every spatial-index snapshot and on node kill/revive, so
   /// caches keyed on (epoch, sim time) never outlive a liveness change.
   [[nodiscard]] std::uint64_t topology_epoch() const noexcept {
     return topology_epoch_;
-  }
-
-  [[nodiscard]] bool neighbor_cache_enabled() const noexcept {
-    return config_.neighbor_cache;
   }
 
   /// True when a direct radio link exists between two live nodes now.

@@ -66,15 +66,14 @@ void Gpsr::compute_planar(net::NodeId self, std::vector<net::NodeId>& out) {
   }
 }
 
-const std::vector<net::NodeId>& Gpsr::planar_neighbors_cached(
-    net::NodeId self) {
+const std::vector<net::NodeId>& Gpsr::planar_neighbors(net::NodeId self) {
   if (planar_cache_.size() < net_.node_count()) {
     planar_cache_.resize(net_.node_count());
   }
   PlanarCache& c = planar_cache_[self];
   const double now = net_.simulator().now();
-  if (!net_.neighbor_cache_enabled() || c.at != now ||
-      c.version != provider_->knowledge_version(self)) {
+  if (!net_.config().neighbor_cache || c.at != now ||
+      c.version != knowledge_version(self)) {
     compute_planar(self, c.ids);
     // Bearings are stable under the same stamp, so the right-hand-rule
     // scans over this planarization never touch atan2 again.
@@ -84,20 +83,16 @@ const std::vector<net::NodeId>& Gpsr::planar_neighbors_cached(
       c.bearings[i] = geo::bearing(here, pos_of(self, c.ids[i]));
     }
     // Stamp after computing: the neighbor query may rebuild the spatial
-    // grid and advance the provider's version.
-    c.version = provider_->knowledge_version(self);
+    // grid and advance the topology epoch.
+    c.version = knowledge_version(self);
     c.at = now;
   }
   return c.ids;
 }
 
-std::vector<net::NodeId> Gpsr::planar_neighbors(net::NodeId self) {
-  return planar_neighbors_cached(self);
-}
-
 std::optional<net::NodeId> Gpsr::perimeter_next_hop(net::NodeId self,
                                                     net::Packet& packet) {
-  const auto& planar = planar_neighbors_cached(self);
+  const auto& planar = planar_neighbors(self);
   if (planar.empty()) return std::nullopt;
   const auto& bearings = planar_cache_[self].bearings;
   const geo::Point here = net_.position(self);

@@ -12,10 +12,9 @@
 // than where greedy failed.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
-
-#include <memory>
 
 #include "geo/geometry.hpp"
 #include "net/packet.hpp"
@@ -26,16 +25,12 @@ namespace precinct::routing {
 
 class Gpsr {
  public:
-  /// Perfect neighbor knowledge (owns an oracle provider).
-  explicit Gpsr(net::WirelessNet& network)
-      : net_(network),
-        owned_(std::make_unique<OracleNeighborProvider>(network)),
-        provider_(owned_.get()) {}
-
-  /// Forwarding decisions from the given (e.g. beacon-fed) provider;
-  /// the node's own position is always its real GPS fix.
-  Gpsr(net::WirelessNet& network, NeighborProvider& provider)
-      : net_(network), provider_(&provider) {}
+  /// Neighbors and their positions come from the radio's ground truth,
+  /// or, given `beacons`, from those beacon-fed tables; the node's own
+  /// position is always its real GPS fix.  `beacons` must outlive this.
+  explicit Gpsr(net::WirelessNet& network,
+                BeaconNeighborProvider* beacons = nullptr)
+      : net_(network), beacons_(beacons) {}
 
   /// Decide the next hop for `packet` held by `self`, toward
   /// packet.dest_location.  Mutates the packet's perimeter-mode state.
@@ -51,14 +46,13 @@ class Gpsr {
 
   /// Neighbors of `self` that survive Gabriel-graph planarization: edge
   /// (self, v) is kept iff no common neighbor lies strictly inside the
-  /// circle whose diameter is the segment self–v.
-  [[nodiscard]] std::vector<net::NodeId> planar_neighbors(net::NodeId self);
-
-  /// Cached planarization: recomputed only when the provider's knowledge
-  /// version or the sim time changes, so forwarding many packets through a
-  /// node within one topology epoch planarizes once.  The reference stays
-  /// valid until `self`'s entry is next recomputed (entries are per node).
-  [[nodiscard]] const std::vector<net::NodeId>& planar_neighbors_cached(
+  /// circle whose diameter is the segment self–v.  Cached per node and
+  /// recomputed only when the knowledge version (the radio's topology
+  /// epoch, or `self`'s beacon-table version) or the sim time changes, so
+  /// forwarding many packets through a node at one instant planarizes
+  /// once.  The reference stays valid until `self`'s entry is next
+  /// recomputed.
+  [[nodiscard]] const std::vector<net::NodeId>& planar_neighbors(
       net::NodeId self);
 
  private:
@@ -67,27 +61,27 @@ class Gpsr {
 
   void compute_planar(net::NodeId self, std::vector<net::NodeId>& out);
 
-  /// Borrow `self`'s neighbor list for one forwarding decision.  When
-  /// this router owns the oracle provider and the radio's neighbor cache
-  /// is on, the radio's cached list *is* the provider's answer, so it is
-  /// aliased directly instead of copied; any external provider goes
-  /// through neighbors_into as before.  The reference is invalidated by
-  /// the next neighbor_list call.
+  /// Borrow `self`'s neighbor list for one forwarding decision: the
+  /// radio's cached list by reference, or the beacon table's answer in a
+  /// scratch vector.  The reference is invalidated by the next
+  /// neighbor_list call.
   [[nodiscard]] const std::vector<net::NodeId>& neighbor_list(
       net::NodeId self) {
-    if (owned_ != nullptr && net_.neighbor_cache_enabled()) {
-      return net_.neighbors_cached(self);
-    }
-    provider_->neighbors_into(self, scratch_neighbors_);
+    if (beacons_ == nullptr) return net_.neighbors(self);
+    beacons_->neighbors_into(self, scratch_neighbors_);
     return scratch_neighbors_;
   }
 
-  /// Where `self` believes `node` is.  When the provider's knowledge is
-  /// the substrate's ground truth this devirtualizes to the radio's
-  /// SoA-cached position read; otherwise it asks the provider.
+  /// Where `self` believes `node` is.
   [[nodiscard]] geo::Point pos_of(net::NodeId self, net::NodeId node) {
-    return ground_truth_positions_ ? net_.position(node)
-                                   : provider_->position_of(self, node);
+    return beacons_ == nullptr ? net_.position(node)
+                               : beacons_->position_of(self, node);
+  }
+
+  /// Version of `self`'s neighbor knowledge (see planar_neighbors).
+  [[nodiscard]] std::uint64_t knowledge_version(net::NodeId self) const {
+    return beacons_ == nullptr ? net_.topology_epoch()
+                               : beacons_->knowledge_version(self);
   }
 
   struct PlanarCache {
@@ -101,9 +95,7 @@ class Gpsr {
   };
 
   net::WirelessNet& net_;
-  std::unique_ptr<OracleNeighborProvider> owned_;
-  NeighborProvider* provider_;
-  bool ground_truth_positions_ = provider_->positions_are_ground_truth();
+  BeaconNeighborProvider* beacons_;
   std::vector<PlanarCache> planar_cache_;
   std::vector<net::NodeId> scratch_neighbors_;
   std::vector<geo::Point> scratch_points_;  // planarization position batch

@@ -24,13 +24,6 @@ void BeaconNeighborProvider::clear_node(net::NodeId node) {
   ++versions_.at(node);
 }
 
-std::vector<net::NodeId> BeaconNeighborProvider::neighbors_of(
-    net::NodeId self) {
-  std::vector<net::NodeId> out;
-  neighbors_into(self, out);
-  return out;
-}
-
 void BeaconNeighborProvider::neighbors_into(net::NodeId self,
                                             std::vector<net::NodeId>& out) {
   const double now = net_.simulator().now();

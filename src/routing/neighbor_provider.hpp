@@ -1,12 +1,12 @@
-// Neighbor knowledge for geographic forwarding.
+// Beacon-fed neighbor knowledge for geographic forwarding.
 //
 // GPSR decides next hops from what a node *believes* about its
-// neighborhood.  The oracle provider reads the radio substrate directly
-// (perfect, instantaneous knowledge — the default, and what most
-// simulators use).  The beacon provider implements Karp & Kung's actual
-// mechanism: periodic position beacons feed per-node tables whose
-// entries go stale and expire, so forwarding can aim at a neighbor that
-// has already moved away.
+// neighborhood.  By default that is the radio substrate's ground truth
+// (perfect, instantaneous knowledge — what most simulators use; Gpsr
+// reads net::WirelessNet directly).  This table implements Karp & Kung's
+// actual mechanism instead: periodic position beacons feed per-node
+// tables whose entries go stale and expire, so forwarding can aim at a
+// neighbor that has already moved away.
 #pragma once
 
 #include <cstdint>
@@ -19,81 +19,10 @@
 
 namespace precinct::routing {
 
-class NeighborProvider {
- public:
-  virtual ~NeighborProvider() = default;
-
-  /// Node ids `self` currently believes are its neighbors.
-  [[nodiscard]] virtual std::vector<net::NodeId> neighbors_of(
-      net::NodeId self) = 0;
-
-  /// Where `self` believes `node` is.  Only meaningful for ids returned
-  /// by neighbors_of(self) (and for self itself).
-  [[nodiscard]] virtual geo::Point position_of(net::NodeId self,
-                                               net::NodeId node) = 0;
-
-  /// Into-scratch variant of neighbors_of: replaces `out`'s contents,
-  /// reusing its capacity.  Default falls back to the allocating call.
-  virtual void neighbors_into(net::NodeId self, std::vector<net::NodeId>& out) {
-    out = neighbors_of(self);
-  }
-
-  /// Monotone version of `self`'s neighborhood knowledge: at a fixed sim
-  /// time, neighbors_of(self) cannot change while this value is stable.
-  /// Callers key derived caches (e.g. GPSR planarization) on it.  The
-  /// default always invalidates, which is safe for any provider.
-  [[nodiscard]] virtual std::uint64_t knowledge_version(net::NodeId self) {
-    (void)self;
-    return ++fallback_version_;
-  }
-
-  /// True when position_of(self, node) is exactly the radio substrate's
-  /// current ground truth for every node (i.e. equals
-  /// WirelessNet::position(node)).  Lets GPSR read positions straight
-  /// from the substrate's SoA-cached columns instead of paying a virtual
-  /// call per neighbor; believed-position providers (beacons) return
-  /// false and keep the virtual path.
-  [[nodiscard]] virtual bool positions_are_ground_truth() const noexcept {
-    return false;
-  }
-
- private:
-  std::uint64_t fallback_version_ = 0;
-};
-
-/// Perfect knowledge straight from the radio substrate.
-class OracleNeighborProvider final : public NeighborProvider {
- public:
-  explicit OracleNeighborProvider(net::WirelessNet& network)
-      : net_(network) {}
-
-  [[nodiscard]] std::vector<net::NodeId> neighbors_of(
-      net::NodeId self) override {
-    return net_.neighbors(self);
-  }
-  void neighbors_into(net::NodeId self,
-                      std::vector<net::NodeId>& out) override {
-    net_.neighbors(self, out);
-  }
-  [[nodiscard]] geo::Point position_of(net::NodeId,
-                                       net::NodeId node) override {
-    return net_.position(node);
-  }
-  [[nodiscard]] std::uint64_t knowledge_version(net::NodeId) override {
-    return net_.topology_epoch();
-  }
-  [[nodiscard]] bool positions_are_ground_truth() const noexcept override {
-    return true;
-  }
-
- private:
-  net::WirelessNet& net_;
-};
-
 /// Beacon-fed neighbor tables (GPSR §3 of Karp & Kung).  The owner is
 /// responsible for delivering received beacons via on_beacon(); entries
 /// not refreshed within `lifetime_s` expire lazily.
-class BeaconNeighborProvider final : public NeighborProvider {
+class BeaconNeighborProvider {
  public:
   BeaconNeighborProvider(net::WirelessNet& network, std::size_t n_nodes,
                          double lifetime_s);
@@ -105,14 +34,19 @@ class BeaconNeighborProvider final : public NeighborProvider {
   /// Forget everything a node has learned (e.g. on revival after crash).
   void clear_node(net::NodeId node);
 
-  [[nodiscard]] std::vector<net::NodeId> neighbors_of(
-      net::NodeId self) override;
-  void neighbors_into(net::NodeId self,
-                      std::vector<net::NodeId>& out) override;
-  [[nodiscard]] geo::Point position_of(net::NodeId self,
-                                       net::NodeId node) override;
-  /// Bumped on every beacon receipt / table clear for `self`.
-  [[nodiscard]] std::uint64_t knowledge_version(net::NodeId self) override {
+  /// Replace `out`'s contents with the node ids `self` currently believes
+  /// are its neighbors, sorted (reusing `out`'s capacity).  Expired
+  /// entries are dropped on the way.
+  void neighbors_into(net::NodeId self, std::vector<net::NodeId>& out);
+
+  /// Where `self` believes `node` is.  Only meaningful for ids returned
+  /// by neighbors_into(self) (and for self itself: its own GPS fix).
+  [[nodiscard]] geo::Point position_of(net::NodeId self, net::NodeId node);
+
+  /// Monotone version of `self`'s table, bumped on every beacon receipt
+  /// and table clear: at a fixed sim time, `self`'s neighbor list cannot
+  /// change while it is stable, so GPSR keys its planarization on it.
+  [[nodiscard]] std::uint64_t knowledge_version(net::NodeId self) const {
     return versions_.at(self);
   }
 

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 #include <variant>
 
 #include "core/config_io.hpp"
@@ -195,7 +194,7 @@ bool NodeDaemon::run_phase(double phase_end,
     next_due = net_->agreed_next_due();
     schedule_batch(batch_);
     sim_now_ = we;
-    pace_and_status();
+    write_periodic_status();
   }
   return true;
 }
@@ -232,23 +231,11 @@ void NodeDaemon::apply_injections() {
   }
 }
 
-void NodeDaemon::pace_and_status() {
-  const core::PrecinctConfig& config = opts_.config;
-  if (config.transport_pace == "realtime") {
-    const double target_s = sim_now_ / config.transport_speedup;
-    const std::uint64_t target_ns =
-        wall_t0_ns_ + static_cast<std::uint64_t>(target_s * 1e9);
+void NodeDaemon::write_periodic_status() {
+  const double interval_s = opts_.config.transport_status_interval_s;
+  if (interval_s > 0.0 && !opts_.status_path.empty()) {
     const std::uint64_t now_ns = steady_ns();
-    if (now_ns < target_ns) {
-      std::this_thread::sleep_for(
-          std::chrono::nanoseconds(target_ns - now_ns));
-    }
-  }
-  if (config.transport_status_interval_s > 0.0 &&
-      !opts_.status_path.empty()) {
-    const std::uint64_t now_ns = steady_ns();
-    if (static_cast<double>(now_ns - last_status_ns_) >=
-        config.transport_status_interval_s * 1e9) {
+    if (static_cast<double>(now_ns - last_status_ns_) >= interval_s * 1e9) {
       last_status_ns_ = now_ns;
       write_status("running");
     }

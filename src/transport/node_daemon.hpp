@@ -100,7 +100,8 @@ class NodeDaemon {
                                const std::function<bool()>& stop);
   void schedule_batch(const std::vector<MergedMsg>& batch);
   void apply_injections();
-  void pace_and_status();
+  /// Rewrite the status file once transport_status_interval has passed.
+  void write_periodic_status();
   void write_status(const std::string& state);
   Outcome finish_stopped();
 

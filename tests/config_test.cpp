@@ -210,7 +210,7 @@ void expect_roundtrip(const PrecinctConfig& c, const std::string& label) {
   EXPECT_NO_THROW(reread.validate()) << label;
 }
 
-/// The nine scenarios metrics_fingerprint.cpp runs, rebuilt here; keep in
+/// The ten scenarios metrics_fingerprint.cpp runs, rebuilt here; keep in
 /// sync with examples/metrics_fingerprint.cpp.
 std::vector<std::pair<std::string, PrecinctConfig>> fingerprint_configs() {
   const auto base = [](std::uint64_t seed) {
@@ -280,6 +280,11 @@ std::vector<std::pair<std::string, PrecinctConfig>> fingerprint_configs() {
     c.request_retries = 2;
     c.measure_s = 150;
     out.emplace_back("gilbert_elliott_s37", c);
+  }
+  {
+    auto c = base(41);
+    c.use_beacons = true;
+    out.emplace_back("beacons_s41", c);
   }
   return out;
 }
@@ -413,6 +418,30 @@ TEST(ConfigValidate, WorldShardingRejectsTiledKnobs) {
     PrecinctConfig c;  // quiet knobs: a world-sharded run validates
     c.shards = 4;
     EXPECT_NO_THROW(c.validate());
+  }
+}
+
+TEST(ConfigIo, RealtimePacingKeysAreUnknown) {
+  // Fleets advance windows as fast as barriers close; there is no
+  // wall-clock pacing.  Its old keys must fail loudly, naming the key,
+  // instead of loading and then being ignored.
+  const struct {
+    const char* key;
+    const char* value;
+  } removed[] = {{"transport_pace", "realtime"},
+                 {"transport_pace", "asap"},
+                 {"transport_speedup", "2"}};
+  for (const auto& [key, value] : removed) {
+    const std::string text = std::string(key) + " = " + value + "\n";
+    try {
+      (void)core::config_from_kv(support::KvFile::parse(text));
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown key '" + std::string(key) + "'"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

@@ -4,9 +4,8 @@
 //    cache's victim selection must be heap-free in steady state (the
 //    whole point of flattening them);
 //  * AoS <-> SoA equivalence — neighbor queries against a brute-force
-//    O(N^2) reference, and GPSR's devirtualized ground-truth position
-//    fast path against the plain virtual-provider path, on randomized
-//    topologies.
+//    O(N^2) reference, and radio-fed GPSR against GPSR over beacon tables
+//    that hold the same knowledge, on randomized topologies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,7 +53,6 @@ TEST(DataLayoutAlloc, SteadyStateGridRebuildAndQueryAreAllocationFree) {
 
   support::Rng rng(7);
   std::vector<double> xs(kNodes), ys(kNodes);
-  std::vector<std::uint8_t> alive(kNodes, 1);
   for (std::size_t i = 0; i < kNodes; ++i) {
     xs[i] = rng.uniform(0.0, 1200.0);
     ys[i] = rng.uniform(0.0, 1200.0);
@@ -68,7 +66,7 @@ TEST(DataLayoutAlloc, SteadyStateGridRebuildAndQueryAreAllocationFree) {
 
   // Warm-up: first rebuild sizes offsets/indices and the counting-sort
   // scratch; first queries size the output vector.
-  grid.rebuild(xs.data(), ys.data(), alive.data(), kNodes);
+  grid.rebuild(xs.data(), ys.data(), kNodes);
   std::vector<std::uint32_t> out;
   for (std::size_t i = 0; i < kNodes; i += 16) {
     out.clear();
@@ -78,7 +76,7 @@ TEST(DataLayoutAlloc, SteadyStateGridRebuildAndQueryAreAllocationFree) {
   const std::uint64_t before = alloc_probe::count.load();
   for (int round = 0; round < 8; ++round) {
     drift();
-    grid.rebuild(xs.data(), ys.data(), alive.data(), kNodes);
+    grid.rebuild(xs.data(), ys.data(), kNodes);
     for (std::size_t i = 0; i < kNodes; i += 16) {
       out.clear();
       grid.query({xs[i], ys[i]}, 250.0, out);
@@ -178,56 +176,47 @@ TEST(DataLayoutEquivalence, NeighborsMatchBruteForceOnRandomTopologies) {
   }
 }
 
-/// Same perfect knowledge as OracleNeighborProvider, but reporting
-/// positions_are_ground_truth() == false — forces GPSR down the virtual
-/// position_of path so the devirtualized fast path can be differenced
-/// against it.
-class VirtualPathOracle final : public routing::NeighborProvider {
- public:
-  explicit VirtualPathOracle(net::WirelessNet& network) : inner_(network) {}
-
-  [[nodiscard]] std::vector<net::NodeId> neighbors_of(
-      net::NodeId self) override {
-    return inner_.neighbors_of(self);
-  }
-  void neighbors_into(net::NodeId self,
-                      std::vector<net::NodeId>& out) override {
-    inner_.neighbors_into(self, out);
-  }
-  [[nodiscard]] geo::Point position_of(net::NodeId self,
-                                       net::NodeId node) override {
-    return inner_.position_of(self, node);
-  }
-  [[nodiscard]] std::uint64_t knowledge_version(net::NodeId self) override {
-    return inner_.knowledge_version(self);
-  }
-
- private:
-  routing::OracleNeighborProvider inner_;
-};
-
 TEST(DataLayoutEquivalence, GpsrNextHopMatchesVirtualProviderPath) {
+  // GPSR reads the radio's cached neighbor lists and SoA positions
+  // directly, or a beacon table.  Feed the table every in-range
+  // neighbor's exact position at the query time and both knowledge
+  // sources must take every greedy and perimeter decision alike.
   sim::Simulator sim;
   auto placement = mobility::StaticPlacement::uniform(
       160, {{0.0, 0.0}, {1200.0, 1200.0}}, /*seed=*/5);
   net::WirelessConfig wc;
   net::WirelessNet net(sim, placement, wc, energy::FeeneyModel{}, 5);
 
-  routing::Gpsr fast(net);  // oracle provider: ground-truth fast path
-  VirtualPathOracle provider(net);
-  routing::Gpsr slow(net, provider);  // identical data, virtual reads
+  routing::BeaconNeighborProvider beacons(net, 160, /*lifetime_s=*/10.0);
+  for (net::NodeId self = 0; self < 160; ++self) {
+    for (const net::NodeId n : net.neighbors(self)) {
+      beacons.on_beacon(self, n, net.position(n), sim.now());
+    }
+  }
+  routing::Gpsr radio_fed(net);
+  routing::Gpsr beacon_fed(net, &beacons);
 
   support::Rng rng(5);
+  int perimeter_decisions = 0;
   for (int trial = 0; trial < 200; ++trial) {
     const auto self = static_cast<net::NodeId>(rng.uniform_int(160));
     net::Packet a;
     a.dest_location = {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1200.0)};
+    if (trial % 2 == 1) {
+      // A destination right beside `self` is usually a local minimum, so
+      // the Gabriel planarization and right-hand rule decide the hop.
+      const geo::Point here = net.position(self);
+      a.dest_location = {here.x + rng.uniform(-40.0, 40.0),
+                         here.y + rng.uniform(-40.0, 40.0)};
+    }
     net::Packet b = a;
-    const auto hop_fast = fast.next_hop(self, a);
-    const auto hop_slow = slow.next_hop(self, b);
-    EXPECT_EQ(hop_fast, hop_slow) << "trial=" << trial << " self=" << self;
+    const auto hop_radio = radio_fed.next_hop(self, a);
+    const auto hop_beacon = beacon_fed.next_hop(self, b);
+    EXPECT_EQ(hop_radio, hop_beacon) << "trial=" << trial << " self=" << self;
     EXPECT_EQ(a.perimeter, b.perimeter);
+    perimeter_decisions += a.perimeter ? 1 : 0;
   }
+  EXPECT_GT(perimeter_decisions, 0) << "the perimeter path went untested";
 }
 
 }  // namespace

@@ -252,9 +252,14 @@ TEST(SpatialGrid, QueryReturnsSupersetOfInRadius) {
     pts.push_back({600.0, v});
     pts.push_back({v, v});
   }
-  std::vector<char> alive(pts.size(), 1);
+  std::vector<double> xs;
+  std::vector<double> ys;
+  for (const precinct::geo::Point& p : pts) {
+    xs.push_back(p.x);
+    ys.push_back(p.y);
+  }
   net::SpatialGrid grid({{0, 0}, {1200, 1200}}, 250.0);
-  grid.rebuild(pts, alive);
+  grid.rebuild(xs.data(), ys.data(), pts.size());
   EXPECT_EQ(grid.indexed_count(), pts.size());
   const auto expect_covers = [&](precinct::geo::Point q, double radius) {
     std::vector<std::uint32_t> candidates;
@@ -282,17 +287,6 @@ TEST(SpatialGrid, QueryReturnsSupersetOfInRadius) {
       expect_covers({pts[i].x, pts[i].y - r}, r);
     }
   }
-}
-
-TEST(SpatialGrid, SkipsDeadNodes) {
-  std::vector<precinct::geo::Point> pts{{10, 10}, {20, 20}};
-  std::vector<char> alive{1, 0};
-  net::SpatialGrid grid({{0, 0}, {100, 100}}, 50.0);
-  grid.rebuild(pts, alive);
-  EXPECT_EQ(grid.indexed_count(), 1u);
-  std::vector<std::uint32_t> out;
-  grid.query({15, 15}, 50.0, out);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
 }
 
 /// Pairs of nodes moving straight toward or away from each other, each

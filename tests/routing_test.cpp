@@ -218,20 +218,25 @@ TEST(BeaconProvider, TablesFillAndExpire) {
   net::WirelessNet net(sim, placement, RoutingHarness::config(),
                        energy::FeeneyModel{}, 1);
   routing::BeaconNeighborProvider provider(net, 3, /*lifetime_s=*/3.0);
+  const auto neighbors_of = [&](NodeId self) {
+    std::vector<NodeId> out{99};  // stale contents must be replaced
+    provider.neighbors_into(self, out);
+    return out;
+  };
   provider.on_beacon(0, 1, {100, 0}, 0.0);
-  EXPECT_EQ(provider.neighbors_of(0), (std::vector<NodeId>{1}));
+  EXPECT_EQ(neighbors_of(0), (std::vector<NodeId>{1}));
   EXPECT_EQ(provider.position_of(0, 1), (Point{100, 0}));
   EXPECT_EQ(provider.table_size(0), 1u);
   // Entries expire when not refreshed within the lifetime.
   sim.run_until(4.0);
-  EXPECT_TRUE(provider.neighbors_of(0).empty());
+  EXPECT_TRUE(neighbors_of(0).empty());
   // Refreshes keep entries alive and update the position.
   provider.on_beacon(0, 1, {120, 0}, 4.0);
   sim.run_until(5.0);
   EXPECT_EQ(provider.position_of(0, 1), (Point{120, 0}));
-  EXPECT_EQ(provider.neighbors_of(0), (std::vector<NodeId>{1}));
+  EXPECT_EQ(neighbors_of(0), (std::vector<NodeId>{1}));
   provider.clear_node(0);
-  EXPECT_TRUE(provider.neighbors_of(0).empty());
+  EXPECT_TRUE(neighbors_of(0).empty());
 }
 
 TEST(BeaconProvider, GpsrRoutesOverBeaconTables) {
@@ -243,7 +248,7 @@ TEST(BeaconProvider, GpsrRoutesOverBeaconTables) {
       provider.on_beacon(n, nb, h.net.position(nb), 0.0);
     }
   }
-  routing::Gpsr gpsr(h.net, provider);
+  routing::Gpsr gpsr(h.net, &provider);
   net::Packet p;
   p.dest_location = {600, 0};
   p.ttl = 16;
@@ -262,11 +267,11 @@ TEST(BeaconProvider, GpsrRoutesOverBeaconTables) {
 TEST(BeaconProvider, StaleEntryAimsAtDepartedNeighbor) {
   // Node 1 "moved away" but node 0's table still lists its old position:
   // greedy happily picks it — exactly the failure mode real GPSR has and
-  // the oracle provider can never exhibit.
+  // radio-fed GPSR can never exhibit.
   RoutingHarness h({{0, 0}, {1000, 1000}});  // 1 is actually unreachable
   routing::BeaconNeighborProvider provider(h.net, 2, 10.0);
   provider.on_beacon(0, 1, {200, 0}, 0.0);  // stale belief
-  routing::Gpsr gpsr(h.net, provider);
+  routing::Gpsr gpsr(h.net, &provider);
   const auto hop = gpsr.greedy_next_hop(0, {600, 0});
   ASSERT_TRUE(hop.has_value());
   EXPECT_EQ(*hop, 1u);  // chosen from the stale table...
