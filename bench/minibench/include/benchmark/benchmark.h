@@ -15,10 +15,7 @@
 // loop with adaptive iteration counts, DoNotOptimize,
 // SetItemsProcessed, AddCustomContext, and the JSON reporter schema
 // tools/bench_diff.py consumes (context provenance + per-run
-// name/run_type/cpu_time entries).  Configure with
-// -DPRECINCT_SYSTEM_BENCHMARK=ON to link the real google-benchmark
-// instead; this header is only on the include path when the vendored
-// harness is selected.
+// name/run_type/cpu_time entries).
 #pragma once
 
 #include <cstddef>

@@ -165,5 +165,18 @@ int main(int argc, char** argv) {
     c.use_beacons = true;
     run_config("beacons_s41", c);
   }
+  {
+    // Static world under churn and loss: no node moves, so neighbor sets
+    // change only when a kill or a revive bumps the topology epoch.
+    auto c = base(43);
+    c.mobile = false;
+    c.wireless.channel.model = "bernoulli";
+    c.wireless.channel.loss_p = 0.05;
+    c.request_retries = 2;
+    c.crash_rate_per_s = 0.02;
+    c.join_rate_per_s = 0.02;
+    c.graceful_fraction = 0.5;
+    run_config("static_churn_s43", c);
+  }
   return 0;
 }

@@ -13,8 +13,10 @@
 // Fleets are normally launched by precinct_ctl, which builds the address
 // plan and collects the per-domain status files.
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,7 +72,7 @@ int main(int argc, char** argv) {
   std::string config_path;
   std::string peers_csv;
   std::string status_path;
-  long domain = -1;
+  std::optional<std::uint32_t> domain;
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -86,7 +88,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--config") {
         config_path = need();
       } else if (arg == "--domain") {
-        domain = std::stol(need());
+        domain = core::parse_integer<std::uint32_t>(need(), arg);
       } else if (arg == "--peers") {
         peers_csv = need();
       } else if (arg == "--status") {
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
         throw std::invalid_argument("unknown argument: " + arg);
       }
     }
-    if (config_path.empty() || domain < 0 || peers_csv.empty()) {
+    if (config_path.empty() || !domain || peers_csv.empty()) {
       throw std::invalid_argument(
           "--config, --domain and --peers are required");
     }
@@ -107,7 +109,7 @@ int main(int argc, char** argv) {
   try {
     transport::NodeDaemon::Options opts;
     opts.config = core::config_from_file(config_path);
-    opts.domain = static_cast<std::uint32_t>(domain);
+    opts.domain = *domain;
     opts.peers = parse_peers(peers_csv);
     opts.status_path = status_path;
 
@@ -122,7 +124,7 @@ int main(int argc, char** argv) {
       return 0;
     } catch (const std::exception& e) {
       daemon.abort(e.what());
-      std::cerr << "precinct_node[" << domain << "]: " << e.what() << '\n';
+      std::cerr << "precinct_node[" << *domain << "]: " << e.what() << '\n';
       return 1;
     }
   } catch (const std::exception& e) {

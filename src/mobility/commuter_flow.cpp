@@ -20,10 +20,8 @@ constexpr double kStaggerFraction = 0.2;
 CommuterFlow::CommuterFlow(std::size_t n_nodes,
                            const CommuterFlowConfig& config,
                            std::uint64_t seed)
-    : config_(config) {
-  if (config.v_min <= 0.0 || config.v_max < config.v_min) {
-    throw std::invalid_argument("CommuterFlow: need 0 < v_min <= v_max");
-  }
+    : LegMobility(n_nodes, seed), config_(config) {
+  require_speed_range("CommuterFlow", config.v_min, config.v_max);
   if (config.period_s <= 0.0) {
     throw std::invalid_argument("CommuterFlow: period must be > 0");
   }
@@ -34,71 +32,51 @@ CommuterFlow::CommuterFlow(std::size_t n_nodes,
   hub_jitter_m_ =
       0.08 * std::min(config_.area.width(), config_.area.height());
 
-  const support::Rng root(seed);
-  support::Rng hub_rng = root.split(kHubStream);
+  support::Rng hub_rng = support::Rng(seed).split(kHubStream);
   hubs_.reserve(config_.n_hubs);
   for (std::size_t h = 0; h < config_.n_hubs; ++h) {
     hubs_.push_back({hub_rng.uniform(config_.area.min.x, config_.area.max.x),
                      hub_rng.uniform(config_.area.min.y, config_.area.max.y)});
   }
 
-  states_.reserve(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    LegState s{root.split(i), {}, 0, {}, {}, 0.0, 0.0, 0.0, 0, 0.0};
-    s.home = {s.rng.uniform(config_.area.min.x, config_.area.max.x),
-              s.rng.uniform(config_.area.min.y, config_.area.max.y)};
-    s.affinity = s.rng.uniform_int(config_.n_hubs);
+  commutes_.reserve(n_nodes);
+  for (Leg& leg : legs_) {
+    Commute c;
+    c.home = {leg.rng.uniform(config_.area.min.x, config_.area.max.x),
+              leg.rng.uniform(config_.area.min.y, config_.area.max.y)};
+    c.affinity = leg.rng.uniform_int(config_.n_hubs);
     // Nodes begin the scenario at home; the first commute (phase 0, a
     // day half) departs within the stagger window after t = 0.
-    s.from = s.to = s.home;
-    s.depart = s.arrive = 0.0;
-    s.next_depart = s.rng.uniform(0.0, kStaggerFraction * half_period_s_);
-    states_.push_back(std::move(s));
+    leg.from = leg.to = c.home;
+    leg.next_depart = leg.rng.uniform(0.0, kStaggerFraction * half_period_s_);
+    commutes_.push_back(c);
   }
 }
 
-geo::Point CommuterFlow::target(LegState& s, std::int64_t phase) const {
+geo::Point CommuterFlow::target(const Commute& c, support::Rng& rng,
+                                std::int64_t phase) const {
   const bool day = (phase % 2) == 0;
-  if (!day) return s.home;
+  if (!day) return c.home;
   const std::int64_t day_index = phase / 2;
   const std::size_t hub =
-      (s.affinity + static_cast<std::size_t>(day_index)) % config_.n_hubs;
-  const geo::Point jitter = {
-      s.rng.uniform(-hub_jitter_m_, hub_jitter_m_),
-      s.rng.uniform(-hub_jitter_m_, hub_jitter_m_)};
+      (c.affinity + static_cast<std::size_t>(day_index)) % config_.n_hubs;
+  const geo::Point jitter = {rng.uniform(-hub_jitter_m_, hub_jitter_m_),
+                             rng.uniform(-hub_jitter_m_, hub_jitter_m_)};
   return config_.area.clamp(hubs_[hub] + jitter);
 }
 
-void CommuterFlow::advance(LegState& s, double t) const {
-  while (t > s.next_depart) {
-    const std::int64_t phase = s.phase++;
-    s.from = s.to;
-    s.depart = s.next_depart;
-    s.to = target(s, phase);
-    s.speed = s.rng.uniform(config_.v_min, config_.v_max);
-    s.arrive = s.depart + geo::distance(s.from, s.to) / s.speed;
-    // The next half-period's leg departs at its staggered offset, or as
-    // soon as this (possibly overrunning) leg lands — whichever is later.
-    const double nominal =
-        static_cast<double>(phase + 1) * half_period_s_ +
-        s.rng.uniform(0.0, kStaggerFraction * half_period_s_);
-    s.next_depart = std::max(nominal, s.arrive);
-  }
-}
-
-geo::Point CommuterFlow::position_at(std::size_t node, double t) {
-  LegState& s = states_.at(node);
-  advance(s, t);
-  if (t >= s.arrive) return s.to;
-  if (t <= s.depart) return s.from;
-  const double frac = (t - s.depart) / (s.arrive - s.depart);
-  return s.from + (s.to - s.from) * frac;
-}
-
-double CommuterFlow::speed_at(std::size_t node, double t) {
-  LegState& s = states_.at(node);
-  advance(s, t);
-  return (t > s.depart && t < s.arrive) ? s.speed : 0.0;
+void CommuterFlow::next_leg(std::size_t node, Leg& leg) {
+  Commute& c = commutes_[node];
+  const std::int64_t phase = c.phase++;
+  leg.to = target(c, leg.rng, phase);
+  leg.speed = leg.rng.uniform(config_.v_min, config_.v_max);
+  leg.arrive = leg.depart + geo::distance(leg.from, leg.to) / leg.speed;
+  // The next half-period's leg departs at its staggered offset, or as
+  // soon as this (possibly overrunning) leg lands — whichever is later.
+  const double nominal =
+      static_cast<double>(phase + 1) * half_period_s_ +
+      leg.rng.uniform(0.0, kStaggerFraction * half_period_s_);
+  leg.next_depart = std::max(nominal, leg.arrive);
 }
 
 }  // namespace precinct::mobility

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "geo/geometry.hpp"
-#include "mobility/mobility_model.hpp"
+#include "mobility/leg_mobility.hpp"
 #include "support/rng.hpp"
 
 namespace precinct::mobility {
@@ -28,18 +28,10 @@ struct CommuterFlowConfig {
   double v_max = 3.0;       ///< m/s
 };
 
-class CommuterFlow final : public MobilityModel {
+class CommuterFlow final : public LegMobility {
  public:
   CommuterFlow(std::size_t n_nodes, const CommuterFlowConfig& config,
                std::uint64_t seed);
-
-  [[nodiscard]] geo::Point position_at(std::size_t node, double t) override;
-  [[nodiscard]] double speed_at(std::size_t node, double t) override;
-  [[nodiscard]] std::size_t node_count() const noexcept override {
-    return states_.size();
-  }
-  /// Never time-invariant: the attractor field churns with the clock.
-  [[nodiscard]] bool time_invariant() const noexcept override { return false; }
 
   /// Hub locations (test introspection).
   [[nodiscard]] const std::vector<geo::Point>& hubs() const noexcept {
@@ -47,27 +39,24 @@ class CommuterFlow final : public MobilityModel {
   }
 
  private:
-  struct LegState {
-    support::Rng rng;
+  /// A node's fixed home and hub affinity, and where it is in the cycle.
+  struct Commute {
     geo::Point home;
     std::size_t affinity = 0;  // base hub index, rotated per day
-    geo::Point from;
-    geo::Point to;
-    double depart = 0.0;
-    double arrive = 0.0;
-    double speed = 0.0;
-    std::int64_t phase = 0;     // next half-period to generate a leg for
-    double next_depart = 0.0;   // staggered departure of that leg
+    std::int64_t phase = 0;    // next half-period to generate a leg for
   };
 
-  [[nodiscard]] geo::Point target(LegState& s, std::int64_t phase) const;
-  void advance(LegState& s, double t) const;
+  /// Where a leg in half-period `phase` ends: a jittered hub by day
+  /// (drawn from `rng`), home by night.
+  [[nodiscard]] geo::Point target(const Commute& c, support::Rng& rng,
+                                  std::int64_t phase) const;
+  void next_leg(std::size_t node, Leg& leg) override;
 
   CommuterFlowConfig config_;
   double half_period_s_ = 0.0;
   double hub_jitter_m_ = 0.0;  // commuters spread around the hub center
   std::vector<geo::Point> hubs_;
-  std::vector<LegState> states_;
+  std::vector<Commute> commutes_;  ///< per node
 };
 
 }  // namespace precinct::mobility

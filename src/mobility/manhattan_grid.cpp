@@ -11,15 +11,19 @@ namespace {
 constexpr std::array<std::array<std::int32_t, 2>, 4> kHeadings = {
     {{1, 0}, {-1, 0}, {0, 1}, {0, -1}}};
 
+bool on_grid(std::int32_t ix, std::int32_t iy, std::size_t nx,
+             std::size_t ny) noexcept {
+  return ix >= 0 && iy >= 0 && ix < static_cast<std::int32_t>(nx) &&
+         iy < static_cast<std::int32_t>(ny);
+}
+
 }  // namespace
 
 ManhattanGrid::ManhattanGrid(std::size_t n_nodes,
                              const ManhattanGridConfig& config,
                              std::uint64_t seed)
-    : config_(config) {
-  if (config.v_min <= 0.0 || config.v_max < config.v_min) {
-    throw std::invalid_argument("ManhattanGrid: need 0 < v_min <= v_max");
-  }
+    : LegMobility(n_nodes, seed), config_(config) {
+  require_speed_range("ManhattanGrid", config.v_min, config.v_max);
   if (config.pause_s < 0.0) {
     throw std::invalid_argument("ManhattanGrid: pause must be >= 0");
   }
@@ -51,32 +55,26 @@ ManhattanGrid::ManhattanGrid(std::size_t n_nodes,
         "intersection grid)");
   }
 
-  const support::Rng root(seed);
-  states_.reserve(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    LegState s{root.split(i), 0, 0, 0, 0, {}, {}, 0.0, 0.0, 0.0, 0.0};
-    s.ix = static_cast<std::int32_t>(s.rng.uniform_int(nx_));
-    s.iy = static_cast<std::int32_t>(s.rng.uniform_int(ny_));
+  headings_.reserve(n_nodes);
+  for (Leg& leg : legs_) {
+    Heading h;
+    h.ix = static_cast<std::int32_t>(leg.rng.uniform_int(nx_));
+    h.iy = static_cast<std::int32_t>(leg.rng.uniform_int(ny_));
     // Uniform legal initial heading (nx_, ny_ >= 2 guarantees a choice).
     std::array<std::array<std::int32_t, 2>, 4> legal{};
     std::size_t n_legal = 0;
-    for (const auto& h : kHeadings) {
-      const std::int32_t tx = s.ix + h[0];
-      const std::int32_t ty = s.iy + h[1];
-      if (tx >= 0 && ty >= 0 && tx < static_cast<std::int32_t>(nx_) &&
-          ty < static_cast<std::int32_t>(ny_)) {
-        legal[n_legal++] = h;
-      }
+    for (const auto& d : kHeadings) {
+      if (on_grid(h.ix + d[0], h.iy + d[1], nx_, ny_)) legal[n_legal++] = d;
     }
-    const auto& pick = legal[s.rng.uniform_int(n_legal)];
-    s.dx = pick[0];
-    s.dy = pick[1];
-    s.from = s.to = intersection(s.ix, s.iy);
+    const auto& pick = legal[leg.rng.uniform_int(n_legal)];
+    h.dx = pick[0];
+    h.dy = pick[1];
+    leg.to = intersection(h.ix, h.iy);
+    leg.from = leg.to;
     // Start paused at the initial intersection, like RandomWaypoint: the
     // initial topology is the random placement itself.
-    s.depart = s.arrive = 0.0;
-    s.resume = config_.pause_s;
-    states_.push_back(std::move(s));
+    leg.next_depart = config_.pause_s;
+    headings_.push_back(h);
   }
 }
 
@@ -88,57 +86,34 @@ geo::Point ManhattanGrid::intersection(std::int32_t ix,
               static_cast<double>(iy) * config_.street_spacing_m};
 }
 
-void ManhattanGrid::advance(LegState& s, double t) const {
-  while (t > s.resume) {
-    const auto in_grid = [&](std::int32_t ix, std::int32_t iy) {
-      return ix >= 0 && iy >= 0 && ix < static_cast<std::int32_t>(nx_) &&
-             iy < static_cast<std::int32_t>(ny_);
-    };
-    // Perpendicular exits that stay on the grid.
-    std::array<std::array<std::int32_t, 2>, 2> perp{};
-    std::size_t n_perp = 0;
-    for (const auto& h : kHeadings) {
-      const bool perpendicular = (h[0] * s.dx + h[1] * s.dy) == 0;
-      if (perpendicular && in_grid(s.ix + h[0], s.iy + h[1])) {
-        perp[n_perp++] = h;
-      }
+void ManhattanGrid::next_leg(std::size_t node, Leg& leg) {
+  Heading& h = headings_[node];
+  // Perpendicular exits that stay on the grid.
+  std::array<std::array<std::int32_t, 2>, 2> perp{};
+  std::size_t n_perp = 0;
+  for (const auto& d : kHeadings) {
+    const bool perpendicular = (d[0] * h.dx + d[1] * h.dy) == 0;
+    if (perpendicular && on_grid(h.ix + d[0], h.iy + d[1], nx_, ny_)) {
+      perp[n_perp++] = d;
     }
-    const bool straight_ok = in_grid(s.ix + s.dx, s.iy + s.dy);
-    const bool turn = s.rng.uniform() < config_.turn_probability;
-    if (n_perp > 0 && (turn || !straight_ok)) {
-      const auto& pick = perp[s.rng.uniform_int(n_perp)];
-      s.dx = pick[0];
-      s.dy = pick[1];
-    } else if (!straight_ok) {
-      // Dead end on a single street: reverse.
-      s.dx = -s.dx;
-      s.dy = -s.dy;
-    }
-    const double depart = s.resume;
-    s.from = intersection(s.ix, s.iy);
-    s.ix += s.dx;
-    s.iy += s.dy;
-    s.to = intersection(s.ix, s.iy);
-    s.speed = s.rng.uniform(config_.v_min, config_.v_max);
-    s.depart = depart;
-    s.arrive = depart + geo::distance(s.from, s.to) / s.speed;
-    s.resume = s.arrive + config_.pause_s;
   }
-}
-
-geo::Point ManhattanGrid::position_at(std::size_t node, double t) {
-  LegState& s = states_.at(node);
-  advance(s, t);
-  if (t >= s.arrive) return s.to;
-  if (t <= s.depart) return s.from;
-  const double frac = (t - s.depart) / (s.arrive - s.depart);
-  return s.from + (s.to - s.from) * frac;
-}
-
-double ManhattanGrid::speed_at(std::size_t node, double t) {
-  LegState& s = states_.at(node);
-  advance(s, t);
-  return (t > s.depart && t < s.arrive) ? s.speed : 0.0;
+  const bool straight_ok = on_grid(h.ix + h.dx, h.iy + h.dy, nx_, ny_);
+  const bool turn = leg.rng.uniform() < config_.turn_probability;
+  if (n_perp > 0 && (turn || !straight_ok)) {
+    const auto& pick = perp[leg.rng.uniform_int(n_perp)];
+    h.dx = pick[0];
+    h.dy = pick[1];
+  } else if (!straight_ok) {
+    // Dead end on a single street: reverse.
+    h.dx = -h.dx;
+    h.dy = -h.dy;
+  }
+  h.ix += h.dx;
+  h.iy += h.dy;
+  leg.to = intersection(h.ix, h.iy);
+  leg.speed = leg.rng.uniform(config_.v_min, config_.v_max);
+  leg.arrive = leg.depart + geo::distance(leg.from, leg.to) / leg.speed;
+  leg.next_depart = leg.arrive + config_.pause_s;
 }
 
 }  // namespace precinct::mobility

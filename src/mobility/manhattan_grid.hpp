@@ -13,8 +13,7 @@
 #include <vector>
 
 #include "geo/geometry.hpp"
-#include "mobility/mobility_model.hpp"
-#include "support/rng.hpp"
+#include "mobility/leg_mobility.hpp"
 
 namespace precinct::mobility {
 
@@ -27,7 +26,7 @@ struct ManhattanGridConfig {
   double pause_s = 2.0;             ///< stop time at each intersection
 };
 
-class ManhattanGrid final : public MobilityModel {
+class ManhattanGrid final : public LegMobility {
  public:
   /// Vehicles start at uniform random intersections with a uniform legal
   /// heading; trajectories derive from per-node RNG streams split from
@@ -35,39 +34,27 @@ class ManhattanGrid final : public MobilityModel {
   ManhattanGrid(std::size_t n_nodes, const ManhattanGridConfig& config,
                 std::uint64_t seed);
 
-  [[nodiscard]] geo::Point position_at(std::size_t node, double t) override;
-  [[nodiscard]] double speed_at(std::size_t node, double t) override;
-  [[nodiscard]] std::size_t node_count() const noexcept override {
-    return states_.size();
-  }
-
   /// Intersections per row (test introspection).
   [[nodiscard]] std::size_t columns() const noexcept { return nx_; }
   [[nodiscard]] std::size_t rows() const noexcept { return ny_; }
 
  private:
-  struct LegState {
-    support::Rng rng;
+  /// Where a vehicle is on the lattice and which way it drives.
+  struct Heading {
     std::int32_t ix = 0;  // intersection the current leg ends at
     std::int32_t iy = 0;
-    std::int32_t dx = 0;  // heading, axis-aligned: exactly one of dx/dy != 0
+    std::int32_t dx = 0;  // axis-aligned: exactly one of dx/dy != 0
     std::int32_t dy = 0;
-    geo::Point from;
-    geo::Point to;
-    double depart = 0.0;
-    double arrive = 0.0;
-    double resume = 0.0;  // arrive + pause: next leg departs here
-    double speed = 0.0;
   };
 
   [[nodiscard]] geo::Point intersection(std::int32_t ix,
                                         std::int32_t iy) const noexcept;
-  void advance(LegState& s, double t) const;
+  void next_leg(std::size_t node, Leg& leg) override;
 
   ManhattanGridConfig config_;
   std::size_t nx_ = 0;  ///< intersections along x (>= 2)
   std::size_t ny_ = 0;  ///< intersections along y (>= 2)
-  std::vector<LegState> states_;
+  std::vector<Heading> headings_;  ///< per node
 };
 
 }  // namespace precinct::mobility

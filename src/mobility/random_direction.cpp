@@ -11,22 +11,16 @@ namespace precinct::mobility {
 RandomDirection::RandomDirection(std::size_t n_nodes,
                                  const RandomDirectionConfig& config,
                                  std::uint64_t seed)
-    : config_(config) {
-  if (config.v_min <= 0.0 || config.v_max < config.v_min) {
-    throw std::invalid_argument("RandomDirection: need 0 < v_min <= v_max");
-  }
+    : LegMobility(n_nodes, seed), config_(config) {
+  require_speed_range("RandomDirection", config.v_min, config.v_max);
   if (config.pause_s < 0.0) {
     throw std::invalid_argument("RandomDirection: pause must be >= 0");
   }
-  const support::Rng root(seed);
-  states_.reserve(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    LegState s{root.split(i), {}, {}, 0.0, 0.0, 0.0, 0.0};
-    s.from = {s.rng.uniform(config_.area.min.x, config_.area.max.x),
-              s.rng.uniform(config_.area.min.y, config_.area.max.y)};
-    s.to = s.from;
-    s.resume = config_.pause_s;
-    states_.push_back(std::move(s));
+  for (Leg& leg : legs_) {
+    leg.to = {leg.rng.uniform(config_.area.min.x, config_.area.max.x),
+              leg.rng.uniform(config_.area.min.y, config_.area.max.y)};
+    leg.from = leg.to;
+    leg.next_depart = config_.pause_s;
   }
 }
 
@@ -43,38 +37,15 @@ geo::Point RandomDirection::boundary_hit(geo::Point p, double angle) const {
   return config_.area.clamp({p.x + dx * t_exit, p.y + dy * t_exit});
 }
 
-void RandomDirection::advance(LegState& s, double t) const {
-  while (t > s.resume) {
-    const double depart = s.resume;
-    const geo::Point from = s.to;
-    const double angle = s.rng.uniform(0.0, 2.0 * std::numbers::pi);
-    const geo::Point to = boundary_hit(from, angle);
-    const double speed = s.rng.uniform(config_.v_min, config_.v_max);
-    const double dist = geo::distance(from, to);
-    s.from = from;
-    s.to = to;
-    s.depart = depart;
-    s.speed = speed;
-    // A zero-length leg (corner hit) still consumes the pause so the loop
-    // always makes progress.
-    s.arrive = depart + (dist > 1e-9 ? dist / speed : 1e-3);
-    s.resume = s.arrive + config_.pause_s;
-  }
-}
-
-geo::Point RandomDirection::position_at(std::size_t node, double t) {
-  LegState& s = states_.at(node);
-  advance(s, t);
-  if (t >= s.arrive) return s.to;
-  if (t <= s.depart) return s.from;
-  const double frac = (t - s.depart) / (s.arrive - s.depart);
-  return s.from + (s.to - s.from) * frac;
-}
-
-double RandomDirection::speed_at(std::size_t node, double t) {
-  LegState& s = states_.at(node);
-  advance(s, t);
-  return (t > s.depart && t < s.arrive) ? s.speed : 0.0;
+void RandomDirection::next_leg(std::size_t /*node*/, Leg& leg) {
+  const double angle = leg.rng.uniform(0.0, 2.0 * std::numbers::pi);
+  leg.to = boundary_hit(leg.from, angle);
+  leg.speed = leg.rng.uniform(config_.v_min, config_.v_max);
+  const double dist = geo::distance(leg.from, leg.to);
+  // A zero-length leg (corner hit) still consumes the pause so the loop
+  // always makes progress.
+  leg.arrive = leg.depart + (dist > 1e-9 ? dist / leg.speed : 1e-3);
+  leg.next_depart = leg.arrive + config_.pause_s;
 }
 
 }  // namespace precinct::mobility

@@ -6,11 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "geo/geometry.hpp"
-#include "mobility/mobility_model.hpp"
-#include "support/rng.hpp"
+#include "mobility/leg_mobility.hpp"
 
 namespace precinct::mobility {
 
@@ -21,34 +19,17 @@ struct RandomDirectionConfig {
   double pause_s = 5.0;
 };
 
-class RandomDirection final : public MobilityModel {
+class RandomDirection final : public LegMobility {
  public:
   RandomDirection(std::size_t n_nodes, const RandomDirectionConfig& config,
                   std::uint64_t seed);
 
-  [[nodiscard]] geo::Point position_at(std::size_t node, double t) override;
-  [[nodiscard]] double speed_at(std::size_t node, double t) override;
-  [[nodiscard]] std::size_t node_count() const noexcept override {
-    return states_.size();
-  }
-
  private:
-  struct LegState {
-    support::Rng rng;
-    geo::Point from;
-    geo::Point to;        // boundary point the heading runs into
-    double depart = 0.0;
-    double arrive = 0.0;
-    double resume = 0.0;
-    double speed = 0.0;
-  };
-
   /// Where a ray from `p` along `angle` exits the area.
   [[nodiscard]] geo::Point boundary_hit(geo::Point p, double angle) const;
-  void advance(LegState& s, double t) const;
+  void next_leg(std::size_t node, Leg& leg) override;
 
   RandomDirectionConfig config_;
-  std::vector<LegState> states_;
 };
 
 }  // namespace precinct::mobility

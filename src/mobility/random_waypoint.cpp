@@ -1,6 +1,5 @@
 #include "mobility/random_waypoint.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace precinct::mobility {
@@ -8,60 +7,28 @@ namespace precinct::mobility {
 RandomWaypoint::RandomWaypoint(std::size_t n_nodes,
                                const RandomWaypointConfig& config,
                                std::uint64_t seed)
-    : config_(config) {
-  if (config.v_min <= 0.0 || config.v_max < config.v_min) {
-    throw std::invalid_argument("RandomWaypoint: need 0 < v_min <= v_max");
-  }
+    : LegMobility(n_nodes, seed), config_(config) {
+  require_speed_range("RandomWaypoint", config.v_min, config.v_max);
   if (config.pause_s < 0.0) {
     throw std::invalid_argument("RandomWaypoint: pause must be >= 0");
   }
-  const support::Rng root(seed);
-  states_.reserve(n_nodes);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    LegState s{root.split(i), {}, {}, 0.0, 0.0, 0.0, 0.0};
-    s.from = {s.rng.uniform(config_.area.min.x, config_.area.max.x),
-              s.rng.uniform(config_.area.min.y, config_.area.max.y)};
-    s.to = s.from;
-    // Start paused at the initial position; first leg departs at t = 0
-    // after the configured pause so the initial topology matches the
-    // random initial placement (matching ns-2 scenario generation).
-    s.depart = s.arrive = 0.0;
-    s.resume = config_.pause_s;
-    states_.push_back(std::move(s));
+  for (Leg& leg : legs_) {
+    // Start paused at the initial position; the first leg departs after
+    // the configured pause so the initial topology matches the random
+    // initial placement (matching ns-2 scenario generation).
+    leg.to = {leg.rng.uniform(config_.area.min.x, config_.area.max.x),
+              leg.rng.uniform(config_.area.min.y, config_.area.max.y)};
+    leg.from = leg.to;
+    leg.next_depart = config_.pause_s;
   }
 }
 
-void RandomWaypoint::advance(LegState& s, double t) const {
-  // Roll legs forward until `t` falls inside the current leg or its pause.
-  while (t > s.resume) {
-    const double depart = s.resume;
-    const geo::Point from = s.to;
-    const geo::Point to = {s.rng.uniform(config_.area.min.x, config_.area.max.x),
-                           s.rng.uniform(config_.area.min.y, config_.area.max.y)};
-    const double speed = s.rng.uniform(config_.v_min, config_.v_max);
-    const double dist = geo::distance(from, to);
-    s.from = from;
-    s.to = to;
-    s.depart = depart;
-    s.speed = speed;
-    s.arrive = depart + dist / speed;
-    s.resume = s.arrive + config_.pause_s;
-  }
-}
-
-geo::Point RandomWaypoint::position_at(std::size_t node, double t) {
-  LegState& s = states_.at(node);
-  advance(s, t);
-  if (t >= s.arrive) return s.to;  // pausing at the waypoint
-  if (t <= s.depart) return s.from;
-  const double frac = (t - s.depart) / (s.arrive - s.depart);
-  return s.from + (s.to - s.from) * frac;
-}
-
-double RandomWaypoint::speed_at(std::size_t node, double t) {
-  LegState& s = states_.at(node);
-  advance(s, t);
-  return (t > s.depart && t < s.arrive) ? s.speed : 0.0;
+void RandomWaypoint::next_leg(std::size_t /*node*/, Leg& leg) {
+  leg.to = {leg.rng.uniform(config_.area.min.x, config_.area.max.x),
+            leg.rng.uniform(config_.area.min.y, config_.area.max.y)};
+  leg.speed = leg.rng.uniform(config_.v_min, config_.v_max);
+  leg.arrive = leg.depart + geo::distance(leg.from, leg.to) / leg.speed;
+  leg.next_depart = leg.arrive + config_.pause_s;
 }
 
 }  // namespace precinct::mobility

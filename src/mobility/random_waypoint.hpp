@@ -5,11 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "geo/geometry.hpp"
-#include "mobility/mobility_model.hpp"
-#include "support/rng.hpp"
+#include "mobility/leg_mobility.hpp"
 
 namespace precinct::mobility {
 
@@ -20,7 +18,7 @@ struct RandomWaypointConfig {
   double pause_s = 5.0;  ///< pause between legs (paper: 5 s)
 };
 
-class RandomWaypoint final : public MobilityModel {
+class RandomWaypoint final : public LegMobility {
  public:
   /// Nodes start at uniform positions; trajectories derive from
   /// per-node RNG streams split from `seed` so each node's path is
@@ -28,27 +26,10 @@ class RandomWaypoint final : public MobilityModel {
   RandomWaypoint(std::size_t n_nodes, const RandomWaypointConfig& config,
                  std::uint64_t seed);
 
-  [[nodiscard]] geo::Point position_at(std::size_t node, double t) override;
-  [[nodiscard]] double speed_at(std::size_t node, double t) override;
-  [[nodiscard]] std::size_t node_count() const noexcept override {
-    return states_.size();
-  }
-
  private:
-  struct LegState {
-    support::Rng rng;
-    geo::Point from;      // leg origin
-    geo::Point to;        // waypoint
-    double depart = 0.0;  // time motion started
-    double arrive = 0.0;  // time waypoint reached
-    double resume = 0.0;  // arrive + pause: next leg departs here
-    double speed = 0.0;
-  };
-
-  void advance(LegState& s, double t) const;
+  void next_leg(std::size_t node, Leg& leg) override;
 
   RandomWaypointConfig config_;
-  std::vector<LegState> states_;
 };
 
 }  // namespace precinct::mobility

@@ -210,7 +210,7 @@ void expect_roundtrip(const PrecinctConfig& c, const std::string& label) {
   EXPECT_NO_THROW(reread.validate()) << label;
 }
 
-/// The ten scenarios metrics_fingerprint.cpp runs, rebuilt here; keep in
+/// The eleven scenarios metrics_fingerprint.cpp runs, rebuilt here; keep in
 /// sync with examples/metrics_fingerprint.cpp.
 std::vector<std::pair<std::string, PrecinctConfig>> fingerprint_configs() {
   const auto base = [](std::uint64_t seed) {
@@ -285,6 +285,17 @@ std::vector<std::pair<std::string, PrecinctConfig>> fingerprint_configs() {
     auto c = base(41);
     c.use_beacons = true;
     out.emplace_back("beacons_s41", c);
+  }
+  {
+    auto c = base(43);
+    c.mobile = false;
+    c.wireless.channel.model = "bernoulli";
+    c.wireless.channel.loss_p = 0.05;
+    c.request_retries = 2;
+    c.crash_rate_per_s = 0.02;
+    c.join_rate_per_s = 0.02;
+    c.graceful_fraction = 0.5;
+    out.emplace_back("static_churn_s43", c);
   }
   return out;
 }

@@ -1,10 +1,13 @@
 // Unit tests for mobility: random waypoint kinematics, static
-// placements, the structured models (Manhattan grid, commuter flow) and
-// the heterogeneous-fleet composite.
+// placements, the structured models (Manhattan grid, commuter flow), the
+// heterogeneous-fleet composite, and a bit-exact pin of every moving
+// model's trajectory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -539,6 +542,74 @@ TEST(StaticPlacement, ExplicitPositions) {
   StaticPlacement sp({{1, 2}, {3, 4}});
   EXPECT_EQ(sp.node_count(), 2u);
   EXPECT_EQ(sp.position_at(1, 0.0), (Point{3, 4}));
+}
+
+// Trajectory pin: every moving model, bit for bit.  The expected digests
+// were printed by the build before RandomWaypoint, RandomDirection,
+// ManhattanGrid and CommuterFlow moved onto LegMobility; a change to any
+// per-node draw order or floating-point expression changes a digest.  No
+// byte-identical scenario gate runs RandomDirection or GaussMarkov.
+
+/// FNV-1a over the bit patterns of x, y and speed_at for every node at
+/// t = 0, 0.37, 0.74, ... below 3,000 s.
+std::uint64_t trajectory_digest(MobilityModel& model) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int shift = 0; shift < 64; shift += 8) {
+      h ^= (bits >> shift) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (int k = 0; 0.37 * k < 3000.0; ++k) {
+    const double t = 0.37 * k;
+    for (std::size_t i = 0; i < model.node_count(); ++i) {
+      const Point p = model.position_at(i, t);
+      mix(p.x);
+      mix(p.y);
+      mix(model.speed_at(i, t));
+    }
+  }
+  return h;
+}
+
+std::unique_ptr<MobilityModel> two_class_mix() {
+  std::vector<std::unique_ptr<MobilityModel>> parts;
+  parts.push_back(
+      std::make_unique<ManhattanGrid>(30, ManhattanGridConfig{}, 21));
+  parts.push_back(
+      std::make_unique<RandomWaypoint>(30, RandomWaypointConfig{}, 22));
+  return std::make_unique<ClassMix>(std::move(parts));
+}
+
+TEST(MobilityTrajectory, MatchesDigestsFromTheParent) {
+  struct Case {
+    const char* name;
+    std::unique_ptr<MobilityModel> model;
+    std::uint64_t digest;
+  };
+  Case cases[] = {
+      {"RandomWaypoint",
+       std::make_unique<RandomWaypoint>(60, RandomWaypointConfig{}, 11),
+       0x06925c704e1fdea3ULL},
+      {"RandomDirection",
+       std::make_unique<RandomDirection>(60, RandomDirectionConfig{}, 12),
+       0x9859163cbdd63010ULL},
+      {"ManhattanGrid",
+       std::make_unique<ManhattanGrid>(60, ManhattanGridConfig{}, 13),
+       0x85146fd681000dacULL},
+      {"CommuterFlow",
+       std::make_unique<CommuterFlow>(60, CommuterFlowConfig{}, 14),
+       0x0eab35c2714c9f2bULL},
+      {"GaussMarkov",
+       std::make_unique<GaussMarkov>(60, GaussMarkovConfig{}, 15),
+       0xd234a57e9521c793ULL},
+      {"ClassMix", two_class_mix(), 0x45a52ddd22e24a65ULL},
+  };
+  for (Case& c : cases) {
+    ASSERT_EQ(c.model->node_count(), 60u) << c.name;
+    EXPECT_EQ(trajectory_digest(*c.model), c.digest) << c.name;
+  }
 }
 
 }  // namespace
