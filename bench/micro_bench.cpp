@@ -278,8 +278,10 @@ BENCHMARK(BM_SpatialGridRebuild)->Arg(1024)->Arg(8192);
 
 // Steady-state victim selection: a full catalog absorbs one same-sized
 // insert per iteration, so every insert is exactly one minimum-priority
-// scan over `n` resident entries plus one eviction.  This is the
-// replacement-policy inner loop the paper's GD-LD comparison sweeps.
+// scan over `n` resident entries plus one eviction.  32 rows is about the
+// largest scan any workload or figure runs (DESIGN.md §12: at most 30 on
+// perfbench, 35 in Fig 4's full sweep); 256 and 1024 show how the scan
+// grows past that.
 void BM_CacheScan(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kEntryBytes = 2048;
@@ -305,7 +307,7 @@ void BM_CacheScan(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_CacheScan)->Arg(256)->Arg(1024);
+BENCHMARK(BM_CacheScan)->Arg(32)->Arg(256)->Arg(1024);
 
 // End-to-end cost of a small world-sharded run (DESIGN.md §13): domain
 // replicas, the derived-lookahead window loop, cross-cut frame

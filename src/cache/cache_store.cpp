@@ -11,132 +11,62 @@ CacheStore::CacheStore(std::size_t capacity_bytes,
   if (!policy_) throw std::invalid_argument("CacheStore: null policy");
 }
 
-CatalogView CacheStore::view() const noexcept {
-  CatalogView v;
-  v.key = key_.data();
-  v.size_bytes = size_bytes_.data();
-  v.version = version_.data();
-  v.access_count = access_count_.data();
-  v.region_distance = region_distance_.data();
-  v.inflation = inflation_.data();
-  v.ttr_expiry_s = ttr_expiry_s_.data();
-  v.invalidated = invalidated_.data();
-  v.fetched_at_s = fetched_at_s_.data();
-  v.last_access_s = last_access_s_.data();
-  v.n = key_.size();
-  return v;
-}
-
-void CacheStore::write_slot(std::size_t slot, const CacheEntry& entry) {
-  key_[slot] = entry.key;
-  size_bytes_[slot] = entry.size_bytes;
-  version_[slot] = entry.version;
-  access_count_[slot] = entry.access_count;
-  region_distance_[slot] = entry.region_distance;
-  inflation_[slot] = entry.inflation;
-  ttr_expiry_s_[slot] = entry.ttr_expiry_s;
-  invalidated_[slot] = entry.invalidated ? 1 : 0;
-  fetched_at_s_[slot] = entry.fetched_at_s;
-  last_access_s_[slot] = entry.last_access_s;
-}
-
-void CacheStore::push_slot(const CacheEntry& entry) {
-  const auto slot = static_cast<std::uint32_t>(key_.size());
-  key_.push_back(entry.key);
-  size_bytes_.push_back(entry.size_bytes);
-  version_.push_back(entry.version);
-  access_count_.push_back(entry.access_count);
-  region_distance_.push_back(entry.region_distance);
-  inflation_.push_back(entry.inflation);
-  ttr_expiry_s_.push_back(entry.ttr_expiry_s);
-  invalidated_.push_back(entry.invalidated ? 1 : 0);
-  fetched_at_s_.push_back(entry.fetched_at_s);
-  last_access_s_.push_back(entry.last_access_s);
-  index_.emplace(entry.key, slot);
+CacheEntry* CacheStore::row(geo::Key key) {
+  const auto it = index_.find(key);
+  return it == index_.end() ? nullptr : &rows_[it->second];
 }
 
 void CacheStore::remove_slot(std::size_t slot) {
-  index_.erase(key_[slot]);
-  const std::size_t last = key_.size() - 1;
-  if (slot != last) {
-    key_[slot] = key_[last];
-    size_bytes_[slot] = size_bytes_[last];
-    version_[slot] = version_[last];
-    access_count_[slot] = access_count_[last];
-    region_distance_[slot] = region_distance_[last];
-    inflation_[slot] = inflation_[last];
-    ttr_expiry_s_[slot] = ttr_expiry_s_[last];
-    invalidated_[slot] = invalidated_[last];
-    fetched_at_s_[slot] = fetched_at_s_[last];
-    last_access_s_[slot] = last_access_s_[last];
-    index_[key_[slot]] = static_cast<std::uint32_t>(slot);
+  index_.erase(rows_[slot].key);
+  if (slot + 1 != rows_.size()) {
+    rows_[slot] = rows_.back();
+    index_[rows_[slot].key] = static_cast<std::uint32_t>(slot);
   }
-  key_.pop_back();
-  size_bytes_.pop_back();
-  version_.pop_back();
-  access_count_.pop_back();
-  region_distance_.pop_back();
-  inflation_.pop_back();
-  ttr_expiry_s_.pop_back();
-  invalidated_.pop_back();
-  fetched_at_s_.pop_back();
-  last_access_s_.pop_back();
+  rows_.pop_back();
 }
 
 InsertResult CacheStore::insert(CacheEntry entry) {
   InsertResult result;
   if (entry.size_bytes > capacity_) return result;  // can never fit
 
-  if (const auto it = index_.find(entry.key); it != index_.end()) {
+  if (CacheEntry* resident = row(entry.key)) {
     // Refresh in place; preserve accumulated access count and inflation.
-    const std::size_t slot = it->second;
-    entry.access_count = access_count_[slot];
-    entry.inflation = inflation_[slot];
-    used_ -= size_bytes_[slot];
+    entry.access_count = resident->access_count;
+    entry.inflation = resident->inflation;
+    used_ -= resident->size_bytes;
     used_ += entry.size_bytes;
-    write_slot(slot, entry);
-    result.admitted = true;
-    // A refresh may have grown the entry past capacity; evict others.
-    while (used_ > capacity_) {
-      if (key_.size() == 1) {  // only the refreshed entry remains
-        used_ -= size_bytes_[0];
-        result.evicted.push_back(entry.key);
-        remove_slot(0);
-        result.admitted = false;
-        return result;
-      }
-      result.evicted.push_back(evict_one());
-    }
+    *resident = entry;
+    // A refresh may have grown the entry past capacity: evict by
+    // priority, the refreshed entry included (it alone always fits, so
+    // the loop ends once it goes).  Admitted means it is still resident.
+    while (used_ > capacity_) result.evicted.push_back(evict_one());
+    result.admitted = index_.contains(entry.key);
     return result;
   }
 
-  while (used_ + entry.size_bytes > capacity_ && !key_.empty()) {
+  while (used_ + entry.size_bytes > capacity_) {
     result.evicted.push_back(evict_one());
   }
-  if (used_ + entry.size_bytes > capacity_) return result;
-
   // Greedy-dual aging: the newcomer's priority starts at L + score
   // (paper: "U(d) = L + U(d)").
   if (policy_->inflates()) entry.inflation = floor_;
   used_ += entry.size_bytes;
-  push_slot(entry);
+  index_.emplace(entry.key, static_cast<std::uint32_t>(rows_.size()));
+  rows_.push_back(entry);
   result.admitted = true;
   return result;
 }
 
 std::size_t CacheStore::select_victim(double& priority_out) const {
-  assert(!key_.empty());
-  const std::size_t n = key_.size();
-  if (score_scratch_.size() < n) score_scratch_.resize(n);
-  policy_->score_rows(view(), score_scratch_.data());
-  // priority = inflation + score, exactly as priority() computes it, so
-  // the argmin under the strict (priority, key) order picks the same
-  // victim the old per-entry map scan did regardless of scan order.
+  assert(!rows_.empty());
+  // (priority, key) is a strict total order, so the argmin does not
+  // depend on row order and swap-remove never changes the victim.
   std::size_t best = 0;
-  double best_priority = inflation_[0] + score_scratch_[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    const double p = inflation_[i] + score_scratch_[i];
-    if (p < best_priority || (p == best_priority && key_[i] < key_[best])) {
+  double best_priority = priority(rows_[0]);
+  for (std::size_t i = 1; i < rows_.size(); ++i) {
+    const double p = priority(rows_[i]);
+    if (p < best_priority ||
+        (p == best_priority && rows_[i].key < rows_[best].key)) {
       best_priority = p;
       best = i;
     }
@@ -149,61 +79,62 @@ geo::Key CacheStore::evict_one() {
   double victim_priority = 0.0;
   const std::size_t victim = select_victim(victim_priority);
   floor_ = victim_priority;  // L := priority of the evicted entry
-  const geo::Key key = key_[victim];
-  used_ -= size_bytes_[victim];
+  const geo::Key key = rows_[victim].key;
+  used_ -= rows_[victim].size_bytes;
   remove_slot(victim);
   return key;
 }
 
 std::optional<geo::Key> CacheStore::victim_key() const {
-  if (key_.empty()) return std::nullopt;
+  if (rows_.empty()) return std::nullopt;
   double unused = 0.0;
-  return key_[select_victim(unused)];
+  return rows_[select_victim(unused)].key;
 }
 
 const CacheEntry* CacheStore::find(geo::Key key) const {
   const auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
-  materialize(it->second, scratch_);
-  return &scratch_;
+  return it == index_.end() ? nullptr : &rows_[it->second];
 }
 
 bool CacheStore::touch(geo::Key key, double now_s, double region_distance) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  access_count_[it->second] += 1.0;
-  last_access_s_[it->second] = now_s;
-  region_distance_[it->second] = region_distance;
+  CacheEntry* e = row(key);
+  if (e == nullptr) return false;
+  e->access_count += 1.0;
+  e->last_access_s = now_s;
+  e->region_distance = region_distance;
   return true;
 }
 
 bool CacheStore::refresh(geo::Key key, std::uint64_t version,
                          double ttr_expiry_s) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  version_[it->second] = version;
-  ttr_expiry_s_[it->second] = ttr_expiry_s;
-  invalidated_[it->second] = 0;
+  CacheEntry* e = row(key);
+  if (e == nullptr) return false;
+  e->version = version;
+  e->ttr_expiry_s = ttr_expiry_s;
+  e->invalidated = false;
   return true;
 }
 
 bool CacheStore::invalidate(geo::Key key) {
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  invalidated_[it->second] = 1;
+  CacheEntry* e = row(key);
+  if (e == nullptr) return false;
+  e->invalidated = true;
   return true;
 }
 
 bool CacheStore::erase(geo::Key key) {
   const auto it = index_.find(key);
   if (it == index_.end()) return false;
-  used_ -= size_bytes_[it->second];
+  used_ -= rows_[it->second].size_bytes;
   remove_slot(it->second);
   return true;
 }
 
 std::vector<geo::Key> CacheStore::keys() const {
-  return key_;
+  std::vector<geo::Key> out;
+  out.reserve(rows_.size());
+  for (const CacheEntry& e : rows_) out.push_back(e.key);
+  return out;
 }
 
 void CacheStore::put_static(CacheEntry entry) {

@@ -6,18 +6,13 @@
 //  * dynamic space — opportunistically cached items, managed by a
 //    greedy replacement policy under a byte capacity.
 //
-// The dynamic space is a contiguous slotted table: one parallel column
-// per CacheEntry field plus a key->slot index, with swap-remove keeping
-// the columns dense.  Victim selection is a single column sweep
-// (ReplacementPolicy::score_rows + argmin) over contiguous memory —
-// no per-entry virtual call, no map-node pointer chasing — and is
-// allocation-free once the score scratch reaches its high-water size.
-// The interface is unchanged: find() materializes the row into a
-// per-store scratch entry, so callers still receive a CacheEntry* (valid
-// until the next find() on the same store); for_each hands out
-// materialized rows by reference valid only for the duration of the
-// callback.  Static space stays a map — it is small, never scanned for
-// eviction, and find_static_mutable hands out long-lived pointers.
+// The dynamic space is one dense vector of CacheEntry rows plus a
+// key->slot index, kept dense by swap-remove.  Victim selection is the
+// argmin of priority(row) over the rows — at most a few dozen on every
+// measured workload (DESIGN.md §12) — and allocates nothing.  find()
+// returns the live row.  Static space stays a map — it is small, never
+// scanned for eviction, and find_static_mutable hands out long-lived
+// pointers.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +27,8 @@
 
 namespace precinct::cache {
 
-/// Result of an insert: whether the item was admitted and which keys were
-/// evicted to make room.
+/// Result of an insert: whether the item is resident when insert returns
+/// and which keys were evicted to make room.
 struct InsertResult {
   bool admitted = false;
   std::vector<geo::Key> evicted;
@@ -50,13 +45,16 @@ class CacheStore {
 
   /// Admit `entry` into dynamic space, evicting minimum-priority entries
   /// until it fits.  An item larger than the whole capacity is rejected.
-  /// Re-inserting an existing key refreshes its contents in place.
+  /// Re-inserting an existing key refreshes its contents in place; if the
+  /// grown entry is then the lowest-priority resident it is evicted
+  /// itself, and the result reports it evicted and not admitted.
   InsertResult insert(CacheEntry entry);
 
   /// Lookup in dynamic space.  Does not touch utility state.  The
-  /// returned pointer refers to a per-store scratch row: it is valid
-  /// until the next find() on this store and does not observe later
-  /// mutations (touch/refresh/invalidate).
+  /// returned pointer is the live row: it sees later touch/refresh/
+  /// invalidate and stays valid until the next insert() or erase() on
+  /// this store, either of which may move or drop rows.  No protocol
+  /// path holds one across an insert or erase on the same store.
   [[nodiscard]] const CacheEntry* find(geo::Key key) const;
 
   /// Record a hit: bumps access count, refreshes recency, updates the
@@ -78,7 +76,7 @@ class CacheStore {
     return capacity_;
   }
   [[nodiscard]] std::size_t entry_count() const noexcept {
-    return key_.size();
+    return rows_.size();
   }
   [[nodiscard]] const ReplacementPolicy& policy() const noexcept {
     return *policy_;
@@ -94,20 +92,14 @@ class CacheStore {
 
   /// The key the next eviction round would choose (min priority,
   /// tie-break min key), without evicting it; nullopt when empty.
-  /// Allocation-free once the score scratch is at high-water size —
-  /// the seam the allocation-count tests probe.
+  /// Allocation-free — the seam the allocation-count tests probe.
   [[nodiscard]] std::optional<geo::Key> victim_key() const;
 
   /// Observe-only iteration over the dynamic space (unspecified order,
-  /// no allocation) — the invariant checker's audit seam.  The entry
-  /// reference is a materialized row, valid only inside the callback.
+  /// no allocation) — the invariant checker's audit seam.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    CacheEntry e;
-    for (std::size_t i = 0; i < key_.size(); ++i) {
-      materialize(i, e);
-      fn(e);
-    }
+    for (const CacheEntry& e : rows_) fn(e);
   }
 
   // -- static space (home-region custody) -----------------------------------
@@ -135,29 +127,11 @@ class CacheStore {
   }
 
  private:
-  /// Copy row `slot` into `out`.
-  void materialize(std::size_t slot, CacheEntry& out) const {
-    out.key = key_[slot];
-    out.size_bytes = size_bytes_[slot];
-    out.version = version_[slot];
-    out.access_count = access_count_[slot];
-    out.region_distance = region_distance_[slot];
-    out.inflation = inflation_[slot];
-    out.ttr_expiry_s = ttr_expiry_s_[slot];
-    out.invalidated = invalidated_[slot] != 0;
-    out.fetched_at_s = fetched_at_s_[slot];
-    out.last_access_s = last_access_s_[slot];
-  }
-
-  [[nodiscard]] CatalogView view() const noexcept;
-  /// Overwrite row `slot` from `entry` (index_ already points there).
-  void write_slot(std::size_t slot, const CacheEntry& entry);
-  /// Append `entry` as a new row and index it.
-  void push_slot(const CacheEntry& entry);
+  /// The live row for `key`, or nullptr.
+  [[nodiscard]] CacheEntry* row(geo::Key key);
   /// Swap-remove row `slot`, fixing the moved row's index.
   void remove_slot(std::size_t slot);
-  /// Argmin of (inflation + score, key) over all rows.  Pre: non-empty.
-  /// Scores land in score_scratch_ (grown to high-water, never shrunk).
+  /// Argmin of (priority, key) over all rows.  Pre: non-empty.
   [[nodiscard]] std::size_t select_victim(double& priority_out) const;
   /// Evict the minimum-priority entry; returns its key.  Pre: non-empty.
   geo::Key evict_one();
@@ -165,20 +139,9 @@ class CacheStore {
   std::size_t capacity_;
   std::unique_ptr<ReplacementPolicy> policy_;
 
-  // Dynamic space: parallel columns + key->slot index (slots dense).
+  // Dynamic space: dense rows + key->slot index.
   std::unordered_map<geo::Key, std::uint32_t> index_;
-  std::vector<geo::Key> key_;
-  std::vector<std::size_t> size_bytes_;
-  std::vector<std::uint64_t> version_;
-  std::vector<double> access_count_;
-  std::vector<double> region_distance_;
-  std::vector<double> inflation_;
-  std::vector<double> ttr_expiry_s_;
-  std::vector<std::uint8_t> invalidated_;
-  std::vector<double> fetched_at_s_;
-  std::vector<double> last_access_s_;
-  mutable CacheEntry scratch_;               ///< find() materialization
-  mutable std::vector<double> score_scratch_;  ///< select_victim high-water
+  std::vector<CacheEntry> rows_;
 
   std::unordered_map<geo::Key, CacheEntry> static_entries_;
   std::size_t used_ = 0;

@@ -4,39 +4,11 @@
 
 namespace precinct::cache {
 
-void ReplacementPolicy::score_rows(const CatalogView& v, double* out) const {
-  // Correctness fallback for custom policies: materialize each row and
-  // defer to the scalar score().  Built-ins override with column sweeps.
-  CacheEntry e;
-  for (std::size_t i = 0; i < v.n; ++i) {
-    e.key = v.key[i];
-    e.size_bytes = v.size_bytes[i];
-    e.version = v.version[i];
-    e.access_count = v.access_count[i];
-    e.region_distance = v.region_distance[i];
-    e.inflation = v.inflation[i];
-    e.ttr_expiry_s = v.ttr_expiry_s[i];
-    e.invalidated = v.invalidated[i] != 0;
-    e.fetched_at_s = v.fetched_at_s[i];
-    e.last_access_s = v.last_access_s[i];
-    out[i] = score(e);
-  }
-}
-
 double GdLd::score(const CacheEntry& entry) const {
   const double inv_size =
       entry.size_bytes > 0 ? 1.0 / static_cast<double>(entry.size_bytes) : 0.0;
   return weights_.wr * entry.access_count +
          weights_.wd * entry.region_distance + weights_.ws * inv_size;
-}
-
-void GdLd::score_rows(const CatalogView& v, double* out) const {
-  for (std::size_t i = 0; i < v.n; ++i) {
-    const double inv_size =
-        v.size_bytes[i] > 0 ? 1.0 / static_cast<double>(v.size_bytes[i]) : 0.0;
-    out[i] = weights_.wr * v.access_count[i] +
-             weights_.wd * v.region_distance[i] + weights_.ws * inv_size;
-  }
 }
 
 double GdSize::score(const CacheEntry& entry) const {
@@ -47,14 +19,6 @@ double GdSize::score(const CacheEntry& entry) const {
              : 0.0;
 }
 
-void GdSize::score_rows(const CatalogView& v, double* out) const {
-  for (std::size_t i = 0; i < v.n; ++i) {
-    out[i] = v.size_bytes[i] > 0
-                 ? 4096.0 / static_cast<double>(v.size_bytes[i])
-                 : 0.0;
-  }
-}
-
 double Gdsf::score(const CacheEntry& entry) const {
   return entry.size_bytes > 0
              ? 4096.0 * entry.access_count /
@@ -62,29 +26,12 @@ double Gdsf::score(const CacheEntry& entry) const {
              : 0.0;
 }
 
-void Gdsf::score_rows(const CatalogView& v, double* out) const {
-  for (std::size_t i = 0; i < v.n; ++i) {
-    out[i] = v.size_bytes[i] > 0
-                 ? 4096.0 * v.access_count[i] /
-                       static_cast<double>(v.size_bytes[i])
-                 : 0.0;
-  }
-}
-
 double Lru::score(const CacheEntry& entry) const {
   return entry.last_access_s;
 }
 
-void Lru::score_rows(const CatalogView& v, double* out) const {
-  for (std::size_t i = 0; i < v.n; ++i) out[i] = v.last_access_s[i];
-}
-
 double Lfu::score(const CacheEntry& entry) const {
   return entry.access_count;
-}
-
-void Lfu::score_rows(const CatalogView& v, double* out) const {
-  for (std::size_t i = 0; i < v.n; ++i) out[i] = v.access_count[i];
 }
 
 std::unique_ptr<ReplacementPolicy> make_policy(const std::string& name,

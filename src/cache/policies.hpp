@@ -7,33 +7,12 @@
 // paper's CacheReplacementPolicy pseudo-code does: U(d) = L + U(d).
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <string>
 
 #include "cache/cache_entry.hpp"
 
 namespace precinct::cache {
-
-/// Column-oriented, read-only view of a cache's dynamic catalog: one
-/// parallel array per CacheEntry field, `n` rows.  Handed to
-/// ReplacementPolicy::score_rows so victim selection scores every
-/// resident entry in one tight loop over contiguous memory instead of a
-/// virtual call per entry.
-struct CatalogView {
-  const geo::Key* key = nullptr;
-  const std::size_t* size_bytes = nullptr;
-  const std::uint64_t* version = nullptr;
-  const double* access_count = nullptr;
-  const double* region_distance = nullptr;
-  const double* inflation = nullptr;
-  const double* ttr_expiry_s = nullptr;
-  const std::uint8_t* invalidated = nullptr;
-  const double* fetched_at_s = nullptr;
-  const double* last_access_s = nullptr;
-  std::size_t n = 0;
-};
 
 class ReplacementPolicy {
  public:
@@ -42,14 +21,6 @@ class ReplacementPolicy {
   /// Higher score = more worth keeping.  Must be >= 0 for greedy-dual
   /// aging to behave.
   [[nodiscard]] virtual double score(const CacheEntry& entry) const = 0;
-
-  /// Batch scoring: write score(row i) into out[i] for every row of the
-  /// catalog view.  The default materializes each row and calls score(),
-  /// so custom policies stay correct unmodified; the built-ins override
-  /// with column sweeps that perform the exact same floating-point
-  /// operations in the same order (bit-identical scores — eviction
-  /// decisions cannot shift).
-  virtual void score_rows(const CatalogView& view, double* out) const;
 
   /// Whether admitted entries inherit the last victim's priority (L).
   [[nodiscard]] virtual bool inflates() const noexcept { return false; }
@@ -70,7 +41,6 @@ class GdLd final : public ReplacementPolicy {
  public:
   explicit GdLd(GdLdWeights weights = {}) noexcept : weights_(weights) {}
   [[nodiscard]] double score(const CacheEntry& entry) const override;
-  void score_rows(const CatalogView& view, double* out) const override;
   [[nodiscard]] bool inflates() const noexcept override { return true; }
   [[nodiscard]] std::string name() const override { return "GD-LD"; }
   [[nodiscard]] const GdLdWeights& weights() const noexcept { return weights_; }
@@ -85,7 +55,6 @@ class GdLd final : public ReplacementPolicy {
 class GdSize final : public ReplacementPolicy {
  public:
   [[nodiscard]] double score(const CacheEntry& entry) const override;
-  void score_rows(const CatalogView& view, double* out) const override;
   [[nodiscard]] bool inflates() const noexcept override { return true; }
   [[nodiscard]] std::string name() const override { return "GD-Size"; }
 };
@@ -96,7 +65,6 @@ class GdSize final : public ReplacementPolicy {
 class Gdsf final : public ReplacementPolicy {
  public:
   [[nodiscard]] double score(const CacheEntry& entry) const override;
-  void score_rows(const CatalogView& view, double* out) const override;
   [[nodiscard]] bool inflates() const noexcept override { return true; }
   [[nodiscard]] std::string name() const override { return "GDSF"; }
 };
@@ -105,7 +73,6 @@ class Gdsf final : public ReplacementPolicy {
 class Lru final : public ReplacementPolicy {
  public:
   [[nodiscard]] double score(const CacheEntry& entry) const override;
-  void score_rows(const CatalogView& view, double* out) const override;
   [[nodiscard]] std::string name() const override { return "LRU"; }
 };
 
@@ -113,7 +80,6 @@ class Lru final : public ReplacementPolicy {
 class Lfu final : public ReplacementPolicy {
  public:
   [[nodiscard]] double score(const CacheEntry& entry) const override;
-  void score_rows(const CatalogView& view, double* out) const override;
   [[nodiscard]] std::string name() const override { return "LFU"; }
 };
 

@@ -156,8 +156,8 @@ void InvariantChecker::audit_cache_node(net::NodeId node) {
              std::to_string(cache.capacity_bytes()));
   }
   std::size_t dynamic_sum = 0;
-  // for_each hands out rows materialized per iteration, so remember the
-  // offending key by value rather than holding an entry pointer.
+  // Remember the first offending key and reason; it is reported after
+  // both byte sums, once the dynamic and static sweeps are done.
   bool has_bad = false;
   geo::Key bad_key = 0;
   const char* why = nullptr;

@@ -139,8 +139,8 @@ void CustodyManager::place_initial_copies() {
       if (holder != net::kNoNode) {
         // The placement plan is a pure function of the initial topology,
         // so every world-sharded domain computes the identical `placed`
-        // list — but only the holder's owner domain materializes the
-        // copy.  Remote domains never scan static stores they don't own.
+        // list — but only the holder's owner domain stores the copy.
+        // Remote domains never scan static stores they don't own.
         if (ctx_.shard.owns(holder)) {
           ctx_.peers[holder].cache.put_static(entry);
         }

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_store.hpp"
@@ -182,6 +188,45 @@ TEST(CacheStore, ReinsertRefreshesInPlace) {
   EXPECT_EQ(store.entry_count(), 1u);
 }
 
+TEST(CacheStore, ReinsertThatEvictsItselfIsNotAdmitted) {
+  // Growing a resident entry can make it the lowest-priority resident:
+  // it is then the victim, and the result must not claim it admitted.
+  CacheStore store(10000, make_policy("gd-ld"));
+  store.insert(entry(1, 1000, /*access=*/0.0));
+  store.insert(entry(2, 1000, /*access=*/100.0));
+  const auto result = store.insert(entry(1, 9500, 0.0));
+  EXPECT_FALSE(result.admitted);
+  EXPECT_EQ(result.evicted, (std::vector<Key>{1}));
+  EXPECT_EQ(store.find(1), nullptr);
+  ASSERT_NE(store.find(2), nullptr);
+  EXPECT_EQ(store.used_bytes(), 1000u);
+  EXPECT_EQ(store.entry_count(), 1u);
+}
+
+TEST(CacheStore, FindPointsAtTheLiveRow) {
+  CacheStore store(10000, make_policy("gd-ld"));
+  store.insert(entry(1, 1000));
+  store.insert(entry(2, 1000));
+  store.insert(entry(3, 1000));
+  const CacheEntry* two = store.find(2);
+  const CacheEntry* three = store.find(3);
+  ASSERT_NE(two, nullptr);
+  ASSERT_NE(three, nullptr);
+  EXPECT_EQ(two->key, 2u);
+  EXPECT_EQ(three->key, 3u);
+  // Later mutations show through a pointer taken before them.
+  ASSERT_TRUE(store.touch(2, 5.0, 0.75));
+  EXPECT_DOUBLE_EQ(two->access_count, 2.0);
+  EXPECT_DOUBLE_EQ(two->last_access_s, 5.0);
+  EXPECT_DOUBLE_EQ(two->region_distance, 0.75);
+  ASSERT_TRUE(store.refresh(3, 9, 50.0));
+  EXPECT_EQ(three->version, 9u);
+  EXPECT_DOUBLE_EQ(three->ttr_expiry_s, 50.0);
+  ASSERT_TRUE(store.invalidate(2));
+  EXPECT_TRUE(two->invalidated);
+  EXPECT_FALSE(three->invalidated);
+}
+
 TEST(CacheStore, EraseFreesSpace) {
   CacheStore store(10000, make_policy("gd-ld"));
   store.insert(entry(1, 2000));
@@ -294,6 +339,182 @@ TEST_P(CachePolicyProperty, CapacityInvariantUnderRandomTraffic) {
   std::size_t total = 0;
   for (const Key k : store.keys()) total += store.find(k)->size_bytes;
   EXPECT_EQ(total, store.used_bytes());
+}
+
+// Reference model of the dynamic space: a std::map with brute-force
+// victim selection — the argmin of (inflation + score, key), scanned in
+// key order — under the same greedy-dual rule (L := the victim's
+// priority; a newcomer's inflation is L when the policy inflates).
+struct ReferenceCache {
+  std::size_t capacity;
+  std::unique_ptr<ReplacementPolicy> policy;
+  std::map<Key, CacheEntry> rows;
+  std::size_t used = 0;
+  double floor = 0.0;
+
+  [[nodiscard]] std::optional<std::pair<Key, double>> victim() const {
+    std::optional<std::pair<Key, double>> best;
+    for (const auto& [key, e] : rows) {
+      const double p = e.inflation + policy->score(e);
+      if (!best || p < best->second) best = {key, p};
+    }
+    return best;
+  }
+
+  Key evict() {
+    const auto [key, p] = *victim();
+    floor = p;
+    used -= rows.at(key).size_bytes;
+    rows.erase(key);
+    return key;
+  }
+
+  InsertResult insert(CacheEntry e) {
+    InsertResult result;
+    if (e.size_bytes > capacity) return result;
+    if (const auto it = rows.find(e.key); it != rows.end()) {
+      e.access_count = it->second.access_count;
+      e.inflation = it->second.inflation;
+      used = used - it->second.size_bytes + e.size_bytes;
+      it->second = e;
+      while (used > capacity) result.evicted.push_back(evict());
+      result.admitted = rows.contains(e.key);
+      return result;
+    }
+    while (used + e.size_bytes > capacity) result.evicted.push_back(evict());
+    if (policy->inflates()) e.inflation = floor;
+    used += e.size_bytes;
+    rows.emplace(e.key, e);
+    result.admitted = true;
+    return result;
+  }
+};
+
+::testing::AssertionResult same_state(const CacheStore& store,
+                                      const ReferenceCache& ref) {
+  if (store.used_bytes() != ref.used) {
+    return ::testing::AssertionFailure()
+           << "used_bytes " << store.used_bytes() << " vs " << ref.used;
+  }
+  if (store.entry_count() != ref.rows.size()) {
+    return ::testing::AssertionFailure()
+           << "entry_count " << store.entry_count() << " vs "
+           << ref.rows.size();
+  }
+  if (store.inflation_floor() != ref.floor) {
+    return ::testing::AssertionFailure()
+           << "inflation_floor " << store.inflation_floor() << " vs "
+           << ref.floor;
+  }
+  const auto victim = ref.victim();
+  if (store.victim_key() != (victim ? std::optional<Key>(victim->first)
+                                    : std::nullopt)) {
+    return ::testing::AssertionFailure() << "victim_key differs";
+  }
+  for (const auto& [key, want] : ref.rows) {
+    const CacheEntry* got = store.find(key);
+    if (got == nullptr) {
+      return ::testing::AssertionFailure() << "key " << key << " missing";
+    }
+    if (got->key != want.key || got->size_bytes != want.size_bytes ||
+        got->version != want.version ||
+        got->access_count != want.access_count ||
+        got->region_distance != want.region_distance ||
+        got->inflation != want.inflation ||
+        got->ttr_expiry_s != want.ttr_expiry_s ||
+        got->invalidated != want.invalidated ||
+        got->fetched_at_s != want.fetched_at_s ||
+        got->last_access_s != want.last_access_s) {
+      return ::testing::AssertionFailure() << "row of key " << key << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_P(CachePolicyProperty, MatchesAMapReferenceUnderRandomTraffic) {
+  // Seeded differential run: 2x10^4 random operations on a store and on
+  // the reference; every result and the whole resident state must agree
+  // after each one.  Integral access counts and a few distinct sizes make
+  // priority ties common, so the min-key tie-break is exercised too.
+  constexpr std::size_t kCapacity = 40000;
+  constexpr Key kKeys = 96;
+  CacheStore store(kCapacity, make_policy(GetParam()));
+  ReferenceCache ref{kCapacity, make_policy(GetParam()), {}, 0, 0.0};
+  precinct::support::Rng rng(2024);
+  double now = 0.0;
+  std::size_t evictions = 0;
+  for (int step = 1; step <= 20000; ++step) {
+    now += rng.uniform(0.0, 1.0);
+    const auto roll = rng.uniform_int(100);
+    Key key = rng.uniform_int(kKeys);
+    if (roll >= 40 && !ref.rows.empty() && rng.uniform_int(4) != 0) {
+      // Mostly mutate resident keys; misses must be reported as misses.
+      key = std::next(ref.rows.begin(),
+                      static_cast<std::ptrdiff_t>(
+                          rng.uniform_int(ref.rows.size())))
+                ->first;
+    }
+    if (roll < 40) {
+      CacheEntry e;
+      e.key = key;
+      if (const auto it = ref.rows.find(key); it != ref.rows.end()) {
+        // Re-insert: a refresh in place that never grows the entry.
+        e.size_bytes = it->second.size_bytes - rng.uniform_int(512);
+      } else if (roll < 2) {
+        e.size_bytes = kCapacity + 1;  // rejected outright
+      } else if (roll < 6) {
+        e.size_bytes = 4096 + rng.uniform_int(kCapacity / 2);
+      } else {
+        e.size_bytes = 512 * (1 + rng.uniform_int(8));
+      }
+      e.version = rng.uniform_int(5);
+      e.access_count = static_cast<double>(rng.uniform_int(4));
+      e.region_distance = rng.uniform(0.0, 2.0);
+      e.ttr_expiry_s = now + rng.uniform(0.0, 30.0);
+      e.fetched_at_s = e.last_access_s = now;
+      const InsertResult got = store.insert(e);
+      const InsertResult want = ref.insert(e);
+      ASSERT_EQ(got.admitted, want.admitted) << "step " << step;
+      ASSERT_EQ(got.evicted, want.evicted) << "step " << step;
+      evictions += want.evicted.size();
+    } else if (roll < 60) {
+      const double reg_dst = rng.uniform(0.0, 2.0);
+      const auto it = ref.rows.find(key);
+      if (it != ref.rows.end()) {
+        it->second.access_count += 1.0;
+        it->second.last_access_s = now;
+        it->second.region_distance = reg_dst;
+      }
+      ASSERT_EQ(store.touch(key, now, reg_dst), it != ref.rows.end())
+          << "step " << step;
+    } else if (roll < 72) {
+      const std::uint64_t version = rng.uniform_int(8);
+      const double ttr = now + rng.uniform(0.0, 30.0);
+      const auto it = ref.rows.find(key);
+      if (it != ref.rows.end()) {
+        it->second.version = version;
+        it->second.ttr_expiry_s = ttr;
+        it->second.invalidated = false;
+      }
+      ASSERT_EQ(store.refresh(key, version, ttr), it != ref.rows.end())
+          << "step " << step;
+    } else if (roll < 84) {
+      const auto it = ref.rows.find(key);
+      if (it != ref.rows.end()) it->second.invalidated = true;
+      ASSERT_EQ(store.invalidate(key), it != ref.rows.end())
+          << "step " << step;
+    } else {
+      const auto it = ref.rows.find(key);
+      const bool resident = it != ref.rows.end();
+      if (resident) {
+        ref.used -= it->second.size_bytes;
+        ref.rows.erase(it);
+      }
+      ASSERT_EQ(store.erase(key), resident) << "step " << step;
+    }
+    ASSERT_TRUE(same_state(store, ref)) << "step " << step;
+  }
+  EXPECT_GT(evictions, 1000u) << "victim selection went untested";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CachePolicyProperty,
