@@ -142,8 +142,9 @@ int main() {
   }
   std::cout << "  [no 100k-node world: every domain holds a full replica of "
                "the world, so memory grows as nodes x domains — one "
-               "10k-node, 30-domain run already peaks at ~1.6 GB (DESIGN.md "
-               "§13 honest limits)]\n";
+               "10k-node, 30-domain run peaks at ~0.3 GB, and a 100k-node "
+               "city has about 100 domains (DESIGN.md §13 honest "
+               "limits)]\n";
 
   const pb::BenchContext ctx = pb::capture_bench_context();
   const std::size_t usable_cpus = support::usable_cpus();

@@ -88,6 +88,43 @@ void BM_NeighborQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborQuery)->Arg(80)->Arg(160);
 
+// Neighbor queries in a mobile world whose clock moves 1 ms before every
+// query, so each one recomputes: BM_NeighborQuery's populations and area
+// under random waypoint at the city benchmark's speed, queried
+// round-robin (at 160 nodes about three queries per node between two
+// grid snapshots, as in that benchmark).  With the cache on, a node's
+// first query after a snapshot builds its skin list and later ones
+// classify it; with it off (the Uncached family), every query walks the
+// grid and sorts.  Grid snapshots are timed too.
+void mobile_neighbor_query(benchmark::State& state, bool neighbor_cache) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const geo::Rect area{{0, 0}, {1200, 1200}};
+  mobility::RandomWaypointConfig rwp;
+  rwp.area = area;
+  rwp.v_max = 10.0;
+  rwp.pause_s = 5.0;
+  mobility::RandomWaypoint mob(n, rwp, 7);
+  net::WirelessConfig wc;
+  wc.area = area;
+  wc.neighbor_cache = neighbor_cache;
+  sim::Simulator sim;
+  net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, 7);
+  std::uint64_t step = 0;
+  for (auto _ : state) {
+    sim.run_until(1e-3 * static_cast<double>(++step));
+    benchmark::DoNotOptimize(
+        net.neighbors(static_cast<net::NodeId>(step % n)).size());
+  }
+}
+void BM_MobileNeighborQuery(benchmark::State& state) {
+  mobile_neighbor_query(state, true);
+}
+BENCHMARK(BM_MobileNeighborQuery)->Arg(80)->Arg(160);
+void BM_MobileNeighborQueryUncached(benchmark::State& state) {
+  mobile_neighbor_query(state, false);
+}
+BENCHMARK(BM_MobileNeighborQueryUncached)->Arg(160);
+
 // Network-wide flood from a rotating origin: every receiver re-broadcasts
 // once (flood dedup + TTL), so one iteration exercises the full radio
 // fan-out path — airtime reservation, per-receiver energy charging, and

@@ -48,6 +48,8 @@ WirelessNet::WirelessNet(sim::Simulator& simulator,
       busy_until_(mobility.node_count(), 0.0),
       pool_(new PacketBufPool),
       grid_(config.area, grid_cell_m(config, mobility.node_count())),
+      snapshot_(mobility.time_invariant() ? 0 : mobility.node_count()),
+      skin_scratch_(snapshot_.size()),
       neighbor_cache_(mobility.node_count()) {
   // One-time size validation; the hot paths below index unchecked.
   assert(nodes_.size() == n_nodes_);
@@ -59,16 +61,10 @@ WirelessNet::WirelessNet(sim::Simulator& simulator,
   if (static_world_) nodes_.sync_positions(0.0, mobility_);
   // At most one fan-out batch per sender can be in flight: a sender's
   // frames serialize through a MAC window (>= mac_overhead_s) longer than
-  // the processing delay a batch lives for.  Pre-sizing n snapshot
-  // vectors to the receiver cap makes broadcast delivery allocation-free
-  // from the first frame (acquire_rx_list still degrades gracefully if
-  // the bound is ever exceeded).
-  rx_free_.reserve(n_nodes_);
-  for (std::size_t i = 0; i < n_nodes_; ++i) {
-    std::vector<NodeId> v;
-    v.reserve(n_nodes_ > 0 ? n_nodes_ - 1 : 0);
-    rx_free_.push_back(std::move(v));
-  }
+  // the processing delay a batch lives for.  So n pooled receiver lists
+  // suffice; acquire_rx_list grows them to the largest degree seen (and
+  // still degrades gracefully if the bound is ever exceeded).
+  rx_free_.resize(n_nodes_);
 }
 
 WirelessNet::~WirelessNet() { pool_->retire(); }
@@ -84,44 +80,48 @@ void WirelessNet::refresh_grid() {
   // grid then bins straight off the columns.  Static worlds were synced
   // once at construction.  Dead nodes are indexed too — liveness is read
   // at query time — so kill/revive never forces a rebuild.
-  if (!static_world_) nodes_.sync_positions(now, mobility_);
+  if (!static_world_) {
+    nodes_.sync_positions(now, mobility_);
+    for (std::size_t i = 0; i < n_nodes_; ++i) {
+      snapshot_[i] = nodes_.position(i);
+    }
+  }
   grid_.rebuild(nodes_.x(), nodes_.y(), n_nodes_);
   grid_time_ = now;
   ++topology_epoch_;
 }
 
-template <typename Wanted, typename Hit>
-void WirelessNet::for_each_in_radius(geo::Point center, double radius,
-                                     Wanted&& wanted, Hit&& hit) {
-  refresh_grid();
-  // No node is farther than `drift` from its snapshot: it moves at most
-  // max_node_speed_mps since the snapshot (not at all in a static world).
-  // So a snapshot beyond radius + drift is certainly out of range, one
-  // within radius - drift certainly in, and only the ring between needs
-  // the node's position now — usually a mobility-oracle call.
+WirelessNet::RadiusTest WirelessNet::radius_test(geo::Point center,
+                                                 double radius) const {
+  // A node moves at most max_node_speed_mps since the snapshot (not at all
+  // in a static world); the slack absorbs rounding.  Past the snapshot's
+  // staleness the grid is retaken, so this never exceeds
+  // max_node_speed_mps * spatial_index_staleness_s + slack.
   const double drift =
       (static_world_ ? 0.0
                      : config_.max_node_speed_mps * (sim_.now() - grid_time_)) +
       kSnapshotSlackM;
   const double out_r = radius + drift;
   const double in_r = std::max(0.0, radius - drift);
-  const double out2 = out_r * out_r;
-  const double in2 = in_r * in_r;
-  const double r2 = radius * radius;
+  return {center, out_r, out_r * out_r, in_r * in_r, radius * radius};
+}
+
+template <typename Wanted, typename Hit>
+void WirelessNet::for_each_in_radius(geo::Point center, double radius,
+                                     Wanted&& wanted, Hit&& hit) {
+  refresh_grid();
+  const RadiusTest test = radius_test(center, radius);
   const std::uint8_t* alive = nodes_.alive_data();
-  grid_.for_each_near(center, out_r,
+  grid_.for_each_near(center, test.out_r,
                       [&](std::uint32_t i, double x, double y) {
-                        if (!alive[i] || !wanted(i)) return;
-                        const double s2 = geo::distance_sq(center, {x, y});
-                        if (s2 > out2) return;
-                        if (s2 < in2 ||
-                            geo::distance_sq(center, position(i)) <= r2) {
+                        if (alive[i] && wanted(i) && within(test, i, {x, y})) {
                           hit(i);
                         }
                       });
 }
 
 void WirelessNet::compute_neighbors(NodeId node, std::vector<NodeId>& out) {
+  ++neighbor_grid_walks_;
   out.clear();
   for_each_in_radius(
       position(node), config_.range_m,
@@ -130,17 +130,72 @@ void WirelessNet::compute_neighbors(NodeId node, std::vector<NodeId>& out) {
   std::sort(out.begin(), out.end());  // grid order is by cell, not by id
 }
 
+void WirelessNet::build_skin(NodeId node, std::vector<NodeId>& skin) {
+  // Until the next snapshot every node stays within
+  // d = max_node_speed_mps * spatial_index_staleness_s + slack of its
+  // snapshot.  So a node in range of `node` at any query before then has
+  // its snapshot within range + 2d of `node`'s.
+  ++neighbor_grid_walks_;
+  const double reach =
+      config_.range_m +
+      2.0 * (config_.max_node_speed_mps * config_.spatial_index_staleness_s +
+             kSnapshotSlackM);
+  const double reach2 = reach * reach;
+  const geo::Point center = snapshot_[node];
+  // Every candidate is written and only those within reach are kept, with
+  // no branch to mispredict; the walk visits each node at most once, so n
+  // slots suffice.
+  NodeId* out = skin_scratch_.data();
+  std::size_t k = 0;
+  grid_.for_each_near(center, reach, [&](std::uint32_t i, double x, double y) {
+    out[k] = i;
+    k += static_cast<std::size_t>(
+        (geo::distance_sq(center, {x, y}) <= reach2) & (i != node));
+  });
+  // Grid order is by cell, with ids ascending within each cell; on lists
+  // this short an insertion sort beats std::sort.
+  for (std::size_t a = 1; a < k; ++a) {
+    const NodeId v = out[a];
+    std::size_t b = a;
+    for (; b > 0 && out[b - 1] > v; --b) out[b] = out[b - 1];
+    out[b] = v;
+  }
+  skin.assign(out, out + k);
+}
+
 const std::vector<NodeId>& WirelessNet::neighbors(NodeId node) {
   assert(node < n_nodes_);
   NeighborCache& c = neighbor_cache_[node];
-  const double now = sim_.now();
-  if (!config_.neighbor_cache || c.epoch != topology_epoch_ || c.at != now) {
+  if (!config_.neighbor_cache) {
     compute_neighbors(node, c.ids);
-    // Stamp after computing: the computation itself may rebuild the grid
-    // and bump the epoch.
-    c.epoch = topology_epoch_;
-    c.at = now;
+    return c.ids;
   }
+  const double now = sim_.now();
+  if (c.epoch == topology_epoch_ && (static_world_ || c.at == now)) {
+    return c.ids;
+  }
+  if (static_world_) {
+    compute_neighbors(node, c.ids);
+  } else {
+    // The skin list holds every node that can be in range before the next
+    // snapshot, in id order; liveness is read now, so kills and revives
+    // leave it valid.
+    refresh_grid();
+    if (c.skin_at != grid_time_) {
+      build_skin(node, c.skin);
+      c.skin_at = grid_time_;
+    }
+    const RadiusTest test = radius_test(position(node), config_.range_m);
+    const std::uint8_t* alive = nodes_.alive_data();
+    c.ids.clear();
+    for (const NodeId j : c.skin) {
+      if (alive[j] && within(test, j, snapshot_[j])) c.ids.push_back(j);
+    }
+  }
+  // Stamp after computing: the computation itself may rebuild the grid
+  // and bump the epoch.
+  c.epoch = topology_epoch_;
+  c.at = now;
   return c.ids;
 }
 
@@ -304,8 +359,7 @@ void WirelessNet::deliver_broadcast_impl(const PacketRef& packet,
   // the survivors.  Receiver order (sorted, owned only — each directed
   // link's draws always happen in the receiver's owner domain) fixes the
   // draw order, so a given seed always erases the same frames.
-  std::vector<NodeId> rx = acquire_rx_list();
-  rx.clear();  // recycled lists keep their old contents
+  std::vector<NodeId> rx = acquire_rx_list(receivers.size());
   for (const NodeId receiver : receivers) {
     if (!owns(receiver)) continue;
     if (!lossless_ && channel_dropped(p, receiver)) continue;

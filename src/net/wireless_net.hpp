@@ -48,10 +48,13 @@ struct WirelessConfig {
   double proc_delay_s = 0.3e-3;    ///< per-hop protocol processing
   double jitter_s = 1.0e-3;        ///< random forwarding jitter (flood
                                    ///< de-synchronization), uniform [0, j)
-  /// Cache per-node neighbor lists (and, in GPSR, planarizations) keyed on
-  /// (topology epoch, sim time).  Results are byte-identical with or
-  /// without the cache — it only skips recomputation within one event
-  /// timestamp; disable to cross-check determinism.
+  /// Keep each node's neighbor list until its answer can change: a
+  /// time-invariant world keys it on the topology epoch, a mobile world on
+  /// (topology epoch, sim time) and recomputes it from a per-node skin list
+  /// built once per grid snapshot (GPSR keys its planarizations on
+  /// (knowledge version, sim time)).  Results are byte-identical with or
+  /// without the cache; off, every query walks the grid and sorts, the
+  /// uncached reference that cross-checks determinism.
   bool neighbor_cache = true;
   /// Lossy-channel / fault-injection model (see channel/channel_model.hpp).
   /// The default "perfect" model keeps delivery byte-identical to a radio
@@ -176,16 +179,30 @@ class WirelessNet {
   }
 
   /// Live nodes within radio range of `node` (excluding itself), sorted.
-  /// Served from a per-node cache keyed on (topology epoch, sim time), so
-  /// the reference stays valid until the next query for `node` at a new
-  /// epoch or time (every query, with the neighbor cache off); copy it if
-  /// the neighborhood must outlive that.
+  /// Served from a per-node cache that is recomputed only when the answer
+  /// can differ: in a time-invariant world when the topology epoch moves,
+  /// in a mobile world when the epoch or the sim time does.  A mobile
+  /// world recomputes by classifying the node's skin list, every node
+  /// that can come into range before the next grid snapshot, built at the
+  /// node's first query after each snapshot (DESIGN.md §12).  The
+  /// reference stays valid until the next query for `node` that
+  /// recomputes (every query, with the neighbor cache off); copy it if the
+  /// neighborhood must outlive that.
   [[nodiscard]] const std::vector<NodeId>& neighbors(NodeId node);
 
   /// Bumped on every spatial-index snapshot and on node kill/revive, so
-  /// caches keyed on (epoch, sim time) never outlive a liveness change.
+  /// caches keyed on it never outlive a liveness change.
   [[nodiscard]] std::uint64_t topology_epoch() const noexcept {
     return topology_epoch_;
+  }
+
+  /// Neighbor lists built by walking the spatial grid (a cell walk and a
+  /// sort): one per query with the neighbor cache off; with it on, one per
+  /// node and topology epoch queried in a time-invariant world, and one
+  /// skin list per node and grid snapshot queried in a mobile world.
+  /// Observe-only: nothing in the simulation reads it.
+  [[nodiscard]] std::uint64_t neighbor_grid_walks() const noexcept {
+    return neighbor_grid_walks_;
   }
 
   /// True when a direct radio link exists between two live nodes now.
@@ -356,29 +373,61 @@ class WirelessNet {
   /// spatial_index_staleness_s (static worlds: take it once).
   void refresh_grid();
 
+  /// The snapshot classifier (DESIGN.md §12) for one query of `radius`
+  /// around `center` now.  No node is farther than the drift bound from
+  /// its grid snapshot, so a candidate whose snapshot lies beyond
+  /// radius + drift (`out_r`) is out, one within radius - drift in, and
+  /// only the ring between pays a position lookup and the exact test.
+  struct RadiusTest {
+    geo::Point center;
+    double out_r;
+    double out2;
+    double in2;
+    double r2;
+  };
+  [[nodiscard]] RadiusTest radius_test(geo::Point center,
+                                       double radius) const;
+  /// True when `i`, whose grid snapshot lies at `snap`, is within the
+  /// test's radius of its center now (liveness is the caller's).
+  [[nodiscard]] bool within(const RadiusTest& test, NodeId i,
+                            geo::Point snap) {
+    const double s2 = geo::distance_sq(test.center, snap);
+    if (s2 > test.out2) return false;
+    return s2 < test.in2 ||
+           geo::distance_sq(test.center, position(i)) <= test.r2;
+  }
+
   /// Call `hit(i)` for every live node `i` with `wanted(i)` that lies
-  /// within `radius` of `center` now.  Each grid candidate is judged from
-  /// its snapshot position first; only the ones in the ring the snapshot
-  /// cannot decide pay a position lookup (DESIGN.md §12).
+  /// within `radius` of `center` now, walking the grid cells the test's
+  /// outer radius touches.
   template <typename Wanted, typename Hit>
   void for_each_in_radius(geo::Point center, double radius, Wanted&& wanted,
                           Hit&& hit);
 
-  /// Uncached neighbor computation into `out` (cleared first).
+  /// Neighbor computation from the grid into `out` (cleared first).
   void compute_neighbors(NodeId node, std::vector<NodeId>& out);
 
-  /// Receiver-snapshot recycling for batched broadcast delivery: each
-  /// in-flight broadcast carries one snapshot vector; returned vectors
-  /// keep their capacity.  Reserving the hard receiver cap (n-1) up front
-  /// means every pooled vector allocates exactly once in its lifetime, so
-  /// steady-state fan-out never touches the heap.
-  [[nodiscard]] std::vector<NodeId> acquire_rx_list() {
+  /// Every node but `node` whose snapshot lies within the skin radius of
+  /// `node`'s own, sorted by id, into `skin` (cleared first).
+  void build_skin(NodeId node, std::vector<NodeId>& skin);
+
+  /// Receiver lists for batched broadcast delivery: each in-flight
+  /// broadcast carries one; returned lists keep their capacity.  A
+  /// `degree` above every earlier one grows each pooled list to it, so
+  /// once the densest neighborhood has been seen, fan-out never touches
+  /// the heap.
+  [[nodiscard]] std::vector<NodeId> acquire_rx_list(std::size_t degree) {
+    if (degree > rx_degree_) {
+      rx_degree_ = degree;
+      for (std::vector<NodeId>& v : rx_free_) v.reserve(degree);
+    }
     std::vector<NodeId> v;
     if (!rx_free_.empty()) {
       v = std::move(rx_free_.back());
       rx_free_.pop_back();
     }
-    v.reserve(n_nodes_ > 0 ? n_nodes_ - 1 : 0);
+    v.clear();  // recycled lists keep their old contents
+    v.reserve(rx_degree_);
     return v;
   }
   void release_rx_list(std::vector<NodeId>&& v) {
@@ -426,17 +475,27 @@ class WirelessNet {
   // SoA position columns at sim time grid_time_ (-1: not built yet).
   SpatialGrid grid_;
   double grid_time_ = -1.0;
+  // A mobile world's snapshot by node id, for its skin lists: the position
+  // columns move on after grid_time_, the grid keeps it in cell order.
+  std::vector<geo::Point> snapshot_;
+  std::vector<NodeId> skin_scratch_;  // build_skin's candidates, n slots
 
-  // Per-node neighbor cache, keyed on (topology_epoch_, sim time).
+  // Per-node neighbor cache: the list, keyed on topology_epoch_ (and the
+  // sim time, in a mobile world), and a mobile world's skin list, keyed on
+  // the snapshot time it was built for.
   struct NeighborCache {
     std::uint64_t epoch = 0;  // 0 never matches a live epoch
     double at = -1.0;
     std::vector<NodeId> ids;
+    double skin_at = -1.0;
+    std::vector<NodeId> skin;
   };
   std::uint64_t topology_epoch_ = 1;
+  std::uint64_t neighbor_grid_walks_ = 0;
   std::vector<NeighborCache> neighbor_cache_;
   std::vector<NodeId> deliver_scratch_;  // unicast snoop snapshot
   std::vector<std::vector<NodeId>> rx_free_;  // recycled fan-out snapshots
+  std::size_t rx_degree_ = 0;  // largest degree seen; sizes rx_free_ lists
 };
 
 }  // namespace precinct::net

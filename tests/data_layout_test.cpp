@@ -13,11 +13,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "cache/cache_store.hpp"
 #include "cache/policies.hpp"
+#include "mobility/gauss_markov.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "mobility/static_placement.hpp"
 #include "net/spatial_grid.hpp"
@@ -113,62 +115,105 @@ TEST(DataLayoutAlloc, CacheVictimSelectionIsAllocationFree) {
 }
 
 TEST(DataLayoutEquivalence, NeighborsMatchBruteForceOnRandomTopologies) {
-  // One snapshot-grid path answers for every population.  It must agree
-  // with the O(N^2) reference under mobility (queries land on a fresh
-  // snapshot and up to 0.5 s after one) and under churn (a node revived
-  // between two snapshots counts at once, a node killed there drops out).
+  // The radio's neighbor lists must agree with the O(N^2) reference under
+  // mobility (queries land on a fresh snapshot, up to 0.5 s after one and
+  // at exactly the snapshot's staleness, the widest drift a skin list must
+  // cover, with the speed bound set to the model's top speed), under
+  // churn (a node revived between two snapshots counts at once, a node
+  // killed there drops out), and in a static world, whose lists are kept
+  // across timestamps until a kill or a revive moves the epoch.
+  enum class Kind { kWaypoint, kGaussMarkov, kStatic };
   struct Input {
+    Kind kind;
     std::size_t n;
     double side_m;
-    double v_max;
+    double v_max;  // waypoint top speed, Gauss-Markov mean speed
     std::uint64_t seed;
   };
   const Input inputs[] = {
-      {40, 1200.0, 6.0, 1},   {40, 1200.0, 6.0, 17},  {40, 1200.0, 6.0, 99},
-      {300, 1200.0, 6.0, 1},  {300, 1200.0, 6.0, 17}, {300, 1200.0, 6.0, 99},
-      {200, 2000.0, 20.0, 99},  // sparser and faster
+      {Kind::kWaypoint, 40, 1200.0, 6.0, 1},
+      {Kind::kWaypoint, 40, 1200.0, 6.0, 17},
+      {Kind::kWaypoint, 40, 1200.0, 6.0, 99},
+      {Kind::kWaypoint, 300, 1200.0, 6.0, 1},
+      {Kind::kWaypoint, 300, 1200.0, 6.0, 17},
+      {Kind::kWaypoint, 300, 1200.0, 6.0, 99},
+      {Kind::kWaypoint, 200, 2000.0, 20.0, 99},  // sparser and faster
+      // Speed noise far above the mean keeps nodes at the 4x clamp.
+      {Kind::kGaussMarkov, 200, 1200.0, 5.0, 7},
+      {Kind::kStatic, 200, 1200.0, 0.0, 5},
   };
   for (const Input& in : inputs) {
     sim::Simulator sim;
-    mobility::RandomWaypointConfig mc;
-    mc.area = {{0.0, 0.0}, {in.side_m, in.side_m}};
-    mc.v_max = in.v_max;
-    mobility::RandomWaypoint mob(in.n, mc, in.seed);
+    const geo::Rect area{{0.0, 0.0}, {in.side_m, in.side_m}};
     net::WirelessConfig wc;
-    wc.area = mc.area;
-    net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, in.seed);
+    wc.area = area;
+    std::unique_ptr<mobility::MobilityModel> mob;
+    switch (in.kind) {
+      case Kind::kWaypoint: {
+        mobility::RandomWaypointConfig mc;
+        mc.area = area;
+        mc.v_max = in.v_max;
+        mob = std::make_unique<mobility::RandomWaypoint>(in.n, mc, in.seed);
+        wc.max_node_speed_mps = mc.v_max;
+        break;
+      }
+      case Kind::kGaussMarkov: {
+        mobility::GaussMarkovConfig mc;
+        mc.area = area;
+        mc.mean_speed = in.v_max;
+        mc.speed_sigma = 4.0 * in.v_max;
+        mc.alpha = 0.3;
+        mob = std::make_unique<mobility::GaussMarkov>(in.n, mc, in.seed);
+        wc.max_node_speed_mps = mc.max_speed();
+        break;
+      }
+      case Kind::kStatic:
+        mob = std::make_unique<mobility::StaticPlacement>(
+            mobility::StaticPlacement::uniform(in.n, area, in.seed));
+        break;
+    }
+    net::WirelessNet net(sim, *mob, wc, energy::FeeneyModel{}, in.seed);
     const auto churned = static_cast<net::NodeId>(in.n / 3);
+    const auto flapping = static_cast<net::NodeId>(in.n / 5);
     net.kill(churned);
 
-    const auto check = [&](double t) {
-      for (net::NodeId self = 0; self < in.n; self += 7) {
+    const auto check = [&](double t, net::NodeId stride) {
+      for (net::NodeId self = 0; self < in.n; self += stride) {
         if (!net.is_alive(self)) continue;
         auto expected =
-            test_util::brute_force_neighbors(mob, self, t, wc.range_m);
+            test_util::brute_force_neighbors(*mob, self, t, wc.range_m);
         std::erase_if(expected,
                       [&](net::NodeId i) { return !net.is_alive(i); });
         EXPECT_EQ(net.neighbors(self), expected)
             << "n=" << in.n << " seed=" << in.seed << " t=" << t
             << " self=" << self;
-        EXPECT_EQ(net.position(self), mob.position_at(self, t));
+        EXPECT_EQ(net.position(self), mob->position_at(self, t));
       }
     };
     for (double t = 0.0; t < 30.0; t += 0.37) {
-      sim.schedule_at(t, [&, t] { check(t); });
+      sim.schedule_at(t, [&, t] { check(t, 7); });
     }
+    // Churn between queries: a static world serves the dozens of query
+    // timestamps between these epoch bumps from its cached lists.
+    sim.schedule_at(10.05, [&] { net.kill(flapping); });
+    sim.schedule_at(20.05, [&] { net.revive(flapping); });
     // 31.0 is over 0.5 s after the last query, so it takes a snapshot;
-    // the churn at 31.1 and the query at 31.2 both precede the next one.
+    // the churn at 31.1 and the queries at 31.2 and at exactly 31.0 +
+    // staleness (every node: some classify skin lists built at 31.0,
+    // the rest build theirs) all precede the next one.
     std::uint64_t epoch_after_snapshot = 0;
     sim.schedule_at(31.0, [&] {
-      check(31.0);
+      check(31.0, 7);
       epoch_after_snapshot = net.topology_epoch();
     });
     sim.schedule_at(31.1, [&] {
       net.revive(churned);
       net.kill(churned + 1);
     });
-    sim.schedule_at(31.2, [&] {
-      check(31.2);
+    sim.schedule_at(31.2, [&] { check(31.2, 7); });
+    const double widest = 31.0 + wc.spatial_index_staleness_s;
+    sim.schedule_at(widest, [&] {
+      check(widest, 1);
       EXPECT_EQ(net.topology_epoch(), epoch_after_snapshot + 2)
           << "only the revive and the kill, no snapshot";
     });

@@ -7,6 +7,7 @@
 #include <map>
 
 #include "core/scenario.hpp"
+#include "core/world_scenario.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -288,9 +289,11 @@ TEST_P(ScenarioInvariants, AccountingIdentitiesHold) {
 INSTANTIATE_TEST_SUITE_P(SeedSweep, ScenarioInvariants,
                          ::testing::Values(101, 202, 303, 404, 505));
 
-// The per-node neighbor cache (DESIGN.md, "Cached neighborhoods") is a pure
-// memoization: flipping it on or off must not change a single metric of a
-// fixed-seed run.  Guards against the cache ever observing stale topology.
+// The per-node neighbor cache (DESIGN.md §7, "Grid-epoch invalidation") is
+// a pure memoization: flipping it on or off must not change a single metric
+// of a fixed-seed run, whether a mobile world's skin lists, a static
+// world's epoch-keyed lists under churn or a two-domain world's replicas
+// serve it.  Guards against the cache ever observing stale topology.
 TEST(Integration, NeighborCacheDoesNotChangeResults) {
   auto cfg = test_util::small_mobile(424242);
   cfg.n_nodes = 40;
@@ -327,6 +330,41 @@ TEST(Integration, NeighborCacheDoesNotChangeResults) {
   EXPECT_EQ(a.consistency_messages, b.consistency_messages);
   EXPECT_EQ(a.frames_lost, b.frames_lost);
   EXPECT_EQ(a.events_executed, b.events_executed);
+
+  // core::fingerprint renders every Metrics field on a line of its own,
+  // so the string comparisons below name any field that differs.
+  {
+    // A static world under loss and churn: lists are kept across
+    // timestamps until a kill or a revive moves the topology epoch.
+    auto still = cfg;
+    still.mobile = false;
+    still.wireless.channel.model = "bernoulli";
+    still.wireless.channel.loss_p = 0.05;
+    still.request_retries = 2;
+    still.crash_rate_per_s = 0.02;
+    still.join_rate_per_s = 0.02;
+    still.graceful_fraction = 0.5;
+    auto still_uncached = still;
+    still_uncached.wireless.neighbor_cache = false;
+    core::Scenario scenario(still);
+    const Metrics s = scenario.run();
+    // Past the one grid build, only kills and revives move the epoch.
+    EXPECT_GT(scenario.network().topology_epoch(), 4u);
+    EXPECT_EQ(core::fingerprint(s),
+              core::fingerprint(core::run_scenario(still_uncached)));
+  }
+  {
+    // One world cut into region-column domains on two shards: every
+    // domain's replica radio keeps its own lists.
+    auto world = cfg;
+    world.shards = 2;
+    world.measure_s = 100;
+    auto world_uncached = world;
+    world_uncached.wireless.neighbor_cache = false;
+    EXPECT_EQ(
+        core::world_fingerprint(core::run_world_scenario(world)),
+        core::world_fingerprint(core::run_world_scenario(world_uncached)));
+  }
 }
 
 }  // namespace

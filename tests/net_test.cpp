@@ -326,31 +326,34 @@ TEST(NeighborIndex, ExactForNodesAtTheSpeedBoundAroundTheRangeEdge) {
   // grid snapshot, so its snapshot sits right at the edge of the band the
   // snapshot alone decides; at query time the pair is 1e-7 m inside or
   // outside range.  Only the mobility oracle can tell, and it must be
-  // asked.
+  // asked.  At exactly the snapshot's staleness a closing pair's
+  // snapshots lie as far apart as a skin list must reach, less 1e-7 m.
   net::WirelessConfig wc;
   wc.area = {{0, 0}, {2000, 2500}};
   const double r = wc.range_m;
   const double t0 = 10.0;
-  const double tq = t0 + 0.49;
-  ScriptedPairs mob({{true, r - 1e-7},
-                     {true, r + 1e-7},
-                     {false, r - 1e-7},
-                     {false, r + 1e-7}},
-                    wc.max_node_speed_mps, tq);
-  sim::Simulator sim;
-  net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, 1);
-  sim.run_until(t0);
-  (void)net.neighbors(0);  // first query: the grid snapshot at t0
-  const std::uint64_t epoch = net.topology_epoch();
-  sim.run_until(tq);
-  for (NodeId n = 0; n < mob.node_count(); ++n) {
-    EXPECT_EQ(net.neighbors(n),
-              test_util::brute_force_neighbors(mob, n, tq, r))
-        << "node " << n;
+  for (const double age : {0.49, wc.spatial_index_staleness_s}) {
+    const double tq = t0 + age;
+    ScriptedPairs mob({{true, r - 1e-7},
+                       {true, r + 1e-7},
+                       {false, r - 1e-7},
+                       {false, r + 1e-7}},
+                      wc.max_node_speed_mps, tq);
+    sim::Simulator sim;
+    net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, 1);
+    sim.run_until(t0);
+    (void)net.neighbors(0);  // first query: the grid snapshot at t0
+    const std::uint64_t epoch = net.topology_epoch();
+    sim.run_until(tq);
+    for (NodeId n = 0; n < mob.node_count(); ++n) {
+      EXPECT_EQ(net.neighbors(n),
+                test_util::brute_force_neighbors(mob, n, tq, r))
+          << "age " << age << " node " << n;
+    }
+    EXPECT_EQ(net.topology_epoch(), epoch) << "no snapshot between t0 and tq";
+    EXPECT_EQ(net.neighbors(0), (std::vector<NodeId>{1}));
+    EXPECT_TRUE(net.neighbors(2).empty());
   }
-  EXPECT_EQ(net.topology_epoch(), epoch) << "no snapshot between t0 and tq";
-  EXPECT_EQ(net.neighbors(0), (std::vector<NodeId>{1}));
-  EXPECT_TRUE(net.neighbors(2).empty());
 
   // A static world decides from its snapshot alone, at the same edge.
   mobility::StaticPlacement placement({{0, 0},
@@ -421,6 +424,76 @@ TEST(NeighborIndex, FewOracleCallsPerComputedNeighborhood) {
   EXPECT_GT(listed, computed);  // real neighborhoods, not empty ones
   EXPECT_LT(static_cast<double>(mob.calls), 8.0 * static_cast<double>(computed))
       << mob.calls << " oracle calls for " << computed << " neighborhoods";
+}
+
+TEST(NeighborIndex, StaticWorldComputesEachListOncePerEpoch) {
+  // 1,000 query timestamps over 160 nodes that never move, with two kills
+  // and a revive among them: a list is computed from the grid only for a
+  // (node, epoch) pair not queried before, and every answer equals the
+  // uncached reference's, which walks the grid at every query.
+  const geo::Rect area{{0, 0}, {1400, 1400}};
+  auto placement = mobility::StaticPlacement::uniform(160, area, 11);
+  net::WirelessConfig wc;
+  wc.area = area;
+  net::WirelessConfig uncached_wc = wc;
+  uncached_wc.neighbor_cache = false;
+  sim::Simulator sim;
+  net::WirelessNet net(sim, placement, wc, energy::FeeneyModel{}, 11);
+  net::WirelessNet uncached(sim, placement, uncached_wc, energy::FeeneyModel{},
+                            11);
+  std::set<std::pair<NodeId, std::uint64_t>> queried;
+  std::uint64_t queries = 0;
+  for (int step = 0; step < 1000; ++step) {
+    sim.run_until(0.013 * step);
+    for (net::WirelessNet* radio : {&net, &uncached}) {
+      if (step == 250) radio->kill(5);
+      if (step == 500) radio->revive(5);
+      if (step == 750) radio->kill(17);
+    }
+    for (NodeId q = 0; q < 160; q += 4) {
+      EXPECT_EQ(net.neighbors(q), uncached.neighbors(q))
+          << "t=" << sim.now() << " node " << q;
+      queried.insert({q, net.topology_epoch()});
+      ++queries;
+    }
+  }
+  // Epochs: the grid build, the kill, the revive, the second kill.
+  EXPECT_EQ(queried.size(), 40u * 4u);
+  EXPECT_EQ(net.neighbor_grid_walks(), queried.size());
+  EXPECT_EQ(uncached.neighbor_grid_walks(), queries);
+}
+
+TEST(NeighborIndex, MobileWorldBuildsOneSkinListPerNodePerSnapshot) {
+  // The city benchmark's topology, 20 nodes queried every 10 ms for 20 s:
+  // about 50 queries per node between two grid snapshots, all answered
+  // from one skin list per (node, snapshot), and each equal to the
+  // uncached reference's answer.
+  mobility::RandomWaypointConfig rwp;
+  rwp.area = {{0, 0}, {1600, 1600}};
+  rwp.v_max = 10.0;
+  rwp.pause_s = 5.0;
+  mobility::RandomWaypoint mob(200, rwp, 3);
+  net::WirelessConfig wc;
+  wc.area = rwp.area;
+  wc.max_node_speed_mps = rwp.v_max;
+  net::WirelessConfig uncached_wc = wc;
+  uncached_wc.neighbor_cache = false;
+  sim::Simulator sim;
+  net::WirelessNet net(sim, mob, wc, energy::FeeneyModel{}, 3);
+  net::WirelessNet uncached(sim, mob, uncached_wc, energy::FeeneyModel{}, 3);
+  std::set<std::pair<NodeId, std::uint64_t>> queried;
+  for (int step = 0; step < 2000; ++step) {
+    sim.run_until(10.0 + 0.01 * step);
+    for (NodeId q = 0; q < 200; q += 10) {
+      EXPECT_EQ(net.neighbors(q), uncached.neighbors(q))
+          << "t=" << sim.now() << " node " << q;
+      // No churn: each epoch is one grid snapshot.
+      queried.insert({q, net.topology_epoch()});
+    }
+  }
+  EXPECT_GT(net.topology_epoch(), 30u);  // ~40 snapshots in 20 s
+  EXPECT_EQ(net.neighbor_grid_walks(), queried.size());
+  EXPECT_EQ(queried.size(), 20u * (net.topology_epoch() - 1));
 }
 
 }  // namespace
