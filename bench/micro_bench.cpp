@@ -68,6 +68,43 @@ void BM_EventQueueCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancel)->Arg(1024)->Arg(16384);
 
+// The queue as a run uses it, with no arena or heap growth in the timed
+// loop (BM_EventQueueScheduleRun times a fresh fill and drain): the
+// pending count holds at the argument, since every fired event queues one
+// successor, alternately at the radio's 0.3-ms processing delay and
+// uniformly within 20 ms.  One iteration fires the next due event.
+class SteadyChurn {
+ public:
+  SteadyChurn(sim::Simulator& sim, std::size_t pending) : sim_(sim) {
+    for (std::size_t i = 0; i < pending; ++i) requeue();
+  }
+  // Queued events hold `this`.
+  SteadyChurn(const SteadyChurn&) = delete;
+  SteadyChurn& operator=(const SteadyChurn&) = delete;
+
+ private:
+  void requeue() {
+    short_delay_ = !short_delay_;
+    sim_.schedule(short_delay_ ? 3e-4 : rng_.uniform(0.0, 0.02),
+                  [this] { requeue(); });
+  }
+
+  sim::Simulator& sim_;
+  support::Rng rng_{23};
+  bool short_delay_ = false;
+};
+
+void BM_EventHeapSteady(benchmark::State& state) {
+  sim::Simulator sim;
+  SteadyChurn churn(sim, static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    sim.run_until(sim.next_event_time());
+    benchmark::DoNotOptimize(sim.now());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(sim.events_executed()));
+}
+BENCHMARK(BM_EventHeapSteady)->Arg(64)->Arg(350)->Arg(1024);
+
 struct RadioFixtureState {
   sim::Simulator sim;
   mobility::StaticPlacement placement;

@@ -194,6 +194,16 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
            [&](const std::string& v) {
              c.catalog.n_items = parse_integer<std::size_t>(v, "items");
            }},
+          {"min_item_bytes",
+           [&](const std::string& v) {
+             c.catalog.min_item_bytes =
+                 parse_integer<std::size_t>(v, "min_item_bytes");
+           }},
+          {"max_item_bytes",
+           [&](const std::string& v) {
+             c.catalog.max_item_bytes =
+                 parse_integer<std::size_t>(v, "max_item_bytes");
+           }},
           {"request_interval",
            [&](const std::string&) {
              c.mean_request_interval_s =
@@ -507,6 +517,8 @@ std::map<std::string, std::string> config_to_kv(const PrecinctConfig& c) {
     kv[prefix + "fixed"] = cls.fixed ? "true" : "false";
   }
   kv["items"] = std::to_string(c.catalog.n_items);
+  kv["min_item_bytes"] = std::to_string(c.catalog.min_item_bytes);
+  kv["max_item_bytes"] = std::to_string(c.catalog.max_item_bytes);
   kv["request_interval"] = format_number(c.mean_request_interval_s);
   kv["update_interval"] = format_number(c.mean_update_interval_s);
   // Alphabetical replay order puts `consistency` before `updates`, so the

@@ -177,8 +177,9 @@ void PrecinctEngine::initialize() {
   }
 }
 
-void PrecinctEngine::on_receive(net::NodeId self, const net::Packet& raw) {
-  net::Packet packet = raw;
+void PrecinctEngine::on_receive(net::NodeId self, const net::Packet& packet) {
+  // `packet` is the radio's pooled frame, shared by every receiver of the
+  // batch: it is never written here (see the recovery branch).
   // Piggybacked position learning: any frame heard from src is as good
   // as a beacon from it.
   if (beacons_ != nullptr && config_.beacon_piggyback &&
@@ -194,7 +195,10 @@ void PrecinctEngine::on_receive(net::NodeId self, const net::Packet& raw) {
         geo::distance(net_.position(packet.src), packet.dest_location)) {
       return;
     }
-    packet.recovery = false;
+    net::Packet admitted = packet;
+    admitted.recovery = false;
+    dispatch_.dispatch(self, admitted);
+    return;
   }
   dispatch_.dispatch(self, packet);
 }

@@ -160,7 +160,9 @@ class PrecinctEngine {
 
  private:
   /// Receive-path prelude shared by every packet kind (position
-  /// piggybacking, void-recovery gating), then table dispatch.
+  /// piggybacking, void-recovery gating), then table dispatch of the
+  /// radio's pooled frame by reference; only an admitted void-recovery
+  /// frame is copied, to clear its `recovery` flag.
   void on_receive(net::NodeId self, const net::Packet& packet);
   void take_timeline_sample();
 

@@ -25,8 +25,10 @@ void MessageStats::count_send(PacketKind kind, std::size_t bytes) noexcept {
   bytes_[index(kind)] += bytes;
 }
 
-void MessageStats::count_delivery(PacketKind kind) noexcept {
-  ++deliveries_[index(kind)];
+void MessageStats::count_deliveries(PacketKind kind, std::size_t receivers,
+                                    std::size_t wire_bytes) noexcept {
+  deliveries_[index(kind)] += receivers;
+  wire_received_[index(kind)] += receivers * wire_bytes;
 }
 
 void MessageStats::count_channel_drop(PacketKind kind) noexcept {
@@ -36,11 +38,6 @@ void MessageStats::count_channel_drop(PacketKind kind) noexcept {
 void MessageStats::count_wire_sent(PacketKind kind,
                                    std::size_t wire_bytes) noexcept {
   wire_sent_[index(kind)] += wire_bytes;
-}
-
-void MessageStats::count_wire_received(PacketKind kind,
-                                       std::size_t wire_bytes) noexcept {
-  wire_received_[index(kind)] += wire_bytes;
 }
 
 std::uint64_t MessageStats::sends(PacketKind kind) const noexcept {

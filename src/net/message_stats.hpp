@@ -14,7 +14,6 @@ namespace precinct::net {
 class MessageStats {
  public:
   void count_send(PacketKind kind, std::size_t bytes) noexcept;
-  void count_delivery(PacketKind kind) noexcept;
   /// Transport-layer accounting: the *encoded* size of a frame under the
   /// wire codec (transport/wire_format), charged once per transmission
   /// and once per delivery.  `bytes_sent` above counts payload
@@ -22,7 +21,10 @@ class MessageStats {
   /// fleet would actually put on the wire, so sim and real-transport runs
   /// report traffic volume on the same basis.
   void count_wire_sent(PacketKind kind, std::size_t wire_bytes) noexcept;
-  void count_wire_received(PacketKind kind, std::size_t wire_bytes) noexcept;
+  /// `receivers` deliveries of one frame of `wire_bytes` encoded bytes:
+  /// a broadcast counts all its surviving receivers in one call.
+  void count_deliveries(PacketKind kind, std::size_t receivers,
+                        std::size_t wire_bytes) noexcept;
   /// A frame erased by the channel model in flight. Kept separate from
   /// routing losses (TTL expiry, GPSR voids) so lossy-channel sweeps can
   /// attribute missing deliveries to the channel and not the protocol.

@@ -364,10 +364,9 @@ void WirelessNet::deliver_broadcast_impl(const PacketRef& packet,
     if (!owns(receiver)) continue;
     if (!lossless_ && channel_dropped(p, receiver)) continue;
     energy_.charge(receiver, energy::RadioOp::kBroadcastRecv, p.size_bytes);
-    stats_.count_delivery(p.kind);
-    stats_.count_wire_received(p.kind, wire_bytes);
     rx.push_back(receiver);
   }
+  stats_.count_deliveries(p.kind, rx.size(), wire_bytes);
   if (!on_receive_ || rx.empty()) {
     release_rx_list(std::move(rx));
     return;
@@ -457,8 +456,7 @@ void WirelessNet::deliver_unicast_impl(PacketRef packet, NodeId next_hop,
     if (!erased_by_channel) ++frames_lost_;
     return;
   }
-  stats_.count_delivery(p.kind);
-  stats_.count_wire_received(p.kind, transport::wire_size(p));
+  stats_.count_deliveries(p.kind, 1, transport::wire_size(p));
   if (on_receive_) {
     sim_.schedule(config_.proc_delay_s,
                   [this, packet = std::move(packet), next_hop] {

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #if defined(__GNUC__) || defined(__clang__)
 #define PRECINCT_PREFETCH(addr) __builtin_prefetch(addr)
@@ -14,13 +17,15 @@ namespace precinct::sim {
 
 EventHandle Simulator::schedule_impl(SimTime when, EventCallback&& fn) {
   assert(fn);
+  // The key's bit order is time order only from +0.0 up (see HeapKey).
+  assert(!std::signbit(when) && !std::isnan(when));
   const std::uint32_t slot = alloc_slot();
   Slot& s = slot_ref(slot);
   s.live = true;
   s.cancelled = false;
   s.fn = std::move(fn);
   assert(next_seq_ < (std::uint64_t{1} << (64 - kSlotBits)));
-  heap_push(HeapEntry{when, (next_seq_++ << kSlotBits) | slot});
+  heap_push(make_key(when, (next_seq_++ << kSlotBits) | slot));
   return EventHandle(slot, s.generation);
 }
 
@@ -40,9 +45,18 @@ std::uint32_t Simulator::alloc_slot() {
     return slot;
   }
   if (next_unused_ == blocks_.size() << kBlockShift) {
+    // A slot index must fit its kSlotBits key bits, or it would spill into
+    // seq and reorder events silently.  Blocks tile 2^kSlotBits exactly,
+    // so the first index past the bound always starts a new block.
+    static_assert((std::size_t{1} << kSlotBits) % kBlockSize == 0);
+    if ((next_unused_ >> kSlotBits) != 0) {
+      throw std::length_error(
+          "Simulator: more than 2^" + std::to_string(kSlotBits) +
+          " events pending at once (an event key holds a " +
+          std::to_string(kSlotBits) + "-bit slot index)");
+    }
     blocks_.push_back(std::make_unique<Slot[]>(kBlockSize));
   }
-  assert(next_unused_ < kSlotMask);
   return next_unused_++;
 }
 
@@ -59,20 +73,20 @@ void Simulator::recycle_slot(std::uint32_t slot) {
 // Both sifts percolate a hole instead of swapping: one write per level
 // plus a final store, rather than three.
 
-void Simulator::heap_push(HeapEntry entry) {
+void Simulator::heap_push(HeapKey key) {
   std::size_t i = heap_.size();
-  heap_.push_back(entry);  // placeholder; overwritten below
+  heap_.push_back(key);  // placeholder; overwritten below
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!before(entry, heap_[parent])) break;
+    if (!before(key, heap_[parent])) break;
     heap_[i] = heap_[parent];
     i = parent;
   }
-  heap_[i] = entry;
+  heap_[i] = key;
 }
 
 void Simulator::heap_pop_root() {
-  const HeapEntry last = heap_.back();
+  const HeapKey last = heap_.back();
   heap_.pop_back();
   const std::size_t n = heap_.size();
   if (n == 0) return;
@@ -106,15 +120,15 @@ void Simulator::drain(SimTime bound) {
   // Re-reading the root each iteration lets a callback's own schedules
   // and a nested run_until (which pops with an earlier bound) interleave
   // exactly as (time, seq) order says.
-  while (!heap_.empty() && heap_[0].time <= bound) {
-    const HeapEntry e = heap_[0];
-    const std::uint32_t slot = static_cast<std::uint32_t>(e.key) & kSlotMask;
+  while (!heap_.empty() && time_of(heap_[0]) <= bound) {
+    const HeapKey root = heap_[0];
+    const std::uint32_t slot = slot_of(root);
     Slot& s = slot_ref(slot);
     // Issue the (likely-cold) slot load now; the pop's sift-down is a
     // chain of dependent heap reads that hides the latency.
     PRECINCT_PREFETCH(&s);
     heap_pop_root();
-    now_ = e.time;  // cancelled events still advance the clock
+    now_ = time_of(root);  // cancelled events still advance the clock
     if (s.cancelled) {
       recycle_slot(slot);
       continue;
@@ -132,7 +146,7 @@ void Simulator::drain(SimTime bound) {
 
 SimTime Simulator::next_event_time() const noexcept {
   return heap_.empty() ? std::numeric_limits<SimTime>::infinity()
-                       : heap_[0].time;
+                       : time_of(heap_[0]);
 }
 
 void Simulator::run_until(SimTime end_time) {

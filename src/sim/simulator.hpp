@@ -7,14 +7,17 @@
 //
 // Hot-path internals (DESIGN.md §7): events live in a chunked slot arena
 // (stable addresses, intrusive free list, no realloc moves) and are
-// ordered by one 4-ary min-heap of 16-byte (time, seq|slot) entries; the
+// ordered by one 4-ary min-heap of unsigned 128-bit keys, the time's
+// IEEE-754 bits above seq<<24|slot, compared with one integer `<`; the
 // drain pops its root while the root is due, and that is the only pop
 // path.  Callbacks are small-buffer-optimized (EventCallback), so
 // steady-state scheduling allocates nothing; cancel() is an O(1)
 // tombstone on the pooled slot, skipped when popped.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -114,13 +117,19 @@ class Simulator {
     EventCallback fn;
   };
 
-  // Heap entries pack (seq, slot) into one key: seq in the high 40 bits so
-  // key order *is* insertion order (seq is unique), slot in the low 24.
-  // Bounds: < 2^24 concurrently pending events, < 2^40 events per run.
-  struct HeapEntry {
-    SimTime time;
-    std::uint64_t key;
-  };
+  // A heap entry is one unsigned 128-bit key: the event time's IEEE-754
+  // bits in the high 64, then seq in 40 bits and slot in the low 24.  No
+  // queued time is negative or NaN (schedule/schedule_at clamp to now(),
+  // which starts at +0.0), and for such doubles the bit pattern orders
+  // exactly like the value, +inf included.  So one integer `<` is the
+  // (time, seq) order, and seq being unique makes it strict.
+  // Bounds: at most 2^24 events pending at once (checked in every build
+  // where the arena grows), < 2^40 events per run (asserted).
+  static_assert(__SIZEOF_INT128__ == 16,
+                "the event heap needs a 128-bit unsigned integer");
+  __extension__ typedef unsigned __int128 HeapKey;
+  static_assert(std::numeric_limits<SimTime>::is_iec559,
+                "time bits must be IEEE-754 to order like the time");
   static constexpr unsigned kSlotBits = 24;
   static constexpr std::uint32_t kSlotMask = (1u << kSlotBits) - 1u;
   static constexpr std::uint32_t kNullSlot = ~0u;
@@ -130,13 +139,18 @@ class Simulator {
   static constexpr unsigned kBlockShift = 9;
   static constexpr std::size_t kBlockSize = std::size_t{1} << kBlockShift;
 
-  // Bitwise ops on purpose: all three compares evaluate unconditionally and
-  // combine without branches, so the heap sifts (whose outcomes are
-  // data-random and unpredictable) compile to cmov instead of mispredicts.
-  static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
-    return (a.time < b.time) |
-           ((a.time == b.time) & (a.key < b.key));
+  static HeapKey make_key(SimTime time, std::uint64_t seq_slot) noexcept {
+    return (HeapKey{std::bit_cast<std::uint64_t>(time)} << 64) | seq_slot;
   }
+  static SimTime time_of(HeapKey key) noexcept {
+    return std::bit_cast<SimTime>(static_cast<std::uint64_t>(key >> 64));
+  }
+  static std::uint32_t slot_of(HeapKey key) noexcept {
+    return static_cast<std::uint32_t>(key) & kSlotMask;
+  }
+  // One compare-and-borrow pair: the heap sifts, whose outcomes are
+  // data-random, stay free of unpredictable branches.
+  static bool before(HeapKey a, HeapKey b) noexcept { return a < b; }
 
   [[nodiscard]] Slot& slot_ref(std::uint32_t slot) noexcept {
     return blocks_[slot >> kBlockShift][slot & (kBlockSize - 1)];
@@ -145,7 +159,7 @@ class Simulator {
   EventHandle schedule_impl(SimTime when, EventCallback&& fn);
   [[nodiscard]] std::uint32_t alloc_slot();
   void recycle_slot(std::uint32_t slot);
-  void heap_push(HeapEntry entry);
+  void heap_push(HeapKey key);
   void heap_pop_root();
   /// Pops ready events (time <= bound) and executes non-cancelled ones.
   void drain(SimTime bound);
@@ -154,7 +168,7 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   EventCallback post_event_;  ///< observe-only; see set_post_event_hook
-  std::vector<HeapEntry> heap_;
+  std::vector<HeapKey> heap_;
   std::vector<std::unique_ptr<Slot[]>> blocks_;
   std::uint32_t next_unused_ = 0;      // first never-allocated slot index
   std::uint32_t free_head_ = kNullSlot;

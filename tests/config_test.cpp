@@ -606,6 +606,62 @@ TEST(ConfigIo, IntegerKeysParseExactlyIntoTheirFieldType) {
   EXPECT_EQ(c.seed, std::numeric_limits<std::uint64_t>::max());
 }
 
+TEST(ConfigIo, ItemSizeKeysRoundTripAndReject) {
+  // The catalog's item-size range has keys of its own, so a config file
+  // can state abl_scalability's 512-B worlds.
+  const PrecinctConfig c = core::config_from_kv(support::KvFile::parse(
+      "items = 200\nmin_item_bytes = 512\nmax_item_bytes = 512\n"));
+  EXPECT_EQ(c.catalog.n_items, 200u);
+  EXPECT_EQ(c.catalog.min_item_bytes, 512u);
+  EXPECT_EQ(c.catalog.max_item_bytes, 512u);
+  expect_roundtrip(c, "512-B items");
+  const std::string text = core::config_to_string(c);
+  EXPECT_NE(text.find("min_item_bytes = 512\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("max_item_bytes = 512\n"), std::string::npos) << text;
+  // Defaults are written too, so a saved config pins its sizes.
+  const std::string defaults = core::config_to_string(PrecinctConfig{});
+  EXPECT_NE(defaults.find("min_item_bytes = 1024\n"), std::string::npos);
+  EXPECT_NE(defaults.find("max_item_bytes = 10240\n"), std::string::npos);
+
+  // Values that are not exact integers of the field's type fail naming
+  // the key.
+  const struct {
+    const char* key;
+    const char* value;
+  } malformed[] = {
+      {"min_item_bytes", "-1"},
+      {"min_item_bytes", "1.5"},
+      {"max_item_bytes", "nan"},
+      {"max_item_bytes", "18446744073709551616"},
+  };
+  for (const auto& r : malformed) {
+    const std::string line = std::string(r.key) + " = " + r.value + "\n";
+    try {
+      (void)core::config_from_kv(support::KvFile::parse(line));
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + r.key + "'"),
+                std::string::npos)
+          << line << e.what();
+    }
+  }
+  // Well-formed but empty or inverted ranges parse, and validate() refuses
+  // them.
+  for (const char* range : {"min_item_bytes = 0\n",
+                            "min_item_bytes = 600\nmax_item_bytes = 599\n"}) {
+    const PrecinctConfig bad =
+        core::config_from_kv(support::KvFile::parse(range));
+    try {
+      bad.validate();
+      ADD_FAILURE() << range << " validated";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad catalog item size range"),
+                std::string::npos)
+          << range << e.what();
+    }
+  }
+}
+
 TEST(ConfigIo, NonFiniteNumbersThrowNamingTheKey) {
   // std::stod reads nan and the infinities, which no key means: a NaN
   // range used to pass validate() and crash the run.

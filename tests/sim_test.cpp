@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <limits>
+#include <map>
 #include <new>
 #include <sstream>
 #include <string>
@@ -571,6 +575,157 @@ TEST(Simulator, HandlesStayDeadAcrossManyRecycles) {
     old = fresh;
   }
   EXPECT_EQ(sim.events_executed(), 5u * 64u);
+}
+
+// Events scheduled through the public API with the time each must fire
+// at, checked against a (time, insertion order) reference as they fire:
+// the event due next fires, now() is its time bit for bit, and
+// next_event_time() is then the earliest remaining time bit for bit.
+class KeyOrderProbe {
+ public:
+  explicit KeyOrderProbe(Simulator& sim) : sim_(sim) {}
+  // Queued events hold `this`.
+  KeyOrderProbe(const KeyOrderProbe&) = delete;
+  KeyOrderProbe& operator=(const KeyOrderProbe&) = delete;
+
+  void delay(double delay, double expected) {
+    const int id = expect(expected);
+    sim_.schedule(delay, [this, id] { fire(id); });
+  }
+  void at(double when, double expected) {
+    const int id = expect(expected);
+    sim_.schedule_at(when, [this, id] { fire(id); });
+  }
+  /// Runs `action` inside the next event added, after its checks.
+  void then(std::function<void()> action) {
+    actions_[next_id_] = std::move(action);
+  }
+
+  [[nodiscard]] double earliest() const {
+    double t = std::numeric_limits<double>::infinity();
+    for (const Entry& e : pending_) t = std::min(t, e.time);
+    return t;
+  }
+  [[nodiscard]] int added() const { return next_id_; }
+  [[nodiscard]] int fired() const { return fired_; }
+  [[nodiscard]] std::size_t errors() const { return errors_; }
+  [[nodiscard]] const std::string& first_error() const { return first_; }
+
+ private:
+  struct Entry {
+    double time;
+    int id;  // insertion order, so also the queue's seq order
+  };
+
+  int expect(double time) {
+    pending_.push_back({time, next_id_});
+    return next_id_++;
+  }
+
+  void fire(int id) {
+    ++fired_;
+    const auto due = std::min_element(
+        pending_.begin(), pending_.end(), [](const Entry& a, const Entry& b) {
+          return a.time < b.time || (a.time == b.time && a.id < b.id);
+        });
+    if (due == pending_.end()) return fail("event " + std::to_string(id) +
+                                           " fired with nothing pending");
+    if (due->id != id) {
+      fail("event " + std::to_string(id) + " fired before event " +
+           std::to_string(due->id));
+    }
+    if (bits(sim_.now()) != bits(due->time)) {
+      fail("event " + std::to_string(due->id) + " fired at now() " +
+           hex(sim_.now()) + ", scheduled " + hex(due->time));
+    }
+    pending_.erase(due);
+    if (const auto it = actions_.find(id); it != actions_.end()) it->second();
+    if (bits(sim_.next_event_time()) != bits(earliest())) {
+      fail("after event " + std::to_string(id) + " next_event_time() " +
+           hex(sim_.next_event_time()) + ", earliest pending " +
+           hex(earliest()));
+    }
+  }
+
+  static std::uint64_t bits(double t) {
+    return std::bit_cast<std::uint64_t>(t);
+  }
+  static std::string hex(double t) {
+    std::ostringstream out;
+    out << t << " (0x" << std::hex << bits(t) << ")";
+    return out.str();
+  }
+  void fail(const std::string& what) {
+    if (errors_++ == 0) first_ = what;
+  }
+
+  Simulator& sim_;
+  std::vector<Entry> pending_;
+  std::map<int, std::function<void()>> actions_;
+  int next_id_ = 0;
+  int fired_ = 0;
+  std::size_t errors_ = 0;
+  std::string first_;
+};
+
+TEST(Simulator, KeyOrderHoldsAtFloatingPointEdges) {
+  // The heap compares the IEEE-754 bits of event times as unsigned
+  // integers.  That is (time, seq) order only because every queued time
+  // is +0.0 or above and not NaN: -0.0, NaN and negative times must clamp
+  // to now(), and the positive edges must order by value.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double k2p52 = std::ldexp(1.0, 52);
+  Simulator sim;
+  KeyOrderProbe probe(sim);
+  // Clamps at the starting clock, +0.0.
+  probe.delay(+0.0, 0.0);
+  probe.delay(-0.0, 0.0);
+  probe.delay(kNaN, 0.0);
+  probe.delay(-1.0, 0.0);
+  probe.delay(-kInf, 0.0);
+  probe.at(-0.0, 0.0);
+  probe.at(kNaN, 0.0);
+  probe.at(-3.0, 0.0);
+  // 1,000 events that share one time, half queued before the edges.
+  for (int i = 0; i < 500; ++i) probe.delay(1.0, 1.0);
+  // Positive edges, queued from the largest down, each as a delay and as
+  // an absolute time.  The subnormal 5e-324 and DBL_MIN sit just above
+  // +0.0; 2^52's neighbours are 0.5 below and 1 above it.
+  const std::vector<double> edges = {
+      5e-324, DBL_MIN, std::nextafter(1.0, 0.0), 1.0,
+      std::nextafter(1.0, 2.0), std::nextafter(k2p52, 0.0), k2p52,
+      std::nextafter(k2p52, kInf), 1e300, DBL_MAX};
+  for (auto it = edges.rbegin(); it != edges.rend(); ++it) {
+    probe.at(*it, *it);
+    probe.delay(*it, *it);
+  }
+  probe.at(kInf, kInf);
+  probe.delay(kInf, kInf);
+  // At 1.0, one event queues clamps against a clock that is not zero: they
+  // land behind every event already queued at 1.0.
+  probe.then([&] {
+    probe.delay(-0.0, 1.0);
+    probe.delay(kNaN, 1.0);
+    probe.delay(-2.0, 1.0);
+    probe.at(-0.0, 1.0);
+    probe.at(kNaN, 1.0);
+    probe.at(0.5, 1.0);
+    probe.delay(0.0, 1.0);
+  });
+  probe.delay(1.0, 1.0);
+  for (int i = 0; i < 499; ++i) probe.delay(1.0, 1.0);
+
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sim.next_event_time()), 0u);
+  sim.run_until(0.5);
+  EXPECT_EQ(sim.now(), 0.5);
+  EXPECT_EQ(sim.next_event_time(), std::nextafter(1.0, 0.0));
+  sim.run_all();
+  EXPECT_EQ(probe.errors(), 0u) << "first: " << probe.first_error();
+  EXPECT_EQ(probe.fired(), probe.added());
+  EXPECT_EQ(sim.now(), kInf);
+  EXPECT_EQ(sim.next_event_time(), kInf);
+  EXPECT_EQ(sim.pending(), 0u);
 }
 
 TEST(Tracer, DisabledByDefault) {

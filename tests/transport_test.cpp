@@ -257,11 +257,13 @@ TEST(WireStats, MessageStatsTracksWireBytesPerKind) {
   net::MessageStats stats;
   stats.count_wire_sent(net::PacketKind::kRequest, 107);
   stats.count_wire_sent(net::PacketKind::kRequest, 111);
-  stats.count_wire_received(net::PacketKind::kResponse, 132);
+  stats.count_deliveries(net::PacketKind::kResponse, 1, 132);
+  stats.count_deliveries(net::PacketKind::kResponse, 3, 120);
   EXPECT_EQ(stats.wire_bytes_sent(net::PacketKind::kRequest), 218u);
-  EXPECT_EQ(stats.wire_bytes_received(net::PacketKind::kResponse), 132u);
+  EXPECT_EQ(stats.deliveries(net::PacketKind::kResponse), 4u);
+  EXPECT_EQ(stats.wire_bytes_received(net::PacketKind::kResponse), 492u);
   EXPECT_EQ(stats.total_wire_bytes_sent(), 218u);
-  EXPECT_EQ(stats.total_wire_bytes_received(), 132u);
+  EXPECT_EQ(stats.total_wire_bytes_received(), 492u);
   // Wire accounting is a parallel ledger: the paper's payload metric is
   // untouched by it.
   EXPECT_EQ(stats.total_bytes(), 0u);
