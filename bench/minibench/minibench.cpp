@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -25,7 +26,7 @@ struct Flags {
   std::string format = "console";       // --benchmark_format
   std::string out_path;                 // --benchmark_out
   std::string out_format = "json";      // --benchmark_out_format
-  std::string filter;                   // --benchmark_filter (substring)
+  std::string filter;                   // --benchmark_filter (regex)
   double min_time_s = 0.5;              // --benchmark_min_time
 };
 
@@ -87,8 +88,8 @@ class BenchmarkRunner {
   /// Adaptive iteration search (google-benchmark's strategy, simplified):
   /// grow the iteration count until the timed region spans min_time, then
   /// report that final run.
-  static RunResult run(const Benchmark& bench, std::int64_t arg,
-                       bool has_arg) {
+  static RunResult run(const Benchmark& bench, std::string name,
+                       std::int64_t arg, bool has_arg) {
     IterationCount iters = 1;
     for (int attempt = 0; attempt < 64; ++attempt) {
       std::vector<std::int64_t> args;
@@ -102,11 +103,7 @@ class BenchmarkRunner {
                           iters >= (std::int64_t{1} << 40);
       if (enough) {
         RunResult r;
-        r.name = bench.name();
-        if (has_arg) {
-          r.name += '/';
-          r.name += std::to_string(arg);
-        }
+        r.name = std::move(name);
         r.iterations = iters;
         r.real_time_ns =
             real_s * 1e9 / static_cast<double>(iters);
@@ -348,20 +345,52 @@ void AddCustomContext(const std::string& key, const std::string& value) {
 }
 
 std::size_t RunSpecifiedBenchmarks() {
-  std::vector<RunResult> runs;
+  // google-benchmark's filter: an ECMAScript regex searched in each run's
+  // full name ("BM_CacheScan/32"), empty meaning all.  One that fails to
+  // compile or selects nothing is a usage error, never a run that
+  // measures nothing.
+  std::regex filter;
+  try {
+    filter.assign(g_flags.filter.empty() ? "." : g_flags.filter,
+                  std::regex::ECMAScript);
+  } catch (const std::regex_error& e) {
+    std::fprintf(stderr,
+                 "minibench: '--benchmark_filter' value '%s' is not a valid "
+                 "regex: %s\n",
+                 g_flags.filter.c_str(), e.what());
+    std::exit(2);
+  }
+  struct Selected {
+    const internal::Benchmark* bench;
+    std::string name;
+    std::int64_t arg;
+    bool has_arg;
+  };
+  std::vector<Selected> selected;
   for (const auto& bench : registry()) {
-    if (!g_flags.filter.empty() &&
-        bench->name().find(g_flags.filter) == std::string::npos) {
-      continue;
-    }
-    if (bench->args().empty()) {
-      runs.push_back(internal::BenchmarkRunner::run(*bench, 0, false));
-    } else {
-      for (const std::int64_t arg : bench->args()) {
-        runs.push_back(internal::BenchmarkRunner::run(*bench, arg, true));
+    const auto select = [&](std::int64_t arg, bool has_arg) {
+      std::string name = bench->name();
+      if (has_arg) name += '/' + std::to_string(arg);
+      if (std::regex_search(name, filter)) {
+        selected.push_back({bench.get(), std::move(name), arg, has_arg});
       }
-    }
-    // Progress as each family lands (a full sweep takes a while).
+    };
+    if (bench->args().empty()) select(0, false);
+    for (const std::int64_t arg : bench->args()) select(arg, true);
+  }
+  if (selected.empty()) {
+    std::fprintf(stderr,
+                 "minibench: '--benchmark_filter' value '%s' matches no "
+                 "benchmark\n",
+                 g_flags.filter.c_str());
+    std::exit(2);
+  }
+
+  std::vector<RunResult> runs;
+  for (Selected& s : selected) {
+    runs.push_back(internal::BenchmarkRunner::run(*s.bench, std::move(s.name),
+                                                  s.arg, s.has_arg));
+    // Progress as each run lands (a full sweep takes a while).
     const RunResult& last = runs.back();
     std::fprintf(stderr, "%-45s %11.1f ns  (x%lld)\n", last.name.c_str(),
                  last.cpu_time_ns, static_cast<long long>(last.iterations));

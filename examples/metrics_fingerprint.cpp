@@ -178,5 +178,27 @@ int main(int argc, char** argv) {
     c.graceful_fraction = 0.5;
     run_config("static_churn_s43", c);
   }
+  {
+    // Pull-Every-time: every cached serve polls the home region first.
+    auto c = base(47);
+    c.updates_enabled = true;
+    c.consistency = consistency::Mode::kPullEveryTime;
+    c.mean_update_interval_s = 45.0;
+    run_config("pull_every_time_s47", c);
+  }
+  {
+    // Expanding ring under Plain-Push on a lossy channel: the retry
+    // budget backs each invalidation flood with acknowledged pushes.
+    auto c = base(53);
+    c.retrieval = core::RetrievalKind::kExpandingRing;
+    c.updates_enabled = true;
+    c.consistency = consistency::Mode::kPlainPush;
+    c.mean_update_interval_s = 45.0;
+    c.wireless.channel.model = "bernoulli";
+    c.wireless.channel.loss_p = 0.1;
+    c.request_retries = 2;
+    c.measure_s = 150;
+    run_config("ring_plain_push_loss_s53", c);
+  }
   return 0;
 }

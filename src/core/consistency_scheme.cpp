@@ -1,6 +1,6 @@
-// ConsistencyScheme — shared machinery (paper §4): updates, the push
-// phase with custodian acknowledgements, the adaptive pull (polls + TTR),
-// Plain-Push invalidations.
+// ConsistencyScheme (paper §4): updates and their per-mode propagation,
+// the push phase with custodian acknowledgements, the adaptive pull
+// (polls + TTR), Plain-Push invalidations.
 #include "core/consistency_scheme.hpp"
 
 #include <algorithm>
@@ -10,29 +10,6 @@
 #include "core/retrieval_scheme.hpp"
 
 namespace precinct::core {
-
-void ConsistencyScheme::register_handlers(net::PacketDispatcher& dispatch) {
-  dispatch.set(net::PacketKind::kUpdatePush,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 handle_update_push(self, packet);
-               });
-  dispatch.set(net::PacketKind::kPoll,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 handle_poll(self, packet);
-               });
-  dispatch.set(net::PacketKind::kPollReply,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 handle_poll_reply(self, packet);
-               });
-  dispatch.set(net::PacketKind::kInvalidation,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 handle_invalidation(self, packet);
-               });
-  dispatch.set(net::PacketKind::kPushAck,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 handle_push_ack(self, packet);
-               });
-}
 
 void ConsistencyScheme::initiate_update(net::NodeId peer, geo::Key key) {
   const std::uint64_t version = ctx_.catalog.apply_update(key, ctx_.sim.now());
@@ -60,23 +37,50 @@ void ConsistencyScheme::initiate_update(net::NodeId peer, geo::Key key) {
   propagate_update(peer, key, version);
 }
 
-void PlainPush::propagate_update(net::NodeId peer, geo::Key key,
-                                 std::uint64_t version) {
-  // Flood the update to the entire network (§1).  Carries the data so
-  // custodians apply it; caches merely invalidate.
-  net::Packet packet =
-      ctx_.make_packet(net::PacketKind::kInvalidation, peer, key);
-  packet.mode = net::RouteMode::kNetworkFlood;
-  packet.ttl = ctx_.config.network_flood_ttl;
-  packet.version = version;
-  packet.size_bytes = net::kHeaderBytes + ctx_.catalog.item(key).size_bytes;
-  ctx_.flood.mark_seen(peer, packet.id);
-  ctx_.net.broadcast(packet);
-  if (ctx_.config.request_retries > 0) {
-    // Lossy-channel hardening: the flood is fire-and-forget, so one erased
-    // frame can strand a custodian on an old version forever.  Back the
-    // flood up with the acknowledged (and retried) push path.
-    push_to_key_regions(peer, key, version);
+bool ConsistencyScheme::needs_validation(
+    double ttr_remaining_s) const noexcept {
+  switch (ctx_.config.consistency) {
+    case consistency::Mode::kNone:
+    case consistency::Mode::kPlainPush:
+      // Pushed invalidations are Plain-Push's only staleness signal.
+      return false;
+    case consistency::Mode::kPullEveryTime:
+      return true;  // validate on every cached serve
+    case consistency::Mode::kPushAdaptivePull:
+      return ttr_remaining_s <= 0.0;  // poll only after the TTR lapses
+  }
+  return false;
+}
+
+void ConsistencyScheme::propagate_update(net::NodeId peer, geo::Key key,
+                                         std::uint64_t version) {
+  switch (ctx_.config.consistency) {
+    case consistency::Mode::kNone:
+      return;
+    case consistency::Mode::kPlainPush: {
+      // Flood the update to the entire network (§1).  Carries the data so
+      // custodians apply it; caches merely invalidate.
+      net::Packet packet =
+          ctx_.make_packet(net::PacketKind::kInvalidation, peer, key);
+      packet.mode = net::RouteMode::kNetworkFlood;
+      packet.ttl = ctx_.config.network_flood_ttl;
+      packet.version = version;
+      packet.size_bytes =
+          net::kHeaderBytes + ctx_.catalog.item(key).size_bytes;
+      ctx_.flood.mark_seen(peer, packet.id);
+      ctx_.net.broadcast(packet);
+      if (ctx_.config.request_retries > 0) {
+        // Lossy-channel hardening: the flood is fire-and-forget, so one
+        // erased frame can strand a custodian on an old version forever.
+        // Back the flood up with the acknowledged (and retried) push path.
+        push_to_key_regions(peer, key, version);
+      }
+      return;
+    }
+    case consistency::Mode::kPullEveryTime:
+    case consistency::Mode::kPushAdaptivePull:
+      push_to_key_regions(peer, key, version);
+      return;
   }
 }
 
@@ -358,7 +362,7 @@ void ConsistencyScheme::handle_poll_reply(net::NodeId self,
                                  ctx_.sim.now() + std::max(0.0, packet.ttr_s));
   // Hand the correlation back to the retrieval scheme: either a requester
   // validating its own copy or a responder-side validation poll.
-  ctx_.retrieval->on_poll_reply(self, packet);
+  ctx_.retrieval->on_poll_reply(packet);
 }
 
 void ConsistencyScheme::handle_invalidation(net::NodeId self,

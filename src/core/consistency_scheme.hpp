@@ -1,12 +1,13 @@
-// ConsistencyScheme — the cache-consistency strategy axis (paper §4,
-// Fig 6–8).  The base class owns the machinery every scheme shares: the
-// per-key TTR estimators, the reliable push channel (pushes + custodian
-// acks + retries), poll service at the home region and the consistency
-// packet handlers.  Concrete schemes decide how an update propagates and
-// when a cached copy must be validated before being served.
+// ConsistencyScheme — the cache-consistency axis (paper §4, Fig 6–8).
+// One class runs every mode: the per-key TTR estimators, the reliable
+// push channel (pushes + custodian acks + retries), poll service at the
+// home region and the consistency packet handlers.  The modes differ
+// only in how an update propagates and when a cached copy must be
+// validated before being served, and those two decisions switch on
+// config.consistency.
 //
-// Schemes communicate with the rest of the stack only via packets and
-// the EngineContext (DESIGN.md §8).
+// The scheme talks to the rest of the stack only via packets and the
+// EngineContext (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
@@ -14,40 +15,39 @@
 
 #include "consistency/ttr.hpp"
 #include "core/engine_context.hpp"
-#include "net/packet_dispatch.hpp"
 
 namespace precinct::core {
 
 class ConsistencyScheme {
  public:
   explicit ConsistencyScheme(EngineContext& ctx) noexcept : ctx_(ctx) {}
-  virtual ~ConsistencyScheme() = default;
 
   ConsistencyScheme(const ConsistencyScheme&) = delete;
   ConsistencyScheme& operator=(const ConsistencyScheme&) = delete;
 
-  /// Registry name ("none", "plain-push", "pull-every-time",
-  /// "push-adaptive-pull", ...).
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-
-  /// Claim the packet kinds this module owns (kUpdatePush, kPoll,
-  /// kPollReply, kInvalidation, kPushAck).
-  void register_handlers(net::PacketDispatcher& dispatch);
-
   /// One write at `peer` to `key`: bumps the catalog version, applies it
-  /// to the updater's own copies, then propagates per the scheme.
+  /// to the updater's own copies, then propagates per the mode.
   void initiate_update(net::NodeId peer, geo::Key key);
 
   /// Does a copy with this much TTR left need validating before being
-  /// served?  Consulted by the retrieval scheme on every cached serve.
-  [[nodiscard]] virtual bool needs_validation(
-      double ttr_remaining_s) const noexcept = 0;
+  /// served?  Consulted by the retrieval scheme on every cached serve:
+  /// never without polling (none, Plain-Push), always (Pull-Every-time),
+  /// or once the TTR lapsed (Push with Adaptive Pull).
+  [[nodiscard]] bool needs_validation(double ttr_remaining_s) const noexcept;
 
-  /// Whether the workload should schedule update traffic at all ("none"
-  /// returns false; the read-only workload skips the generators).
-  [[nodiscard]] virtual bool generates_updates() const noexcept {
-    return true;
+  /// Whether the workload should schedule update traffic at all (the
+  /// read-only "none" mode skips the generators).
+  [[nodiscard]] bool generates_updates() const noexcept {
+    return ctx_.config.consistency != consistency::Mode::kNone;
   }
+
+  // -- receive paths, one per packet kind this module owns ---------------------
+  void handle_update_push(net::NodeId self, const net::Packet& packet);
+  void handle_poll(net::NodeId self, const net::Packet& packet);
+  void handle_poll_reply(net::NodeId self, const net::Packet& packet);
+  /// Plain-Push's network-wide invalidation flood.
+  void handle_invalidation(net::NodeId self, const net::Packet& packet);
+  void handle_push_ack(net::NodeId self, const net::Packet& packet);
 
   /// Route a poll toward `key`'s home region.  Returns false when there
   /// is no home region to poll.
@@ -86,11 +86,12 @@ class ConsistencyScheme {
     }
   }
 
- protected:
-  /// Scheme-specific propagation of a committed write (flood an
-  /// invalidation, push to the key's regions, or nothing).
-  virtual void propagate_update(net::NodeId peer, geo::Key key,
-                                std::uint64_t version) = 0;
+ private:
+  /// Propagate a committed write per the mode: flood an invalidation
+  /// (Plain-Push), push to the key's regions (the polling modes), or
+  /// nothing (none).
+  void propagate_update(net::NodeId peer, geo::Key key,
+                        std::uint64_t version);
 
   /// Push phase (Figure 2): route the update to the home region and
   /// every replica region; flooding inside those regions locates the
@@ -98,9 +99,6 @@ class ConsistencyScheme {
   void push_to_key_regions(net::NodeId peer, geo::Key key,
                            std::uint64_t version);
 
-  EngineContext& ctx_;
-
- private:
   /// An update push awaiting its custodian acknowledgement; re-sent on
   /// timeout (the paper assumes updates reliably reach the home region,
   /// which over lossy geographic routing requires an ack + retry).
@@ -120,88 +118,9 @@ class ConsistencyScheme {
   /// Returns true when `self` held custody and applied the update.
   bool apply_custodian_update(net::NodeId self, const net::Packet& packet);
 
-  void handle_update_push(net::NodeId self, const net::Packet& packet);
-  void handle_poll(net::NodeId self, const net::Packet& packet);
-  void handle_poll_reply(net::NodeId self, const net::Packet& packet);
-  void handle_invalidation(net::NodeId self, const net::Packet& packet);
-  void handle_push_ack(net::NodeId self, const net::Packet& packet);
-
+  EngineContext& ctx_;
   std::unordered_map<std::uint64_t, PendingPush> pending_pushes_;
   std::unordered_map<geo::Key, consistency::TtrEstimator> ttr_;
-};
-
-/// Read-only workload: no consistency traffic, nothing to validate.
-class NoConsistency final : public ConsistencyScheme {
- public:
-  using ConsistencyScheme::ConsistencyScheme;
-  [[nodiscard]] const char* name() const noexcept override { return "none"; }
-  [[nodiscard]] bool needs_validation(double) const noexcept override {
-    return false;
-  }
-  [[nodiscard]] bool generates_updates() const noexcept override {
-    return false;
-  }
-
- protected:
-  void propagate_update(net::NodeId, geo::Key, std::uint64_t) override {}
-};
-
-/// Plain-Push (Cao & Liu): the updater floods the update/invalidation to
-/// the entire network.  Stateless but very expensive; the pushed
-/// invalidations are the only staleness signal, so no validation.
-class PlainPush final : public ConsistencyScheme {
- public:
-  using ConsistencyScheme::ConsistencyScheme;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "plain-push";
-  }
-  [[nodiscard]] bool needs_validation(double) const noexcept override {
-    return false;
-  }
-
- protected:
-  void propagate_update(net::NodeId peer, geo::Key key,
-                        std::uint64_t version) override;
-};
-
-/// Pull-Every-time (Gwertzman & Seltzer): every request served from a
-/// cached copy first polls the data's home region to validate it.
-class PullEveryTime final : public ConsistencyScheme {
- public:
-  using ConsistencyScheme::ConsistencyScheme;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "pull-every-time";
-  }
-  [[nodiscard]] bool needs_validation(double) const noexcept override {
-    return true;  // validate on every cached serve
-  }
-
- protected:
-  void propagate_update(net::NodeId peer, geo::Key key,
-                        std::uint64_t version) override {
-    push_to_key_regions(peer, key, version);
-  }
-};
-
-/// Push with Adaptive Pull — the paper's scheme: updates are pushed only
-/// to the home and replica regions; cached copies carry a TTR and peers
-/// poll the home region only after it expires.
-class PushAdaptivePull final : public ConsistencyScheme {
- public:
-  using ConsistencyScheme::ConsistencyScheme;
-  [[nodiscard]] const char* name() const noexcept override {
-    return "push-adaptive-pull";
-  }
-  [[nodiscard]] bool needs_validation(
-      double ttr_remaining_s) const noexcept override {
-    return ttr_remaining_s <= 0.0;  // poll only after the TTR lapses
-  }
-
- protected:
-  void propagate_update(net::NodeId peer, geo::Key key,
-                        std::uint64_t version) override {
-    push_to_key_regions(peer, key, version);
-  }
 };
 
 }  // namespace precinct::core

@@ -12,20 +12,11 @@
 
 namespace precinct::core {
 
-void CustodyManager::register_handlers(net::PacketDispatcher& dispatch) {
-  dispatch.set(net::PacketKind::kKeyTransfer,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 handle_key_transfer(self, packet);
-               });
-  dispatch.set(net::PacketKind::kRegionUpdate,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 // Region-table dissemination: adopt and rebroadcast (flood
-                 // with duplicate suppression, like every other
-                 // network-wide flood).
-                 if (ctx_.flood.mark_seen(self, packet.id)) {
-                   ctx_.flood_forward(self, packet);
-                 }
-               });
+void CustodyManager::handle_region_update(net::NodeId self,
+                                          const net::Packet& packet) {
+  // Region-table dissemination: adopt and rebroadcast (flood with
+  // duplicate suppression, like every other network-wide flood).
+  if (ctx_.flood.mark_seen(self, packet.id)) ctx_.flood_forward(self, packet);
 }
 
 void CustodyManager::place_initial_copies() {

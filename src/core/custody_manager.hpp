@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "core/engine_context.hpp"
-#include "net/packet_dispatch.hpp"
 
 namespace precinct::core {
 
@@ -24,9 +23,11 @@ class CustodyManager {
   CustodyManager(const CustodyManager&) = delete;
   CustodyManager& operator=(const CustodyManager&) = delete;
 
-  /// Claim the packet kinds this module owns (kKeyTransfer,
-  /// kRegionUpdate).
-  void register_handlers(net::PacketDispatcher& dispatch);
+  /// kKeyTransfer receive path: adopt a handed-off custody copy, or
+  /// forward it toward its target.
+  void handle_key_transfer(net::NodeId self, const net::Packet& packet);
+  /// kRegionUpdate receive path: relay the region-table flood.
+  void handle_region_update(net::NodeId self, const net::Packet& packet);
 
   /// Deploy every item's custody copy at a peer in its home region (and a
   /// replica at the replica region, §2.4).
@@ -65,7 +66,6 @@ class CustodyManager {
   [[nodiscard]] std::size_t custody_count(geo::Key key) const;
 
  private:
-  void handle_key_transfer(net::NodeId self, const net::Packet& packet);
   /// Another live peer in `holder`'s region already holding `key`'s
   /// custody copy (kNoNode if none) — the custody-uniqueness guard
   /// consulted before adopting a transfer or re-homing after a merge.

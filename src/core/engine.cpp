@@ -1,46 +1,8 @@
 #include "core/engine.hpp"
 
-#include <cmath>
-#include <stdexcept>
-#include <string>
-
 #include "check/invariant_checker.hpp"
-#include "core/retrieval_baselines.hpp"
-#include "core/retrieval_precinct.hpp"
 
 namespace precinct::core {
-
-namespace {
-
-std::unique_ptr<RetrievalScheme> make_retrieval(RetrievalKind kind,
-                                                EngineContext& ctx) {
-  switch (kind) {
-    case RetrievalKind::kPrecinct:
-      return std::make_unique<PrecinctLookup>(ctx);
-    case RetrievalKind::kFlooding:
-      return std::make_unique<FloodingRetrieval>(ctx);
-    case RetrievalKind::kExpandingRing:
-      return std::make_unique<ExpandingRingRetrieval>(ctx);
-  }
-  throw std::invalid_argument("PrecinctEngine: bad RetrievalKind");
-}
-
-std::unique_ptr<ConsistencyScheme> make_consistency(consistency::Mode mode,
-                                                    EngineContext& ctx) {
-  switch (mode) {
-    case consistency::Mode::kNone:
-      return std::make_unique<NoConsistency>(ctx);
-    case consistency::Mode::kPlainPush:
-      return std::make_unique<PlainPush>(ctx);
-    case consistency::Mode::kPullEveryTime:
-      return std::make_unique<PullEveryTime>(ctx);
-    case consistency::Mode::kPushAdaptivePull:
-      return std::make_unique<PushAdaptivePull>(ctx);
-  }
-  throw std::invalid_argument("PrecinctEngine: bad consistency::Mode");
-}
-
-}  // namespace
 
 PrecinctEngine::PrecinctEngine(const PrecinctConfig& config,
                                sim::Simulator& simulator,
@@ -63,7 +25,11 @@ PrecinctEngine::PrecinctEngine(const PrecinctConfig& config,
       flood_(network.node_count()),
       rng_(support::hash_combine(config.seed, 0xEC61)),
       ctx_(config_, sim_, net_, regions_, hash_, catalog_, zipf_, gpsr_,
-           flood_, rng_, peers_, metrics_) {
+           flood_, rng_, peers_, metrics_),
+      retrieval_(ctx_),
+      consistency_(ctx_),
+      custody_(ctx_),
+      workload_(ctx_) {
   const std::size_t capacity =
       config_.cache_capacity_bytes(catalog_.total_bytes());
   peers_.reserve(net_.node_count());
@@ -85,20 +51,10 @@ PrecinctEngine::PrecinctEngine(const PrecinctConfig& config,
   ctx_.beacons = beacons_.get();
   ctx_.refresh_region_diameter();
 
-  // Build the strategy modules the config selects and wire them into the
-  // context, then let each claim the packet kinds it owns.
-  retrieval_ = make_retrieval(config_.retrieval, ctx_);
-  consistency_ = make_consistency(config_.consistency, ctx_);
-  custody_ = std::make_unique<CustodyManager>(ctx_);
-  workload_ = std::make_unique<WorkloadDriver>(ctx_);
-  ctx_.retrieval = retrieval_.get();
-  ctx_.consistency = consistency_.get();
-  ctx_.custody = custody_.get();
-  ctx_.workload = workload_.get();
-  retrieval_->register_handlers(dispatch_);
-  consistency_->register_handlers(dispatch_);
-  custody_->register_handlers(dispatch_);
-  workload_->register_handlers(dispatch_);
+  ctx_.retrieval = &retrieval_;
+  ctx_.consistency = &consistency_;
+  ctx_.custody = &custody_;
+  ctx_.workload = &workload_;
 
   net_.set_receive_handler(
       [this](net::NodeId self, const net::Packet& packet) {
@@ -150,29 +106,29 @@ void PrecinctEngine::initialize() {
   for (net::NodeId i = 0; i < net_.node_count(); ++i) {
     ctx_.set_region(i, regions_.containing(net_.position(i)));
   }
-  custody_->place_initial_copies();
+  custody_.place_initial_copies();
   for (net::NodeId i = 0; i < net_.node_count(); ++i) {
     if (!ctx_.shard.owns(i)) continue;
-    workload_->schedule_next_request(i);
-    if (config_.updates_enabled && consistency_->generates_updates()) {
-      workload_->schedule_next_update(i);
+    workload_.schedule_next_request(i);
+    if (config_.updates_enabled && consistency_.generates_updates()) {
+      workload_.schedule_next_update(i);
     }
   }
-  if (config_.mobile) workload_->schedule_region_checks();
-  if (config_.zipf_drift_per_s != 0.0) workload_->schedule_zipf_drift();
-  if (config_.crash_rate_per_s > 0.0) workload_->schedule_crashes();
-  if (config_.join_rate_per_s > 0.0) workload_->schedule_joins();
+  if (config_.mobile) workload_.schedule_region_checks();
+  if (config_.zipf_drift_per_s != 0.0) workload_.schedule_zipf_drift();
+  if (config_.crash_rate_per_s > 0.0) workload_.schedule_crashes();
+  if (config_.join_rate_per_s > 0.0) workload_.schedule_joins();
   if (config_.use_beacons) {
     for (net::NodeId i = 0; i < net_.node_count(); ++i) {
       if (!ctx_.shard.owns(i)) continue;
-      workload_->schedule_beacon(i);
+      workload_.schedule_beacon(i);
     }
   }
-  if (config_.dynamic_regions) custody_->schedule_rebalance();
+  if (config_.dynamic_regions) custody_.schedule_rebalance();
   if (!config_.workload_script.empty()) {
     // Every replica loads the same file; schedule_script applies only the
     // owned nodes' lines, so a world-sharded fleet runs each line once.
-    workload_->schedule_script(
+    workload_.schedule_script(
         workload::load_script(config_.workload_script));
   }
 }
@@ -197,10 +153,45 @@ void PrecinctEngine::on_receive(net::NodeId self, const net::Packet& packet) {
     }
     net::Packet admitted = packet;
     admitted.recovery = false;
-    dispatch_.dispatch(self, admitted);
+    dispatch(self, admitted);
     return;
   }
-  dispatch_.dispatch(self, packet);
+  dispatch(self, packet);
+}
+
+void PrecinctEngine::dispatch(net::NodeId self, const net::Packet& packet) {
+  switch (packet.kind) {
+    case net::PacketKind::kRequest:
+      retrieval_.handle_request(self, packet);
+      return;
+    case net::PacketKind::kResponse:
+      retrieval_.handle_response(self, packet);
+      return;
+    case net::PacketKind::kUpdatePush:
+      consistency_.handle_update_push(self, packet);
+      return;
+    case net::PacketKind::kPoll:
+      consistency_.handle_poll(self, packet);
+      return;
+    case net::PacketKind::kPollReply:
+      consistency_.handle_poll_reply(self, packet);
+      return;
+    case net::PacketKind::kInvalidation:
+      consistency_.handle_invalidation(self, packet);
+      return;
+    case net::PacketKind::kKeyTransfer:
+      custody_.handle_key_transfer(self, packet);
+      return;
+    case net::PacketKind::kRegionUpdate:
+      custody_.handle_region_update(self, packet);
+      return;
+    case net::PacketKind::kPushAck:
+      consistency_.handle_push_ack(self, packet);
+      return;
+    case net::PacketKind::kBeacon:
+      workload_.handle_beacon(self, packet);
+      return;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +274,7 @@ Metrics PrecinctEngine::finalize() {
   if (checker_ != nullptr) checker_->audit();
   // Requests still in flight at the end of the window count as failed so
   // success_ratio is conservative.
-  metrics_.requests_failed += retrieval_->measured_pending();
+  metrics_.requests_failed += retrieval_.measured_pending();
   return metrics_;
 }
 

@@ -1,14 +1,15 @@
 // PrecinctEngine — thin facade over the layered protocol modules.
 //
 // The engine owns the simulation substrate (radio hookup, regions,
-// catalog, per-peer state, metrics) and wires the pluggable modules
-// together through an EngineContext: the RetrievalScheme (data search),
-// the ConsistencyScheme (updates/validation), the CustodyManager
-// (placement, handoff, churn, region management) and the WorkloadDriver
-// (request/update/beacon generators, failure injection).  Received
-// packets route to the owning module through a typed per-PacketKind
-// dispatch table; the config's RetrievalKind and consistency::Mode pick
-// which scheme implementations run.  See DESIGN.md §8.
+// catalog, per-peer state, metrics) and the four protocol modules, held
+// by value and wired together through an EngineContext: the
+// RetrievalScheme (data search), the ConsistencyScheme
+// (updates/validation), the CustodyManager (placement, handoff, churn,
+// region management) and the WorkloadDriver (request/update/beacon
+// generators, failure injection).  on_receive hands every frame to one
+// switch on its PacketKind, which calls the owning module's handler; the
+// config's RetrievalKind and consistency::Mode select the variant inside
+// each scheme.  See DESIGN.md §8.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,6 @@
 #include "core/metrics.hpp"
 #include "core/retrieval_scheme.hpp"
 #include "core/workload_driver.hpp"
-#include "net/packet_dispatch.hpp"
 
 namespace precinct::core {
 
@@ -62,18 +62,18 @@ class PrecinctEngine {
 
   /// Issue one data request at `peer` for `key` right now.
   void issue_request(net::NodeId peer, geo::Key key) {
-    retrieval_->issue(peer, key, /*prefetch=*/false);
+    retrieval_.issue(peer, key, /*prefetch=*/false);
   }
 
   /// Issue an uncounted background fetch (prefetching): traffic and
   /// energy are charged but request metrics are not touched.
   void issue_prefetch(net::NodeId peer, geo::Key key) {
-    retrieval_->issue(peer, key, /*prefetch=*/true);
+    retrieval_.issue(peer, key, /*prefetch=*/true);
   }
 
   /// Initiate one update at `peer` for `key` right now.
   void issue_update(net::NodeId peer, geo::Key key) {
-    consistency_->initiate_update(peer, key);
+    consistency_.initiate_update(peer, key);
   }
 
   // -- introspection -----------------------------------------------------------
@@ -100,37 +100,26 @@ class PrecinctEngine {
   [[nodiscard]] const geo::GeoHash& geo_hash() const noexcept { return hash_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
   [[nodiscard]] std::size_t pending_requests() const noexcept {
-    return retrieval_->pending_count();
+    return retrieval_.pending_count();
   }
   /// Custodian (static-space holder) count for a key across live peers.
   [[nodiscard]] std::size_t custody_count(geo::Key key) const {
-    return custody_->custody_count(key);
+    return custody_.custody_count(key);
   }
   /// Lifetime geographic-forwarding drop counters (the measurement-window
   /// delta is surfaced as Metrics::routing by finalize()).
   [[nodiscard]] const RoutingStats& routing_stats() const noexcept {
     return ctx_.route_drops;
   }
-  /// The receive-path dispatch table (introspection for tests).
-  [[nodiscard]] const net::PacketDispatcher& dispatcher() const noexcept {
-    return dispatch_;
-  }
-  /// Names of the installed scheme implementations.
-  [[nodiscard]] const char* retrieval_scheme_name() const noexcept {
-    return retrieval_->name();
-  }
-  [[nodiscard]] const char* consistency_scheme_name() const noexcept {
-    return consistency_->name();
-  }
 
   /// Crash a peer mid-run; `graceful` hands custody off first (§2.4).
   void fail_peer(net::NodeId peer, bool graceful) {
-    custody_->fail_peer(peer, graceful);
+    custody_.fail_peer(peer, graceful);
   }
 
   /// Bring a crashed peer back with fresh state (empty caches, no
   /// custody); it resumes issuing requests and beaconing.
-  void revive_peer(net::NodeId peer) { custody_->revive_peer(peer); }
+  void revive_peer(net::NodeId peer) { custody_.revive_peer(peer); }
 
   /// Attach an event tracer (nullptr detaches).  Not owned.
   void set_tracer(sim::Tracer* tracer) noexcept { ctx_.tracer = tracer; }
@@ -143,27 +132,30 @@ class PrecinctEngine {
   /// id, or nullopt if either id is unknown.
   std::optional<geo::RegionId> merge_regions(geo::RegionId a, geo::RegionId b,
                                              net::NodeId initiator) {
-    return custody_->merge_regions(a, b, initiator);
+    return custody_.merge_regions(a, b, initiator);
   }
 
   /// Separate a region into two halves (same dissemination/relocation
   /// protocol as merge_regions).
   std::optional<std::pair<geo::RegionId, geo::RegionId>> separate_region(
       geo::RegionId id, net::NodeId initiator) {
-    return custody_->separate_region(id, initiator);
+    return custody_.separate_region(id, initiator);
   }
 
   /// Peer count per region id (live peers only).
   [[nodiscard]] std::size_t region_population(geo::RegionId region) const {
-    return custody_->region_population(region);
+    return custody_.region_population(region);
   }
 
  private:
   /// Receive-path prelude shared by every packet kind (position
-  /// piggybacking, void-recovery gating), then table dispatch of the
-  /// radio's pooled frame by reference; only an admitted void-recovery
-  /// frame is copied, to clear its `recovery` flag.
+  /// piggybacking, void-recovery gating), then dispatch() of the radio's
+  /// pooled frame by reference; only an admitted void-recovery frame is
+  /// copied, to clear its `recovery` flag.
   void on_receive(net::NodeId self, const net::Packet& packet);
+  /// The one switch from a frame's PacketKind to its owning module's
+  /// handler.  It has no default, so -Wswitch proves every kind handled.
+  void dispatch(net::NodeId self, const net::Packet& packet);
   void take_timeline_sample();
 
   PrecinctConfig config_;
@@ -182,12 +174,11 @@ class PrecinctEngine {
   Metrics metrics_;
   EngineContext ctx_;
 
-  std::unique_ptr<RetrievalScheme> retrieval_;
-  std::unique_ptr<ConsistencyScheme> consistency_;
-  std::unique_ptr<CustodyManager> custody_;
-  std::unique_ptr<WorkloadDriver> workload_;
+  RetrievalScheme retrieval_;
+  ConsistencyScheme consistency_;
+  CustodyManager custody_;
+  WorkloadDriver workload_;
   std::unique_ptr<check::InvariantChecker> checker_;
-  net::PacketDispatcher dispatch_;
 
   double measure_start_ = 0.0;
   double energy_at_start_ = 0.0;

@@ -3,7 +3,7 @@
 // expected-metrics file.  Packs pin the workloads the paper never
 // reached — structured mobility, heterogeneous fleets, flash crowds —
 // so the fingerprint suite, the fuzzer and CI can all regression-gate
-// them like the nine classic configs.
+// them like the thirteen classic configs.
 //
 // Golden format: a comment header, then two fingerprint sections —
 //

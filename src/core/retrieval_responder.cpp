@@ -1,22 +1,26 @@
-// RetrievalScheme — shared responder side: serving requests out of local
-// copies (with consistency validation, Fig 3), the per-route-mode request
-// handling building blocks and the response path back to the requester.
+// RetrievalScheme — responder side: the kRequest and kResponse receive
+// paths, serving requests out of local copies (with consistency
+// validation, Fig 3) and the response path back to the requester.
 #include "core/retrieval_scheme.hpp"
 
 #include "core/consistency_scheme.hpp"
 
 namespace precinct::core {
 
-void RetrievalScheme::register_handlers(net::PacketDispatcher& dispatch) {
-  dispatch.set(net::PacketKind::kRequest,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 if (self == packet.origin) return;
-                 handle_request(self, packet);
-               });
-  dispatch.set(net::PacketKind::kResponse,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 handle_response(self, packet);
-               });
+void RetrievalScheme::handle_request(net::NodeId self,
+                                     const net::Packet& packet) {
+  if (self == packet.origin) return;
+  switch (packet.mode) {
+    case net::RouteMode::kRegionFlood:
+      handle_request_region_flood(self, packet);
+      return;
+    case net::RouteMode::kGeographic:
+      handle_request_geographic(self, packet);
+      return;
+    case net::RouteMode::kNetworkFlood:
+      handle_request_network_flood(self, packet);
+      return;
+  }
 }
 
 void RetrievalScheme::handle_request_region_flood(net::NodeId self,
@@ -183,14 +187,12 @@ void RetrievalScheme::handle_response(net::NodeId self,
       if (ctx_.measuring) ++ctx_.metrics.duplicate_responses_suppressed;
       return;
     }
-    const auto hit_class = static_cast<HitClass>(packet.hit_class);
-    const bool authoritative = hit_class == HitClass::kHomeRegion ||
-                               hit_class == HitClass::kReplicaRegion;
     // Copies are validated by their owners before being served
     // (serve_from_copy), so the requester accepts responses as-is.
-    complete_request(packet.request_id, hit_class, packet.version,
+    complete_request(packet.request_id,
+                     static_cast<HitClass>(packet.hit_class), packet.version,
                      packet.size_bytes - net::kHeaderBytes, packet.ttr_s,
-                     packet.responder_region, authoritative);
+                     packet.responder_region);
     return;
   }
   ctx_.forward_geographic(self, packet);

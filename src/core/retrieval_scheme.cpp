@@ -45,9 +45,6 @@ void RetrievalScheme::serve_from_own_cache(net::NodeId peer,
   const double ttr_remaining = entry.ttr_expiry_s - ctx_.sim.now();
   // Custody copies are the owner's copy: never polled.
   if (!is_custody && ctx_.consistency->needs_validation(ttr_remaining)) {
-    pending.has_candidate = true;
-    pending.candidate_own = true;
-    pending.candidate_class = HitClass::kOwnCache;
     pending.candidate_version = entry.version;
     pending.candidate_bytes = entry.size_bytes;
     pending.candidate_region = ctx_.peers[peer].region;
@@ -55,8 +52,7 @@ void RetrievalScheme::serve_from_own_cache(net::NodeId peer,
     return;
   }
   complete_request(request_id, HitClass::kOwnCache, entry.version,
-                   entry.size_bytes, ttr_remaining, ctx_.peers[peer].region,
-                   /*validated=*/is_custody);
+                   entry.size_bytes, ttr_remaining, ctx_.peers[peer].region);
 }
 
 void RetrievalScheme::start_validation(std::uint64_t request_id) {
@@ -65,9 +61,9 @@ void RetrievalScheme::start_validation(std::uint64_t request_id) {
   if (!ctx_.consistency->send_poll(pending.requester, pending.key, request_id,
                                    pending.candidate_version)) {
     // No home region to poll; serve the candidate as-is.
-    complete_request(request_id, pending.candidate_class,
+    complete_request(request_id, HitClass::kOwnCache,
                      pending.candidate_version, pending.candidate_bytes, 0.0,
-                     pending.candidate_region, /*validated=*/false);
+                     pending.candidate_region);
     return;
   }
   pending.timeout =
@@ -76,32 +72,15 @@ void RetrievalScheme::start_validation(std::uint64_t request_id) {
       });
 }
 
-void RetrievalScheme::on_timeout(std::uint64_t request_id, Phase phase) {
-  const auto it = pending_.find(request_id);
-  if (it == pending_.end() || it->second.phase != phase) return;
-  if (phase == Phase::kValidate) {
-    // The home region did not answer the poll: treat the copy as a miss
-    // and fetch through the normal search path (never serve a copy the
-    // scheme demanded be validated).
-    it->second.has_candidate = false;
-    restart_search(request_id);
-    return;
-  }
-  on_phase_timeout(request_id, phase);
-}
-
-void RetrievalScheme::on_poll_reply(net::NodeId self,
-                                    const net::Packet& packet) {
-  (void)self;
+void RetrievalScheme::on_poll_reply(const net::Packet& packet) {
   if (const auto it = pending_.find(packet.request_id);
       it != pending_.end() && it->second.phase == Phase::kValidate) {
     // Requester validating its own cached copy before serving itself.
     Pending& pending = it->second;
     pending.candidate_version = packet.version;
-    complete_request(packet.request_id, pending.candidate_class,
+    complete_request(packet.request_id, HitClass::kOwnCache,
                      pending.candidate_version, pending.candidate_bytes,
-                     packet.ttr_s, pending.candidate_region,
-                     /*validated=*/true);
+                     packet.ttr_s, pending.candidate_region);
     return;
   }
   // Otherwise a responder-side validation (serve_from_copy).
@@ -113,8 +92,7 @@ void RetrievalScheme::complete_request(std::uint64_t request_id,
                                        std::uint64_t version,
                                        std::size_t item_bytes,
                                        double ttr_remaining_s,
-                                       geo::RegionId responder_region,
-                                       bool validated) {
+                                       geo::RegionId responder_region) {
   const auto it = pending_.find(request_id);
   if (it == pending_.end()) return;  // duplicate response
   Pending pending = it->second;
@@ -189,8 +167,6 @@ void RetrievalScheme::complete_request(std::uint64_t request_id,
                         std::move(msg));
     }
   }
-  (void)validated;
-
   // Extension: after a real remote fetch, opportunistically warm the
   // cache with the hottest items this peer lacks.
   const bool remote = hit_class == HitClass::kHomeRegion ||

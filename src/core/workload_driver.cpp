@@ -9,13 +9,6 @@
 
 namespace precinct::core {
 
-void WorkloadDriver::register_handlers(net::PacketDispatcher& dispatch) {
-  dispatch.set(net::PacketKind::kBeacon,
-               [this](net::NodeId self, const net::Packet& packet) {
-                 handle_beacon(self, packet);
-               });
-}
-
 geo::Key WorkloadDriver::sample_key(net::NodeId peer) {
   std::size_t rank = ctx_.zipf.sample(ctx_.peers[peer].rng);
   if (ctx_.config.hotspot_rotation_interval_s > 0.0) {

@@ -11,7 +11,6 @@
 #include <memory>
 
 #include "core/engine_context.hpp"
-#include "net/packet_dispatch.hpp"
 #include "workload/workload_script.hpp"
 
 namespace precinct::core {
@@ -23,8 +22,8 @@ class WorkloadDriver {
   WorkloadDriver(const WorkloadDriver&) = delete;
   WorkloadDriver& operator=(const WorkloadDriver&) = delete;
 
-  /// Claim the packet kinds this module owns (kBeacon).
-  void register_handlers(net::PacketDispatcher& dispatch);
+  /// kBeacon receive path: refresh the sender's neighbor-table entry.
+  void handle_beacon(net::NodeId self, const net::Packet& packet);
 
   /// Zipf-sample a key, applying the hotspot rotation if configured.
   [[nodiscard]] geo::Key sample_key(net::NodeId peer);
@@ -48,7 +47,6 @@ class WorkloadDriver {
   void schedule_beacon(net::NodeId peer);
 
  private:
-  void handle_beacon(net::NodeId self, const net::Packet& packet);
   /// The failure-injection RNG: ctx.rng in a plain run; in a
   /// world-sharded run a per-domain stream (salt 0xFA11 ^ domain) so
   /// every domain injects its own owned-population share independently

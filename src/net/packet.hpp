@@ -32,9 +32,10 @@ enum class PacketKind : std::uint8_t {
   kBeacon,        ///< GPSR position beacon (neighbor discovery)
 };
 
-/// Number of PacketKind enumerators.  Sizes the per-kind dispatch table
-/// (packet_dispatch.hpp) and per-kind message accounting; keep in sync
-/// when adding kinds.
+/// Number of PacketKind enumerators: the wire decoder's bound on a kind
+/// byte and the fuzzer's per-kind loop.  Keep in sync when adding kinds;
+/// the engine's receive switch needs no count, since -Wswitch flags a
+/// kind it does not handle.
 inline constexpr std::size_t kPacketKindCount = 10;
 
 [[nodiscard]] const char* to_string(PacketKind kind) noexcept;

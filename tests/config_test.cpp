@@ -210,8 +210,8 @@ void expect_roundtrip(const PrecinctConfig& c, const std::string& label) {
   EXPECT_NO_THROW(reread.validate()) << label;
 }
 
-/// The eleven scenarios metrics_fingerprint.cpp runs, rebuilt here; keep in
-/// sync with examples/metrics_fingerprint.cpp.
+/// The thirteen scenarios metrics_fingerprint.cpp runs, rebuilt here; keep
+/// in sync with examples/metrics_fingerprint.cpp.
 std::vector<std::pair<std::string, PrecinctConfig>> fingerprint_configs() {
   const auto base = [](std::uint64_t seed) {
     PrecinctConfig c;
@@ -296,6 +296,25 @@ std::vector<std::pair<std::string, PrecinctConfig>> fingerprint_configs() {
     c.join_rate_per_s = 0.02;
     c.graceful_fraction = 0.5;
     out.emplace_back("static_churn_s43", c);
+  }
+  {
+    auto c = base(47);
+    c.updates_enabled = true;
+    c.consistency = consistency::Mode::kPullEveryTime;
+    c.mean_update_interval_s = 45.0;
+    out.emplace_back("pull_every_time_s47", c);
+  }
+  {
+    auto c = base(53);
+    c.retrieval = core::RetrievalKind::kExpandingRing;
+    c.updates_enabled = true;
+    c.consistency = consistency::Mode::kPlainPush;
+    c.mean_update_interval_s = 45.0;
+    c.wireless.channel.model = "bernoulli";
+    c.wireless.channel.loss_p = 0.1;
+    c.request_retries = 2;
+    c.measure_s = 150;
+    out.emplace_back("ring_plain_push_loss_s53", c);
   }
   return out;
 }

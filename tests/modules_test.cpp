@@ -1,10 +1,10 @@
 // Module-seam tests for the layered protocol architecture (DESIGN.md §8):
-// the built-in scheme catalog, the per-PacketKind dispatch table
-// (exclusive ownership), scheme names and scheme/consistency combination
+// every built-in scheme variant runs, scheme/consistency combination
 // validation, custody relocation driven through the extracted
-// CustodyManager, and the engine's installed schemes.
+// CustodyManager, and the engine facade's routing-drop window.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,7 +13,6 @@
 #include "core/engine.hpp"
 #include "test_util.hpp"
 #include "mobility/static_placement.hpp"
-#include "net/packet_dispatch.hpp"
 #include "net/wireless_net.hpp"
 #include "sim/simulator.hpp"
 
@@ -22,7 +21,6 @@ namespace {
 using namespace precinct;
 using core::PrecinctConfig;
 using core::PrecinctEngine;
-using net::NodeId;
 
 // Fails the test unless parsing `text` throws std::invalid_argument whose
 // message contains every fragment.
@@ -41,28 +39,59 @@ void expect_kv_rejected(const char* text,
 }
 
 // ---------------------------------------------------------------------------
-// Built-in scheme catalog. The engine builds its schemes with a switch on
-// RetrievalKind and consistency::Mode, so the catalog is the enums.
+// Built-in schemes. RetrievalKind and consistency::Mode are the catalog:
+// each scheme switches on them, so every value must run.
 // ---------------------------------------------------------------------------
 
 TEST(SchemeRegistry, BuiltinsAreRegistered) {
-  // Every enum value builds an engine whose scheme name names it.
+  // Every RetrievalKind under the read-only mode, and every
+  // consistency::Mode under PReCinCt retrieval (the one kind that may
+  // poll), completes a remote fetch and a second request for the same key
+  // after an update of it.
+  struct Case {
+    core::RetrievalKind kind;
+    consistency::Mode mode;
+  };
+  std::vector<Case> cases;
   for (const auto kind :
        {core::RetrievalKind::kPrecinct, core::RetrievalKind::kFlooding,
         core::RetrievalKind::kExpandingRing}) {
-    test_util::GridHarness h(test_util::grid_config(), /*start=*/false);
-    h.config.retrieval = kind;
-    EXPECT_STREQ(h.build().retrieval_scheme_name(), to_string(kind));
+    cases.push_back({kind, consistency::Mode::kNone});
   }
   for (const auto mode :
-       {consistency::Mode::kNone, consistency::Mode::kPlainPush,
-        consistency::Mode::kPullEveryTime,
+       {consistency::Mode::kPlainPush, consistency::Mode::kPullEveryTime,
         consistency::Mode::kPushAdaptivePull}) {
+    cases.push_back({core::RetrievalKind::kPrecinct, mode});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(to_string(c.kind)) + " + " +
+                 consistency::to_string(c.mode));
     test_util::GridHarness h(test_util::grid_config(), /*start=*/false);
-    h.config.consistency = mode;
-    h.config.updates_enabled = mode != consistency::Mode::kNone;
-    EXPECT_STREQ(h.build().consistency_scheme_name(),
-                 consistency::to_string(mode));
+    h.config.retrieval = c.kind;
+    h.config.consistency = c.mode;
+    h.config.updates_enabled = c.mode != consistency::Mode::kNone;
+    h.config.mean_update_interval_s = 1e12;  // manual updates only
+    PrecinctEngine& engine = h.build();
+    // A key node 0 holds no custody copy of, so it fetches and caches it.
+    std::optional<geo::Key> key;
+    for (std::size_t i = 0; i < h.catalog.size() && !key; ++i) {
+      if (engine.cache_of(0).find_static(h.catalog.key_of(i)) == nullptr) {
+        key = h.catalog.key_of(i);
+      }
+    }
+    ASSERT_TRUE(key.has_value());
+    engine.issue_request(0, *key);
+    h.settle(8.0);
+    if (c.mode != consistency::Mode::kNone) engine.issue_update(4, *key);
+    h.settle(8.0);
+    engine.issue_request(0, *key);
+    h.settle(8.0);
+    const core::Metrics& m = engine.metrics();
+    EXPECT_EQ(m.requests_completed, 2u);
+    EXPECT_EQ(m.requests_failed, 0u);
+    EXPECT_EQ(engine.pending_requests(), 0u);
+    // Only Pull-Every-time validates a copy whose TTR has not lapsed.
+    EXPECT_EQ(m.polls_sent > 0, c.mode == consistency::Mode::kPullEveryTime);
   }
 }
 
@@ -75,44 +104,6 @@ TEST(SchemeRegistry, UnknownSchemeFailsEngineConstructionWithCatalog) {
   expect_kv_rejected("consistency = quorum\n",
                      {"'consistency'", "quorum", "none", "plain-push",
                       "pull-every-time", "push-adaptive-pull"});
-}
-
-// ---------------------------------------------------------------------------
-// Packet dispatch table
-// ---------------------------------------------------------------------------
-
-TEST(PacketDispatch, EveryKindHasExactlyOneOwnerOnAWiredEngine) {
-  test_util::GridHarness h(test_util::grid_config(), /*start=*/false);
-  PrecinctEngine& engine = h.build();
-  for (std::size_t i = 0; i < net::kPacketKindCount; ++i) {
-    const auto kind = static_cast<net::PacketKind>(i);
-    EXPECT_TRUE(engine.dispatcher().has(kind)) << net::to_string(kind);
-  }
-  EXPECT_EQ(engine.dispatcher().unhandled_kinds(), 0u);
-}
-
-TEST(PacketDispatch, DuplicateOwnerIsAWiringError) {
-  net::PacketDispatcher dispatch;
-  dispatch.set(net::PacketKind::kBeacon, [](NodeId, const net::Packet&) {});
-  EXPECT_THROW(dispatch.set(net::PacketKind::kBeacon,
-                            [](NodeId, const net::Packet&) {}),
-               std::logic_error);
-  EXPECT_THROW(dispatch.set(net::PacketKind::kRequest, nullptr),
-               std::invalid_argument);
-}
-
-TEST(PacketDispatch, UnownedKindsDropInsteadOfCrashing) {
-  net::PacketDispatcher dispatch;
-  int calls = 0;
-  dispatch.set(net::PacketKind::kRequest,
-               [&](NodeId, const net::Packet&) { ++calls; });
-  net::Packet packet;
-  packet.kind = net::PacketKind::kRequest;
-  EXPECT_TRUE(dispatch.dispatch(0, packet));
-  packet.kind = net::PacketKind::kResponse;
-  EXPECT_FALSE(dispatch.dispatch(0, packet));
-  EXPECT_EQ(calls, 1);
-  EXPECT_EQ(dispatch.unhandled_kinds(), net::kPacketKindCount - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,13 +213,6 @@ TEST(Custody, RegionPopulationTracksFailuresAcrossTheSeam) {
 // ---------------------------------------------------------------------------
 // Facade introspection
 // ---------------------------------------------------------------------------
-
-TEST(Engine, ExposesInstalledSchemeNames) {
-  test_util::GridHarness h(test_util::grid_config(), /*start=*/false);
-  PrecinctEngine& engine = h.build();
-  EXPECT_STREQ(engine.retrieval_scheme_name(), "precinct");
-  EXPECT_STREQ(engine.consistency_scheme_name(), "none");
-}
 
 TEST(Engine, RoutingDropWindowDeltaLandsInMetrics) {
   test_util::GridHarness h(test_util::grid_config(), /*start=*/false);
