@@ -6,6 +6,7 @@
 #include <time.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -304,6 +305,29 @@ void report_json(const std::vector<RunResult>& runs, std::ostream& to) {
   to << "{\n" << context_json() << ",\n" << runs_json(runs) << "\n}\n";
 }
 
+/// `format` is "console" or "json" (Initialize refuses anything else).
+void report(const std::vector<RunResult>& runs, const std::string& format,
+            std::FILE* to) {
+  if (format == "json") {
+    std::ostringstream text;
+    report_json(runs, text);
+    std::fputs(text.str().c_str(), to);
+  } else {
+    report_console(runs, to);
+  }
+}
+
+[[noreturn]] void usage_error(const char* flag, const std::string& value,
+                              const char* expected) {
+  std::fprintf(stderr, "minibench: '%s' value '%s' is not %s\n", flag,
+               value.c_str(), expected);
+  std::exit(2);
+}
+
+bool known_format(const std::string& format) {
+  return format == "console" || format == "json";
+}
+
 bool parse_flag(const char* arg, const char* name, std::string* value) {
   const std::size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
@@ -324,13 +348,25 @@ void Initialize(int* argc, char** argv) {
       continue;
     }
     if (parse_flag(argv[i], "--benchmark_min_time", &value)) {
-      g_flags.min_time_s = std::strtod(value.c_str(), nullptr);
-      if (g_flags.min_time_s <= 0.0) g_flags.min_time_s = 0.5;
+      char* end = nullptr;
+      g_flags.min_time_s = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' || !(g_flags.min_time_s > 0.0) ||
+          !std::isfinite(g_flags.min_time_s)) {
+        usage_error("--benchmark_min_time", value,
+                    "a positive number of seconds");
+      }
       continue;
     }
     argv[kept++] = argv[i];
   }
   *argc = kept;
+  if (!known_format(g_flags.format)) {
+    usage_error("--benchmark_format", g_flags.format, "console or json");
+  }
+  if (!known_format(g_flags.out_format)) {
+    usage_error("--benchmark_out_format", g_flags.out_format,
+                "console or json");
+  }
 }
 
 bool ReportUnrecognizedArguments(int argc, char** argv) {
@@ -395,21 +431,20 @@ std::size_t RunSpecifiedBenchmarks() {
     std::fprintf(stderr, "%-45s %11.1f ns  (x%lld)\n", last.name.c_str(),
                  last.cpu_time_ns, static_cast<long long>(last.iterations));
   }
-  if (g_flags.format == "json") {
-    std::ostringstream text;
-    report_json(runs, text);
-    std::fputs(text.str().c_str(), stdout);
-  } else {
-    report_console(runs, stdout);
-  }
+  report(runs, g_flags.format, stdout);
   if (!g_flags.out_path.empty()) {
-    std::ofstream out(g_flags.out_path);
-    if (!out) {
+    std::FILE* out = std::fopen(g_flags.out_path.c_str(), "w");
+    if (out == nullptr) {
       std::fprintf(stderr, "minibench: cannot write %s\n",
                    g_flags.out_path.c_str());
       std::exit(1);
     }
-    report_json(runs, out);  // out_format is always json in this repo
+    report(runs, g_flags.out_format, out);
+    if (std::fclose(out) != 0) {
+      std::fprintf(stderr, "minibench: cannot write %s\n",
+                   g_flags.out_path.c_str());
+      std::exit(1);
+    }
   }
   return runs.size();
 }

@@ -1,5 +1,6 @@
 #include "check/scenario_fuzz.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -201,7 +202,8 @@ std::string wire_codec_trial(support::Rng& rng, net::PacketKind kind) {
 std::string wire_envelope_trial(support::Rng& rng) {
   namespace tw = transport;
   tw::Envelope e;
-  e.type = static_cast<tw::MsgType>(1 + rng.uniform_int(9));  // kHello..kInject
+  e.type = static_cast<tw::MsgType>(  // kHello..kBatch
+      1 + rng.uniform_int(static_cast<std::uint64_t>(tw::MsgType::kBatch)));
   e.src_domain = static_cast<std::uint32_t>(rng.bits());
   e.seq = rng.bits();
   tw::WireWriter w;
@@ -250,6 +252,100 @@ std::string wire_envelope_trial(support::Rng& rng) {
       return fail("envelope truncated to " + std::to_string(cut) +
                   " bytes was accepted");
     }
+  }
+  return {};
+}
+
+/// Batch half of the codec property: a random run of encoded frames plus
+/// a closing WindowEnd marker, packed the way UdpNet packs a window, must
+/// come back entry for entry, in order, from batches of at most
+/// kMaxDatagram bytes, each filled until the next entry would not fit;
+/// every strict truncation of a batch, and a batch nested in a batch,
+/// must be rejected.
+std::string wire_batch_trial(support::Rng& rng) {
+  namespace tw = transport;
+  const auto src = static_cast<std::uint32_t>(rng.bits());
+  std::vector<tw::WireWriter> inner(1 + rng.uniform_int(48));
+  for (std::size_t i = 0; i + 1 < inner.size(); ++i) {
+    tw::FrameMsg f;
+    f.due = rng.uniform(0.0, 1e4);
+    f.is_unicast = rng.uniform_int(2) == 0;
+    f.next_hop = static_cast<net::NodeId>(rng.bits());
+    f.packet = tw::random_wire_packet(
+        rng, static_cast<net::PacketKind>(
+                 rng.uniform_int(net::kPacketKindCount)));
+    tw::encode_envelope(tw::Envelope{tw::MsgType::kFrame, src, i}, inner[i]);
+    tw::encode_frame(f, inner[i]);
+  }
+  tw::WindowEndMsg marker;
+  marker.window = rng.bits();
+  marker.cum_sent = inner.size() - 1;
+  tw::encode_envelope(tw::Envelope{tw::MsgType::kWindowEnd, src, 0},
+                      inner.back());
+  tw::encode_window_end(marker, inner.back());
+
+  std::vector<tw::DatagramView> entries;
+  for (const tw::WireWriter& w : inner) entries.emplace_back(w.data());
+  std::vector<std::vector<std::uint8_t>> batches;
+  tw::BatchPacker packer;
+  packer.pack(src, entries, [&](tw::DatagramView b) {
+    batches.emplace_back(b.begin(), b.end());
+  });
+
+  std::size_t next = 0;  // index of the first entry of the current batch
+  std::vector<tw::DatagramView> back;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    const std::vector<std::uint8_t>& batch = batches[b];
+    const auto fail = [&](const std::string& what) {
+      return "wire-codec [batch " + std::to_string(b) + " of " +
+             std::to_string(batches.size()) + "] " + what +
+             "\npacket-hex: " + tw::to_hex(batch);
+    };
+    if (batch.size() > tw::kMaxDatagram) {
+      return fail("is " + std::to_string(batch.size()) + " bytes");
+    }
+    tw::WireReader r(batch.data(), batch.size());
+    tw::Envelope e;
+    if (!tw::decode_envelope(r, e) || e.type != tw::MsgType::kBatch ||
+        e.src_domain != src || !tw::decode_batch(r, back)) {
+      return fail("did not decode as a batch from its sender");
+    }
+    for (const tw::DatagramView got : back) {
+      if (next >= entries.size() ||
+          !std::equal(got.begin(), got.end(), entries[next].begin(),
+                      entries[next].end())) {
+        return fail("entry " + std::to_string(next) +
+                    " differs from what was packed");
+      }
+      ++next;
+    }
+    if (b + 1 < batches.size() &&
+        batch.size() + tw::kBatchEntryHeaderBytes + entries[next].size() <=
+            tw::kMaxDatagram) {
+      return fail("was cut although entry " + std::to_string(next) +
+                  " still fit");
+    }
+    for (std::size_t cut = 0; cut < batch.size(); ++cut) {
+      tw::WireReader t(batch.data(), cut);
+      if (tw::decode_envelope(t, e) && tw::decode_batch(t, back)) {
+        return fail("truncation to " + std::to_string(cut) +
+                    " bytes was accepted");
+      }
+    }
+    tw::WireWriter nested;
+    tw::encode_envelope(tw::Envelope{tw::MsgType::kBatch, src, 0}, nested);
+    nested.u16(1);
+    nested.u16(static_cast<std::uint16_t>(batch.size()));
+    nested.bytes(batch.data(), batch.size());
+    tw::WireReader n(nested.data().data(), nested.size());
+    if (tw::decode_envelope(n, e) && tw::decode_batch(n, back)) {
+      return fail("was accepted nested in another batch");
+    }
+  }
+  if (next != entries.size()) {
+    return "wire-codec [batch] " + std::to_string(batches.size()) +
+           " batches carried " + std::to_string(next) + " of " +
+           std::to_string(entries.size()) + " entries";
   }
   return {};
 }
@@ -395,6 +491,7 @@ FuzzVerdict run_fuzz_case(const FuzzCase& fc) {
           }
         }
         std::string detail = wire_envelope_trial(rng);
+        if (detail.empty()) detail = wire_batch_trial(rng);
         if (!detail.empty()) return {false, std::move(detail)};
         return {};
       }

@@ -28,8 +28,11 @@
 //                            PacketKind (hostile doubles included), every
 //                            strict truncation and any wrong-version or
 //                            corrupt-magic envelope is rejected without
-//                            crashing (the transport codec contract,
-//                            DESIGN.md §14);
+//                            crashing, and a random window's frames plus
+//                            its marker survive batching entry for entry,
+//                            split at kMaxDatagram, with truncated and
+//                            nested batches rejected (the transport codec
+//                            contract, DESIGN.md §14);
 //   * hetero-equivalent    — wrapping the whole fleet in a single node
 //                            class with no attribute overrides (and, when
 //                            mobile, with speed pinned to the scenario's

@@ -49,16 +49,15 @@ class MessageStats {
   [[nodiscard]] std::uint64_t consistency_sends() const noexcept;
 
  private:
-  static constexpr std::size_t kKinds = 10;
   static std::size_t index(PacketKind kind) noexcept {
     return static_cast<std::size_t>(kind);
   }
-  std::array<std::uint64_t, kKinds> sends_{};
-  std::array<std::uint64_t, kKinds> deliveries_{};
-  std::array<std::uint64_t, kKinds> bytes_{};
-  std::array<std::uint64_t, kKinds> channel_drops_{};
-  std::array<std::uint64_t, kKinds> wire_sent_{};
-  std::array<std::uint64_t, kKinds> wire_received_{};
+  std::array<std::uint64_t, kPacketKindCount> sends_{};
+  std::array<std::uint64_t, kPacketKindCount> deliveries_{};
+  std::array<std::uint64_t, kPacketKindCount> bytes_{};
+  std::array<std::uint64_t, kPacketKindCount> channel_drops_{};
+  std::array<std::uint64_t, kPacketKindCount> wire_sent_{};
+  std::array<std::uint64_t, kPacketKindCount> wire_received_{};
 };
 
 }  // namespace precinct::net

@@ -33,7 +33,8 @@ enum class PacketKind : std::uint8_t {
 };
 
 /// Number of PacketKind enumerators: the wire decoder's bound on a kind
-/// byte and the fuzzer's per-kind loop.  Keep in sync when adding kinds;
+/// byte, the fuzzer's per-kind loop and the size of MessageStats's
+/// per-kind counters.  Keep in sync when adding kinds;
 /// the engine's receive switch needs no count, since -Wswitch flags a
 /// kind it does not handle.
 inline constexpr std::size_t kPacketKindCount = 10;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <tuple>
 
@@ -27,6 +28,26 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kMaxNackRangesPerTick = 8;
 
+/// Call `gap(a, b)` for each maximal run [a, b) of seqs in [from, to)
+/// that `pending` lacks, in order, for at most kMaxNackRangesPerTick runs.
+template <class Gap>
+void for_each_gap(const std::map<std::uint64_t, MergedMsg>& pending,
+                  std::uint64_t from, std::uint64_t to, Gap&& gap) {
+  int ranges = 0;
+  auto it = pending.lower_bound(from);
+  while (from < to && ranges < kMaxNackRangesPerTick) {
+    const std::uint64_t have =
+        (it != pending.end() && it->first < to) ? it->first : to;
+    if (from < have) {
+      gap(from, have);
+      ++ranges;
+    }
+    if (have == to) break;
+    from = have + 1;
+    ++it;
+  }
+}
+
 }  // namespace
 
 UdpNet::UdpNet(const Options& opts)
@@ -44,13 +65,12 @@ UdpNet::UdpNet(const Options& opts)
 
 // -- sending ----------------------------------------------------------------
 
-void UdpNet::send_raw(std::uint32_t dst, const std::uint8_t* data,
-                      std::size_t n) {
+void UdpNet::send_raw(std::uint32_t dst, DatagramView dgram) {
   // A false return is kernel-buffer pressure or an unbound peer: both are
   // datagram loss, which the NACK/retry path repairs.
-  (void)sock_.send_to(opts_.peer[dst], data, n);
+  (void)sock_.send_to(opts_.peer[dst], dgram.data(), dgram.size());
   ++counters_.datagrams_sent;
-  counters_.datagram_bytes_sent += n;
+  counters_.datagram_bytes_sent += dgram.size();
 }
 
 void UdpNet::send(std::uint32_t dst, const DataMsg& msg) {
@@ -59,28 +79,20 @@ void UdpNet::send(std::uint32_t dst, const DataMsg& msg) {
   }
   posted_min_due_ = std::min(posted_min_due_, due_of(msg));
   PeerState& peer = peers_[dst];
-  Envelope e;
-  e.type = type_of(msg);
-  e.src_domain = opts_.domain;
-  e.seq = peer.next_seq++;
-  WireWriter dgram;
-  encode_envelope(e, dgram);
-  encode_data(msg, dgram);
-  auto [it, inserted] = peer.resend.emplace(e.seq, dgram.data());
-  (void)inserted;
-  send_raw(dst, it->second.data(), it->second.size());
+  const std::uint64_t seq = peer.next_seq++;
+  tx_.clear();
+  encode_envelope(Envelope{type_of(msg), opts_.domain, seq}, tx_);
+  encode_data(msg, tx_);
+  // Nothing goes on the wire yet: send_window_end() carries it.
+  peer.resend.emplace(seq, tx_.data());
 }
 
 void UdpNet::send_control(std::uint32_t dst, MsgType type,
-                          const WireWriter& body) {
-  Envelope e;
-  e.type = type;
-  e.src_domain = opts_.domain;
-  e.seq = 0;
-  WireWriter dgram;
-  encode_envelope(e, dgram);
-  dgram.bytes(body.data().data(), body.size());
-  send_raw(dst, dgram.data().data(), dgram.size());
+                          const WireWriter& body, std::uint64_t seq) {
+  tx_.clear();
+  encode_envelope(Envelope{type, opts_.domain, seq}, tx_);
+  tx_.bytes(body.data().data(), body.size());
+  send_raw(dst, tx_.data());
 }
 
 void UdpNet::send_hello(std::uint32_t dst, bool is_reply) {
@@ -89,19 +101,13 @@ void UdpNet::send_hello(std::uint32_t dst, bool is_reply) {
   m.config_hash = opts_.config_hash;
   WireWriter body;
   encode_hello(m, body);
-  Envelope e;
-  e.type = MsgType::kHello;
-  e.src_domain = opts_.domain;
-  e.seq = is_reply ? 1 : 0;  // replies are not themselves answered
-  WireWriter dgram;
-  encode_envelope(e, dgram);
-  dgram.bytes(body.data().data(), body.size());
-  send_raw(dst, dgram.data().data(), dgram.size());
+  // Replies are not themselves answered.
+  send_control(dst, MsgType::kHello, body, is_reply ? 1 : 0);
 }
 
 void UdpNet::send_window_end(std::uint32_t dst, std::uint64_t window,
                              double window_end_s) {
-  const PeerState& peer = peers_[dst];
+  PeerState& peer = peers_[dst];
   WindowEndMsg m;
   m.window = window;
   m.cum_sent = peer.next_seq;  // stable: nothing posts while waiting
@@ -110,9 +116,24 @@ void UdpNet::send_window_end(std::uint32_t dst, std::uint64_t window,
   m.window_end_s = window_end_s;
   m.next_due = next_due_;
   m.prev_next_due = prev_next_due_;
-  WireWriter body;
-  encode_window_end(m, body);
-  send_control(dst, MsgType::kWindowEnd, body);
+  tx_.clear();
+  encode_envelope(Envelope{MsgType::kWindowEnd, opts_.domain, 0}, tx_);
+  encode_window_end(m, tx_);
+  // Every data message not yet on the wire rides this marker, which goes
+  // last so the receiver holds the data before it reads the count.
+  outbox_.clear();
+  for (auto it = peer.resend.lower_bound(peer.flushed_cum);
+       it != peer.resend.end(); ++it) {
+    outbox_.emplace_back(it->second);
+  }
+  peer.flushed_cum = peer.next_seq;
+  if (outbox_.empty()) {
+    send_raw(dst, tx_.data());
+    return;
+  }
+  outbox_.emplace_back(tx_.data());
+  packer_.pack(opts_.domain, outbox_,
+               [&](DatagramView batch) { send_raw(dst, batch); });
 }
 
 void UdpNet::send_bye(ByeReason reason) {
@@ -129,41 +150,30 @@ void UdpNet::send_bye(ByeReason reason) {
 
 void UdpNet::send_nacks_for_gaps(std::uint32_t src, std::uint64_t target_cum) {
   const PeerState& peer = peers_[src];
-  int ranges = 0;
-  std::uint64_t expected = peer.merged_cum;
-  auto it = peer.pending.lower_bound(expected);
-  while (expected < target_cum && ranges < kMaxNackRangesPerTick) {
-    const std::uint64_t have =
-        (it != peer.pending.end() && it->first < target_cum) ? it->first
-                                                             : target_cum;
-    if (expected < have) {
-      NackMsg m;
-      m.from_seq = expected;
-      m.to_seq = have;
-      WireWriter body;
-      encode_nack(m, body);
-      send_control(src, MsgType::kNack, body);
-      ++counters_.nacks_sent;
-      ++ranges;
-    }
-    if (it == peer.pending.end() || it->first >= target_cum) break;
-    expected = it->first + 1;
-    ++it;
-  }
+  for_each_gap(peer.pending, peer.merged_cum, target_cum,
+               [&](std::uint64_t from, std::uint64_t to) {
+                 NackMsg m;
+                 m.from_seq = from;
+                 m.to_seq = to;
+                 WireWriter body;
+                 encode_nack(m, body);
+                 send_control(src, MsgType::kNack, body);
+                 ++counters_.nacks_sent;
+               });
 }
 
 // -- receiving --------------------------------------------------------------
 
 void UdpNet::pump() {
-  while (sock_.recv_from(rx_buf_)) {
+  while (const std::optional<std::size_t> n = sock_.recv_from(rx_buf_)) {
     ++counters_.datagrams_received;
-    counters_.datagram_bytes_received += rx_buf_.size();
-    handle_datagram(rx_buf_.data(), rx_buf_.size());
+    counters_.datagram_bytes_received += *n;
+    handle_datagram(DatagramView(rx_buf_.data(), *n));
   }
 }
 
-void UdpNet::handle_datagram(const std::uint8_t* data, std::size_t n) {
-  WireReader r(data, n);
+void UdpNet::handle_datagram(DatagramView dgram) {
+  WireReader r(dgram.data(), dgram.size());
   Envelope e;
   if (!decode_envelope(r, e)) {
     ++counters_.malformed_dropped;
@@ -246,11 +256,24 @@ void UdpNet::handle_datagram(const std::uint8_t* data, std::size_t n) {
         ++counters_.malformed_dropped;
         return;
       }
+      // Only what went out can go out again; the rest rides our next
+      // marker.
+      const std::uint64_t to = std::min(m.to_seq, peer.flushed_cum);
       for (auto it = peer.resend.lower_bound(m.from_seq);
-           it != peer.resend.end() && it->first < m.to_seq; ++it) {
-        send_raw(e.src_domain, it->second.data(), it->second.size());
+           it != peer.resend.end() && it->first < to; ++it) {
+        send_raw(e.src_domain, it->second);
         ++counters_.retransmits;
       }
+      return;
+    }
+    case MsgType::kBatch: {
+      // Batches never nest (decode_batch refuses), so no entry comes back
+      // here and rx_entries_ is not reused while we walk it.
+      if (!decode_batch(r, rx_entries_)) {
+        ++counters_.malformed_dropped;
+        return;
+      }
+      for (const DatagramView entry : rx_entries_) handle_datagram(entry);
       return;
     }
     case MsgType::kBye: {
@@ -319,6 +342,30 @@ bool UdpNet::barrier_complete(std::uint64_t window) const {
   return true;
 }
 
+std::string UdpNet::describe_missing(std::uint64_t window) const {
+  std::string out;
+  for (std::uint32_t d = 0; d < opts_.n_domains; ++d) {
+    if (d == opts_.domain) continue;
+    const PeerState& peer = peers_[d];
+    const auto it = peer.marks.find(window);
+    std::string what;
+    if (it == peer.marks.end()) {
+      what = "no marker for window " + std::to_string(window);
+    } else {
+      for_each_gap(peer.pending, peer.merged_cum, it->second.cum,
+                   [&](std::uint64_t from, std::uint64_t to) {
+                     what += (what.empty() ? "seqs [" : ", [") +
+                             std::to_string(from) + ", " +
+                             std::to_string(to) + ")";
+                   });
+      if (what.empty()) continue;
+    }
+    out += (out.empty() ? "domain " : "; domain ") + std::to_string(d) +
+           " (" + what + ")";
+  }
+  return out;
+}
+
 void UdpNet::extract_batch(std::uint64_t window, std::vector<MergedMsg>& out) {
   agreed_next_due_ = next_due_;
   for (std::uint32_t d = 0; d < opts_.n_domains; ++d) {
@@ -369,9 +416,9 @@ BarrierResult UdpNet::close_barrier(std::uint64_t window,
     if (now >= deadline) {
       send_bye(ByeReason::kAborted);
       throw std::runtime_error(
-          "UdpNet: barrier " + std::to_string(window) +
-          " timed out after " + std::to_string(opts_.timeout_s) +
-          "s — a peer is dead or unreachable");
+          "UdpNet: barrier " + std::to_string(window) + " timed out after " +
+          std::to_string(opts_.timeout_s) + "s waiting on " +
+          describe_missing(window) + " — a peer is dead or unreachable");
     }
     if (now >= next_retry) {
       for (std::uint32_t d = 0; d < opts_.n_domains; ++d) {

@@ -13,16 +13,28 @@
 // Reliability: UDP drops, duplicates and reorders; the window barrier
 // restores exactly-once in-order *merge* semantics.  Data messages
 // (frames + halo deltas) carry a per-(src,dst) stream sequence number and
-// are buffered by the sender until acknowledged.  Closing window W means:
-// for every peer, the receiver knows the peer's cumulative stream count
-// and next-event bound at W (from its WindowEnd marker — or from the
-// *next* marker's prev_cum_sent / prev_next_due, since peers are never
-// more than one barrier apart) and holds every datagram below that count.
-// Gaps are NACKed and resent on a wall-clock retry cadence; a peer silent
-// past `timeout_s` aborts the run loudly — a conservative-parallel fleet
-// cannot outrun a dead member.
+// are buffered by the sender until acknowledged.  send() only sequences,
+// encodes and buffers a message: it first goes on the wire with the
+// sender's next WindowEnd marker to that peer, packed with the marker,
+// last, into kBatch datagrams — one per peer per window unless the
+// window's data overflows kMaxDatagram.  Closing window W means: for every
+// peer, the receiver knows the peer's cumulative stream count and
+// next-event bound at W (from its WindowEnd marker — or from the *next*
+// marker's prev_cum_sent / prev_next_due, since peers are never more than
+// one barrier apart) and holds every datagram below that count.
+//
+// The lost-marker path is the protocol, not only a recovery path: a
+// daemon whose barrier is complete at its first pump sends no marker for
+// that window (its data then leaves with its next marker).  Every peer is
+// then blocked on that window, and the next marker's prev_* fields close
+// it; a daemon never skips two markers in a row, because no peer can
+// complete the next barrier before it has heard from this one.  Gaps are
+// NACKed and resent per seq on a wall-clock retry cadence; a peer silent
+// past `timeout_s` aborts the run loudly, naming the peer and what it
+// still owes — a conservative-parallel fleet cannot outrun a dead member.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -83,10 +95,11 @@ class UdpNet {
 
   explicit UdpNet(const Options& opts);
 
-  /// Sequence `msg` on our stream to `dst` and send it (the domain link's
-  /// transport; called from inside the local sim's compute phase).  It is
+  /// Sequence `msg` on our stream to `dst` and buffer it (the domain
+  /// link's transport; called from inside the local sim's compute phase).
+  /// It goes on the wire with our next WindowEnd marker to `dst`, stays
   /// buffered for resend until `dst` acknowledges it, and lowers the
-  /// next-event bound our next marker publishes.
+  /// next-event bound that marker publishes.
   void send(std::uint32_t dst, const DataMsg& msg);
 
   /// Hello exchange: solicit every peer until all have answered (and
@@ -95,13 +108,15 @@ class UdpNet {
   /// rendezvous and returns false.  Throws on timeout or hash mismatch.
   [[nodiscard]] bool rendezvous(const std::function<bool()>& stop);
 
-  /// Close barrier `window` (0 = the post-initialize idle merge): send
-  /// WindowEnd markers, collect every peer's stream up to its marked
-  /// cumulative count, NACK gaps, and return the merged batch sorted by
-  /// (due, src domain, seq) — the exact ShardExecutor merge order.
-  /// `next_due` is the local simulator's next-event bound; the marker
-  /// carries it lowered to the earliest due posted since the last
-  /// barrier.  Throws std::runtime_error on peer abort or timeout.
+  /// Close barrier `window` (0 = the post-initialize idle merge): unless
+  /// every peer's stream is already in at the first pump, send WindowEnd
+  /// markers (with the data posted since our last marker), collect every
+  /// peer's stream up to its marked cumulative count, NACK gaps, and
+  /// return the merged batch sorted by (due, src domain, seq) — the exact
+  /// ShardExecutor merge order.  `next_due` is the local simulator's
+  /// next-event bound; the marker carries it lowered to the earliest due
+  /// posted since the last barrier.  Throws std::runtime_error on peer
+  /// abort, or on timeout naming each peer still missing and what it owes.
   [[nodiscard]] BarrierResult close_barrier(
       std::uint64_t window, double window_end_s, double next_due,
       const std::function<bool()>& stop, std::vector<MergedMsg>& out);
@@ -140,6 +155,7 @@ class UdpNet {
   struct PeerState {
     // Sender side (messages we address to this peer).
     std::uint64_t next_seq = 0;           ///< next stream seq to assign
+    std::uint64_t flushed_cum = 0;        ///< seqs below went on the wire
     std::uint64_t cum_at_prev_barrier = 0;
     std::map<std::uint64_t, std::vector<std::uint8_t>> resend;
     // Receiver side (messages this peer addresses to us).
@@ -150,8 +166,9 @@ class UdpNet {
     bool bye_done = false;
   };
 
-  void send_control(std::uint32_t dst, MsgType type, const WireWriter& body);
-  void send_raw(std::uint32_t dst, const std::uint8_t* data, std::size_t n);
+  void send_control(std::uint32_t dst, MsgType type, const WireWriter& body,
+                    std::uint64_t seq = 0);
+  void send_raw(std::uint32_t dst, DatagramView dgram);
   void send_hello(std::uint32_t dst, bool is_reply);
   void send_window_end(std::uint32_t dst, std::uint64_t window,
                        double window_end_s);
@@ -160,10 +177,13 @@ class UdpNet {
   /// Drain the socket, dispatching every pending datagram.  Throws on a
   /// peer abort or a Hello hash mismatch.
   void pump();
-  void handle_datagram(const std::uint8_t* data, std::size_t n);
+  void handle_datagram(DatagramView dgram);
 
   /// True when every peer's cum for `window` is known and fully buffered.
   [[nodiscard]] bool barrier_complete(std::uint64_t window) const;
+  /// Each peer barrier `window` still waits on, and for what: its marker
+  /// or the seq ranges below the marked count ("" once complete).
+  [[nodiscard]] std::string describe_missing(std::uint64_t window) const;
   /// Pop [merged_cum, cum(window)) from every peer, sorted, and agree on
   /// the fleet's next-event bound.
   void extract_batch(std::uint64_t window, std::vector<MergedMsg>& out);
@@ -183,7 +203,12 @@ class UdpNet {
   std::set<std::uint64_t> seen_inject_ids_;
   std::vector<InjectMsg> injections_;
   bool peer_stopped_ = false;
-  std::vector<std::uint8_t> rx_buf_;
+  std::array<std::uint8_t, kMaxDatagram> rx_buf_{};
+  std::vector<DatagramView> rx_entries_;  ///< a received batch's entries
+  // Send-side buffers, reused for every message and window.
+  WireWriter tx_;                     ///< one datagram being encoded
+  std::vector<DatagramView> outbox_;  ///< a marker's batch entries
+  BatchPacker packer_;
 };
 
 }  // namespace precinct::transport

@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "transport/wire_format.hpp"
+
 namespace precinct::transport {
 
 namespace {
@@ -28,10 +30,6 @@ namespace {
   sa.sin_port = htons(addr.port);
   return sa;
 }
-
-// Largest datagram the transport ever sends: envelope + frame body with
-// every optional packet block.  4 KiB leaves generous headroom.
-constexpr std::size_t kMaxDatagram = 4096;
 
 }  // namespace
 
@@ -140,26 +138,24 @@ bool UdpSocket::send_to(const UdpAddress& dst, const std::uint8_t* data,
   return static_cast<std::size_t>(n) == size;
 }
 
-bool UdpSocket::recv_from(std::vector<std::uint8_t>& buf, UdpAddress* from) {
-  buf.resize(kMaxDatagram);
+std::optional<std::size_t> UdpSocket::recv_from(std::span<std::uint8_t> buf,
+                                                UdpAddress* from) {
   sockaddr_in sa{};
   socklen_t len = sizeof sa;
   const ssize_t n = ::recvfrom(fd_, buf.data(), buf.size(), 0,
                                reinterpret_cast<sockaddr*>(&sa), &len);
   if (n < 0) {
-    buf.clear();
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR ||
         errno == ECONNREFUSED) {
-      return false;
+      return std::nullopt;
     }
     throw_errno("recvfrom");
   }
-  buf.resize(static_cast<std::size_t>(n));
   if (from != nullptr) {
     from->host = ntohl(sa.sin_addr.s_addr);
     from->port = ntohs(sa.sin_port);
   }
-  return true;
+  return static_cast<std::size_t>(n);
 }
 
 bool UdpSocket::wait_readable(int timeout_ms) {

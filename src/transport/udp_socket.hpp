@@ -5,8 +5,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace precinct::transport {
 
@@ -46,10 +47,11 @@ class UdpSocket {
   bool send_to(const UdpAddress& dst, const std::uint8_t* data,
                std::size_t size);
 
-  /// Receive one datagram into `buf` (resized to the payload).  Returns
-  /// false when no datagram is pending.  `from`, if non-null, receives
-  /// the sender address.
-  bool recv_from(std::vector<std::uint8_t>& buf, UdpAddress* from = nullptr);
+  /// Receive one datagram into `buf` (a longer one is cut to its size).
+  /// Returns the datagram's length, or nothing when none is pending.
+  /// `from`, if non-null, receives the sender address.
+  std::optional<std::size_t> recv_from(std::span<std::uint8_t> buf,
+                                       UdpAddress* from = nullptr);
 
   /// Block until readable or `timeout_ms` elapses (<0 waits forever).
   /// Returns true when readable.

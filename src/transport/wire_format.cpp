@@ -75,6 +75,7 @@ const char* to_string(MsgType type) noexcept {
     case MsgType::kNack: return "nack";
     case MsgType::kBye: return "bye";
     case MsgType::kInject: return "inject";
+    case MsgType::kBatch: return "batch";
   }
   return "unknown";
 }
@@ -103,6 +104,11 @@ void WireWriter::f64(double v) { u64(dbits(v)); }
 void WireWriter::bytes(const void* data, std::size_t n) {
   const auto* b = static_cast<const std::uint8_t*>(data);
   buf_.insert(buf_.end(), b, b + n);
+}
+
+void WireWriter::patch_u16(std::size_t offset, std::uint16_t v) {
+  buf_.at(offset) = static_cast<std::uint8_t>(v);
+  buf_.at(offset + 1) = static_cast<std::uint8_t>(v >> 8);
 }
 
 bool WireReader::take(std::size_t n) noexcept {
@@ -152,6 +158,14 @@ bool WireReader::f64(double& v) noexcept {
   std::uint64_t bits = 0;
   if (!u64(bits)) return false;
   v = dfrom(bits);
+  return true;
+}
+
+bool WireReader::bytes(std::size_t n,
+                       std::span<const std::uint8_t>& v) noexcept {
+  if (!take(n)) return false;
+  v = {p_ + pos_, n};
+  pos_ += n;
   return true;
 }
 
@@ -359,7 +373,7 @@ bool decode_envelope(WireReader& r, Envelope& e) noexcept {
   std::uint8_t type = 0;
   if (!r.u8(version) || version != kWireVersion) return false;
   if (!r.u8(type) || type < static_cast<std::uint8_t>(MsgType::kHello) ||
-      type > static_cast<std::uint8_t>(MsgType::kInject)) {
+      type > static_cast<std::uint8_t>(MsgType::kBatch)) {
     return false;
   }
   e.type = static_cast<MsgType>(type);
@@ -520,6 +534,65 @@ void encode_inject(const InjectMsg& m, WireWriter& w) {
 bool decode_inject(WireReader& r, InjectMsg& m) noexcept {
   return r.u64(m.inject_id) && r.u8(m.op) && m.op <= 1 && r.u32(m.node) &&
          r.u64(m.key_rank);
+}
+
+// -- batches ----------------------------------------------------------------
+
+namespace {
+
+constexpr std::size_t kTypeOffset = kMagicBytes + 1;
+
+/// An entry a batch may carry: a whole envelope that is not a batch's.
+[[nodiscard]] bool batchable(DatagramView entry) noexcept {
+  return entry.size() >= kEnvelopeBytes &&
+         entry[kTypeOffset] != static_cast<std::uint8_t>(MsgType::kBatch);
+}
+
+}  // namespace
+
+void BatchPacker::pack(std::uint32_t src_domain,
+                       std::span<const DatagramView> entries,
+                       const std::function<void(DatagramView)>& emit) {
+  constexpr std::size_t kMaxEntry =
+      kMaxDatagram - kBatchHeaderBytes - kBatchEntryHeaderBytes;
+  std::uint16_t count = 0;
+  const auto start = [&] {
+    w_.clear();
+    encode_envelope(Envelope{MsgType::kBatch, src_domain, 0}, w_);
+    w_.u16(0);  // entry count, patched as entries land
+    count = 0;
+  };
+  start();
+  for (const DatagramView entry : entries) {
+    if (!batchable(entry) || entry.size() > kMaxEntry) {
+      throw std::invalid_argument("BatchPacker: cannot batch a " +
+                                  std::to_string(entry.size()) +
+                                  "-byte entry");
+    }
+    if (w_.size() + kBatchEntryHeaderBytes + entry.size() > kMaxDatagram) {
+      emit(w_.data());
+      start();
+    }
+    w_.u16(static_cast<std::uint16_t>(entry.size()));
+    w_.bytes(entry.data(), entry.size());
+    w_.patch_u16(kEnvelopeBytes, ++count);
+  }
+  if (count > 0) emit(w_.data());
+}
+
+bool decode_batch(WireReader& r, std::vector<DatagramView>& entries) {
+  entries.clear();
+  std::uint16_t count = 0;
+  if (!r.u16(count)) return false;
+  for (std::uint16_t i = 0; i < count; ++i) {
+    std::uint16_t len = 0;
+    DatagramView entry;
+    if (!r.u16(len) || !r.bytes(len, entry) || !batchable(entry)) {
+      return false;
+    }
+    entries.push_back(entry);
+  }
+  return r.remaining() == 0;
 }
 
 // -- hex repro helpers ------------------------------------------------------

@@ -1,4 +1,4 @@
-// PReCinCt wire format v2 (DESIGN.md §14, docs/PROTOCOL.md appendix A).
+// PReCinCt wire format v3 (DESIGN.md §14, docs/PROTOCOL.md appendix A).
 //
 // The real-transport backend marshals the exact same `net::Packet` values
 // the simulator moves between replicas — so the codec's contract is
@@ -20,14 +20,21 @@
 // state round-trips exactly when present (presence is decided on *bit
 // patterns*, not numeric equality, so ttr = -0.0 still gets its block).
 //
+// A kBatch datagram (new in v3) carries several complete datagrams to one
+// peer — a window's data messages and its WindowEnd marker — as a u16
+// entry count followed by u16-length-prefixed entries.  Batches never
+// nest.
+//
 // Decoding is defensive end to end: a truncated buffer, a wrong version,
-// an unknown message type or an out-of-range enum value makes decode
-// return false (never throw, never read past the buffer) — a daemon fed
-// garbage drops the datagram and keeps serving.
+// an unknown message type, an out-of-range enum value or a malformed
+// batch makes decode return false (never throw, never read past the
+// buffer) — a daemon fed garbage drops the datagram and keeps serving.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -37,15 +44,20 @@
 
 namespace precinct::transport {
 
-inline constexpr std::uint8_t kWireVersion = 2;
+inline constexpr std::uint8_t kWireVersion = 3;
 inline constexpr std::size_t kMagicBytes = 4;
 inline constexpr char kMagic[kMagicBytes + 1] = "PRCT";
 inline constexpr std::size_t kEnvelopeBytes = 18;
+/// Largest datagram the transport sends or receives.  The largest single
+/// message (a frame with every optional packet block) is under 200 bytes;
+/// batches fill up to this bound.
+inline constexpr std::size_t kMaxDatagram = 4096;
 
 /// Datagram types.  kFrame/kLiveness/kRegion/kCatalog are sequenced,
 /// reliable data messages (they carry the cross-domain traffic the
-/// in-process ShardExecutor would put in its mailboxes); the rest are
-/// idempotent control messages resent freely.
+/// in-process ShardExecutor would put in its mailboxes); kBatch carries
+/// other datagrams; the rest are idempotent control messages resent
+/// freely.
 enum class MsgType : std::uint8_t {
   kHello = 1,      ///< rendezvous + config-hash check; always answered
   kWindowEnd = 2,  ///< window barrier marker (stream counts, next due)
@@ -56,6 +68,7 @@ enum class MsgType : std::uint8_t {
   kNack = 7,       ///< resend request for a sequence range
   kBye = 8,        ///< drain notice (done / stopped / aborted)
   kInject = 9,     ///< precinct_ctl request/update injection
+  kBatch = 10,     ///< several complete datagrams, none of them a batch
 };
 
 [[nodiscard]] const char* to_string(MsgType type) noexcept;
@@ -76,6 +89,8 @@ class WireWriter {
   }
   [[nodiscard]] std::size_t size() const noexcept { return buf_.size(); }
   void clear() noexcept { buf_.clear(); }
+  /// Overwrite the two bytes at `offset` (already written) with `v`.
+  void patch_u16(std::size_t offset, std::uint16_t v);
 
  private:
   std::vector<std::uint8_t> buf_;
@@ -94,6 +109,8 @@ class WireReader {
   bool u32(std::uint32_t& v) noexcept;
   bool u64(std::uint64_t& v) noexcept;
   bool f64(double& v) noexcept;
+  /// Take the next `n` bytes as a view into the underlying buffer.
+  bool bytes(std::size_t n, std::span<const std::uint8_t>& v) noexcept;
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] std::size_t remaining() const noexcept { return n_ - pos_; }
@@ -271,6 +288,40 @@ void encode_data(const DataMsg& m, WireWriter& w);
 /// non-data type or on truncation.
 [[nodiscard]] bool decode_data(MsgType type, WireReader& r,
                                DataMsg& m) noexcept;
+
+// -- batches ----------------------------------------------------------------
+
+/// One complete datagram (envelope + body), e.g. a batch entry.
+using DatagramView = std::span<const std::uint8_t>;
+
+/// Envelope plus the u16 entry count; each entry adds a u16 length.
+inline constexpr std::size_t kBatchHeaderBytes = kEnvelopeBytes + 2;
+inline constexpr std::size_t kBatchEntryHeaderBytes = 2;
+
+/// Packs complete datagrams into kBatch datagrams of at most kMaxDatagram
+/// bytes.  Its buffer is kept between calls, so packing window after
+/// window allocates nothing once it has grown.
+class BatchPacker {
+ public:
+  /// Pack `entries` in order, greedily: each batch takes entries until the
+  /// next would take it past kMaxDatagram, and `emit` receives each
+  /// finished batch in turn.  Throws std::invalid_argument for an entry
+  /// that no batch can hold (shorter than an envelope, too long, or
+  /// itself a batch).
+  void pack(std::uint32_t src_domain, std::span<const DatagramView> entries,
+            const std::function<void(DatagramView)>& emit);
+
+ private:
+  WireWriter w_;
+};
+
+/// Decode a kBatch body (what follows its envelope) into views of its
+/// entries, which point into `r`'s buffer.  Returns false — `entries`
+/// then unspecified — when the count or a length runs past the buffer,
+/// bytes trail the last entry, an entry is shorter than an envelope, or
+/// an entry is itself a batch.
+[[nodiscard]] bool decode_batch(WireReader& r,
+                                std::vector<DatagramView>& entries);
 
 // -- hex repro helpers ------------------------------------------------------
 

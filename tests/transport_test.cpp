@@ -9,7 +9,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "transport/node_daemon.hpp"
+#include "transport/udp_net.hpp"
 #include "transport/udp_socket.hpp"
 #include "transport/wire_format.hpp"
 #include "workload/workload_script.hpp"
@@ -154,6 +157,10 @@ TEST(WireCodec, EnvelopeRejectsVersionMagicTypeAndTruncation) {
   EXPECT_TRUE(rejected(bent));
   bent[tw::kMagicBytes + 1] = 200;  // far out of range
   EXPECT_TRUE(rejected(bent));
+  bent[tw::kMagicBytes + 1] = static_cast<std::uint8_t>(tw::MsgType::kBatch);
+  EXPECT_FALSE(rejected(bent));  // the last assigned type
+  bent[tw::kMagicBytes + 1] += 1;
+  EXPECT_TRUE(rejected(bent));
 
   for (std::size_t cut = 0; cut < w.size(); ++cut) {
     EXPECT_TRUE(rejected({w.data().begin(), w.data().begin() + cut}));
@@ -213,6 +220,210 @@ TEST(WireCodec, WindowEndRoundTripsAndRejectsTruncationAndVersionOne) {
   tw::WireReader r(v1.data(), v1.size());
   tw::Envelope env;
   EXPECT_FALSE(tw::decode_envelope(r, env));
+}
+
+// ---- batches ----------------------------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+
+/// One complete datagram from `src`: an envelope and `body`.
+Bytes datagram(tw::MsgType type, std::uint64_t seq, const tw::WireWriter& body,
+               std::uint32_t src = 1) {
+  tw::WireWriter w;
+  tw::encode_envelope(tw::Envelope{type, src, seq}, w);
+  w.bytes(body.data().data(), body.size());
+  return w.data();
+}
+
+/// A complete datagram of exactly `size` bytes: an envelope of `type`
+/// and filler, which is all a batch looks at.
+Bytes sized_datagram(std::size_t size, std::uint64_t seq,
+                     tw::MsgType type = tw::MsgType::kFrame) {
+  Bytes d = datagram(type, seq, tw::WireWriter{});
+  d.resize(size, static_cast<std::uint8_t>(seq));
+  return d;
+}
+
+tw::WireWriter liveness_body(double due, net::NodeId node) {
+  tw::LivenessMsg m;
+  m.due = due;
+  m.node = node;
+  m.alive = true;
+  tw::WireWriter w;
+  tw::encode_liveness(m, w);
+  return w;
+}
+
+tw::WireWriter marker_body(std::uint64_t window, std::uint64_t cum,
+                           std::uint64_t acked = 0) {
+  tw::WindowEndMsg m;
+  m.window = window;
+  m.cum_sent = cum;
+  m.acked_cum = acked;
+  m.window_end_s = 1.0;
+  m.next_due = 2.0;
+  m.prev_next_due = 2.0;
+  tw::WireWriter w;
+  tw::encode_window_end(m, w);
+  return w;
+}
+
+/// Pack `entries` from `src`; one byte vector per batch datagram.
+std::vector<Bytes> pack_all(const std::vector<Bytes>& entries,
+                            std::uint32_t src = 1) {
+  const std::vector<tw::DatagramView> views(entries.begin(), entries.end());
+  std::vector<Bytes> out;
+  tw::BatchPacker packer;
+  packer.pack(src, views,
+              [&](tw::DatagramView b) { out.emplace_back(b.begin(), b.end()); });
+  return out;
+}
+
+/// The entries of the batch in the first `size` bytes of `batch`, or
+/// nothing when a decoder refuses it.
+std::optional<std::vector<Bytes>> unpack(const Bytes& batch, std::size_t size) {
+  tw::WireReader r(batch.data(), size);
+  tw::Envelope e;
+  std::vector<tw::DatagramView> views;
+  if (!tw::decode_envelope(r, e) || e.type != tw::MsgType::kBatch ||
+      !tw::decode_batch(r, views)) {
+    return std::nullopt;
+  }
+  std::vector<Bytes> entries;
+  for (const tw::DatagramView v : views) entries.emplace_back(v.begin(), v.end());
+  return entries;
+}
+
+std::optional<std::vector<Bytes>> unpack(const Bytes& batch) {
+  return unpack(batch, batch.size());
+}
+
+TEST(WireCodec, BatchRoundTripsItsEntriesWithTheMarkerLast) {
+  support::Rng rng(0xBA7C4u);
+  std::vector<Bytes> entries;
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    tw::FrameMsg f;
+    f.due = 1.25 + static_cast<double>(seq);
+    f.packet = tw::random_wire_packet(rng, net::PacketKind::kResponse);
+    tw::WireWriter body;
+    tw::encode_frame(f, body);
+    entries.push_back(datagram(tw::MsgType::kFrame, seq, body, 2));
+  }
+  entries.push_back(datagram(tw::MsgType::kLiveness, 3,
+                             liveness_body(4.5, 17), 2));
+  entries.push_back(datagram(tw::MsgType::kWindowEnd, 0, marker_body(9, 4), 2));
+
+  const std::vector<Bytes> batches = pack_all(entries, 2);
+  ASSERT_EQ(batches.size(), 1u);
+  std::size_t expected_size = tw::kBatchHeaderBytes;
+  for (const Bytes& e : entries) {
+    expected_size += tw::kBatchEntryHeaderBytes + e.size();
+  }
+  EXPECT_EQ(batches[0].size(), expected_size);
+
+  tw::WireReader r(batches[0].data(), batches[0].size());
+  tw::Envelope env;
+  ASSERT_TRUE(tw::decode_envelope(r, env));
+  EXPECT_EQ(env.type, tw::MsgType::kBatch);
+  EXPECT_EQ(env.src_domain, 2u);
+  EXPECT_EQ(env.seq, 0u);
+  const auto back = unpack(batches[0]);
+  ASSERT_TRUE(back.has_value()) << tw::to_hex(batches[0]);
+  EXPECT_EQ(*back, entries);
+
+  // The entries are whole datagrams: the marker decodes as itself.
+  tw::WireReader m(back->back().data(), back->back().size());
+  tw::WindowEndMsg marker;
+  ASSERT_TRUE(tw::decode_envelope(m, env));
+  EXPECT_EQ(env.type, tw::MsgType::kWindowEnd);
+  ASSERT_TRUE(tw::decode_window_end(m, marker));
+  EXPECT_EQ(marker.window, 9u);
+  EXPECT_EQ(marker.cum_sent, 4u);
+}
+
+TEST(WireCodec, BatchSplitsAtMaxDatagram) {
+  // 4 entries of 1,017 bytes fill a batch to exactly kMaxDatagram:
+  // 20 + 4 * (2 + 1,017) = 4,096.
+  constexpr std::size_t kFill =
+      (tw::kMaxDatagram - tw::kBatchHeaderBytes) / 4 -
+      tw::kBatchEntryHeaderBytes;
+  static_assert(tw::kBatchHeaderBytes +
+                    4 * (tw::kBatchEntryHeaderBytes + kFill) ==
+                tw::kMaxDatagram);
+  std::vector<Bytes> exact;
+  for (std::uint64_t seq = 0; seq < 4; ++seq) {
+    exact.push_back(sized_datagram(kFill, seq));
+  }
+  std::vector<Bytes> batches = pack_all(exact);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].size(), tw::kMaxDatagram);
+  EXPECT_EQ(unpack(batches[0]), exact);
+
+  // A fifth entry starts a second batch; order is kept across the cut.
+  std::vector<Bytes> five = exact;
+  five.push_back(sized_datagram(tw::kEnvelopeBytes, 4, tw::MsgType::kWindowEnd));
+  batches = pack_all(five);
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(unpack(batches[0]), exact);
+  EXPECT_EQ(unpack(batches[1]), std::vector<Bytes>{five.back()});
+
+  // One byte more per entry and only three fit the first batch.
+  std::vector<Bytes> over;
+  for (std::uint64_t seq = 0; seq < 4; ++seq) {
+    over.push_back(sized_datagram(kFill + 1, seq));
+  }
+  batches = pack_all(over);
+  ASSERT_EQ(batches.size(), 2u);
+  EXPECT_EQ(unpack(batches[0]),
+            std::vector<Bytes>(over.begin(), over.begin() + 3));
+  EXPECT_EQ(unpack(batches[1]), std::vector<Bytes>{over.back()});
+  for (const Bytes& b : batches) EXPECT_LE(b.size(), tw::kMaxDatagram);
+
+  // The largest entry fills a batch alone; nothing can batch a larger
+  // one, a scrap shorter than an envelope, or a batch.
+  constexpr std::size_t kLargest =
+      tw::kMaxDatagram - tw::kBatchHeaderBytes - tw::kBatchEntryHeaderBytes;
+  batches = pack_all({sized_datagram(kLargest, 0)});
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].size(), tw::kMaxDatagram);
+  EXPECT_THROW((void)pack_all({sized_datagram(kLargest + 1, 0)}),
+               std::invalid_argument);
+  EXPECT_THROW((void)pack_all({Bytes(tw::kEnvelopeBytes - 1, 0)}),
+               std::invalid_argument);
+  EXPECT_THROW((void)pack_all({batches[0]}), std::invalid_argument);
+  EXPECT_TRUE(pack_all({}).empty());
+}
+
+TEST(WireCodec, BatchRejectsEveryStrictTruncation) {
+  const std::vector<Bytes> entries{
+      datagram(tw::MsgType::kLiveness, 0, liveness_body(1.5, 3)),
+      datagram(tw::MsgType::kLiveness, 1, liveness_body(1.5, 4)),
+      datagram(tw::MsgType::kWindowEnd, 0, marker_body(1, 2))};
+  const Bytes batch = pack_all(entries).at(0);
+  ASSERT_TRUE(unpack(batch).has_value());
+  for (std::size_t cut = 0; cut < batch.size(); ++cut) {
+    EXPECT_FALSE(unpack(batch, cut).has_value()) << "accepted at " << cut;
+  }
+  Bytes trailing = batch;
+  trailing.push_back(0);
+  EXPECT_FALSE(unpack(trailing).has_value());
+}
+
+TEST(WireCodec, BatchRejectsNestedBatchesAndShortEntries) {
+  const Bytes inner =
+      pack_all({datagram(tw::MsgType::kLiveness, 0, liveness_body(1.5, 3))})
+          .at(0);
+  const auto one_entry = [](const Bytes& entry) {
+    tw::WireWriter body;
+    body.u16(1);
+    body.u16(static_cast<std::uint16_t>(entry.size()));
+    body.bytes(entry.data(), entry.size());
+    return datagram(tw::MsgType::kBatch, 0, body);
+  };
+  ASSERT_TRUE(unpack(one_entry(sized_datagram(tw::kEnvelopeBytes, 0)))
+                  .has_value());
+  EXPECT_FALSE(unpack(one_entry(inner)).has_value());
+  EXPECT_FALSE(unpack(one_entry(Bytes(tw::kEnvelopeBytes - 1, 0))).has_value());
 }
 
 TEST(WireCodec, HexHelpersRoundTrip) {
@@ -383,12 +594,254 @@ TEST(UdpSocketTest, LoopbackDatagramDelivery) {
   ASSERT_TRUE(a.send_to(tw::UdpAddress{tw::kLoopbackHost, b.local_port()},
                         payload, sizeof payload));
   ASSERT_TRUE(b.wait_readable(2000));
-  std::vector<std::uint8_t> got;
+  std::vector<std::uint8_t> got(tw::kMaxDatagram);
   tw::UdpAddress from;
-  ASSERT_TRUE(b.recv_from(got, &from));
+  const std::optional<std::size_t> n = b.recv_from(got, &from);
+  ASSERT_TRUE(n.has_value());
+  got.resize(*n);
   EXPECT_EQ(got, std::vector<std::uint8_t>(payload, payload + sizeof payload));
   EXPECT_EQ(from.host, tw::kLoopbackHost);
   EXPECT_EQ(from.port, a.local_port());
+  EXPECT_FALSE(b.recv_from(got).has_value());  // nothing else pending
+}
+
+// ---- UdpNet recovery paths against a hand-driven peer ----------------------
+
+constexpr std::uint64_t kRawPeerHash = 0x5EEDC0DEu;
+
+/// Domain 1 of a two-domain fleet played by hand over a bare UdpSocket, so
+/// a test can send exactly the datagrams a recovery path needs and read
+/// what UdpNet (domain 0) puts on the wire.
+class RawPeer {
+ public:
+  RawPeer() : sock_(tw::UdpAddress{tw::kLoopbackHost, 0}) {}
+
+  /// Domain 0, with this peer as domain 1, past its Hello rendezvous.
+  std::unique_ptr<tw::UdpNet> join(double timeout_s) {
+    tw::UdpNet::Options o;
+    o.domain = 0;
+    o.n_domains = 2;
+    o.config_hash = kRawPeerHash;
+    o.bind = {tw::kLoopbackHost, 0};
+    o.peer = {o.bind, {tw::kLoopbackHost, sock_.local_port()}};
+    o.retry_s = 0.02;
+    o.timeout_s = timeout_s;
+    auto net = std::make_unique<tw::UdpNet>(o);
+    to_ = {tw::kLoopbackHost, net->local_port()};
+    tw::HelloMsg hello;
+    hello.n_domains = 2;
+    hello.config_hash = kRawPeerHash;
+    tw::WireWriter body;
+    tw::encode_hello(hello, body);
+    send(datagram(tw::MsgType::kHello, 0, body));  // a solicit
+    EXPECT_TRUE(net->rendezvous({}));
+    EXPECT_EQ(type_of(recv()), tw::MsgType::kHello);  // UdpNet's answer
+    return net;
+  }
+
+  void send(const Bytes& dgram) {
+    EXPECT_TRUE(sock_.send_to(to_, dgram.data(), dgram.size()));
+  }
+
+  /// The next datagram UdpNet sent us; empty after `timeout_ms` of silence.
+  Bytes recv(int timeout_ms = 2000) {
+    Bytes buf(tw::kMaxDatagram);
+    if (!sock_.wait_readable(timeout_ms)) return {};
+    const std::optional<std::size_t> n = sock_.recv_from(buf);
+    buf.resize(n.value_or(0));
+    return buf;
+  }
+
+  /// The next datagram that is not a bare WindowEnd (UdpNet repeats its
+  /// marker on every retry tick).
+  Bytes recv_skipping_markers() {
+    for (;;) {
+      Bytes d = recv();
+      if (d.empty() || type_of(d) != tw::MsgType::kWindowEnd) return d;
+    }
+  }
+
+  static tw::MsgType type_of(const Bytes& dgram) {
+    tw::WireReader r(dgram.data(), dgram.size());
+    tw::Envelope e;
+    return tw::decode_envelope(r, e) ? e.type : tw::MsgType{};
+  }
+
+ private:
+  tw::UdpSocket sock_;
+  tw::UdpAddress to_;
+};
+
+/// close_barrier(window) on `net`, which must throw; returns what().
+std::string barrier_timeout(tw::UdpNet& net, std::uint64_t window) {
+  std::vector<tw::MergedMsg> out;
+  try {
+    (void)net.close_barrier(window, 1.0, 3.0, {}, out);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "close_barrier returned";
+}
+
+TEST(UdpNetRecovery, BarrierTimeoutNamesTheSilentPeerAndWindow) {
+  RawPeer peer;
+  const auto net = peer.join(0.2);
+  const std::string what = barrier_timeout(*net, 1);
+  EXPECT_NE(what.find("barrier 1 timed out"), std::string::npos) << what;
+  EXPECT_NE(what.find("domain 1 (no marker for window 1)"), std::string::npos)
+      << what;
+}
+
+TEST(UdpNetRecovery, MarkerWithoutItsDataDrawsANack) {
+  RawPeer peer;
+  const auto net = peer.join(0.3);
+  peer.send(datagram(tw::MsgType::kWindowEnd, 0, marker_body(1, 2)));
+  const std::string what = barrier_timeout(*net, 1);
+  EXPECT_NE(what.find("domain 1 (seqs [0, 2))"), std::string::npos) << what;
+
+  // UdpNet asked for exactly the two messages the marker announced.
+  int nacks = 0;
+  for (Bytes d = peer.recv(50); !d.empty(); d = peer.recv(50)) {
+    if (RawPeer::type_of(d) != tw::MsgType::kNack) continue;
+    tw::WireReader r(d.data(), d.size());
+    tw::Envelope e;
+    tw::NackMsg m;
+    ASSERT_TRUE(tw::decode_envelope(r, e) && tw::decode_nack(r, m));
+    EXPECT_EQ(m.from_seq, 0u);
+    EXPECT_EQ(m.to_seq, 2u);
+    ++nacks;
+  }
+  EXPECT_GE(nacks, 1);
+  EXPECT_EQ(net->counters().nacks_sent, static_cast<std::uint64_t>(nacks));
+}
+
+TEST(UdpNetRecovery, DuplicateIsDroppedAndTheMergeKeepsItsOrder) {
+  RawPeer peer;
+  const auto net = peer.join(5.0);
+  peer.send(datagram(tw::MsgType::kLiveness, 1, liveness_body(1.5, 11)));
+  peer.send(datagram(tw::MsgType::kLiveness, 0, liveness_body(1.75, 10)));
+  peer.send(datagram(tw::MsgType::kLiveness, 0, liveness_body(1.75, 10)));
+  peer.send(datagram(tw::MsgType::kWindowEnd, 0, marker_body(1, 2)));
+
+  std::vector<tw::MergedMsg> out;
+  ASSERT_EQ(net->close_barrier(1, 1.0, 3.0, {}, out),
+            tw::BarrierResult::kClosed);
+  // (due, src, seq) order: seq 1 is due first.
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].seq, 1u);
+  EXPECT_EQ(out[0].due, 1.5);
+  EXPECT_EQ(std::get<tw::LivenessMsg>(out[0].msg).node, 11u);
+  EXPECT_EQ(out[1].seq, 0u);
+  EXPECT_EQ(std::get<tw::LivenessMsg>(out[1].msg).node, 10u);
+  EXPECT_EQ(net->counters().duplicates_dropped, 1u);
+  EXPECT_EQ(net->agreed_next_due(), 2.0);  // the peer's bound, below ours
+  // Complete at its first pump, the barrier sent no marker: the next
+  // marker's prev_* fields close this window for the peer.
+  EXPECT_TRUE(peer.recv(50).empty());
+}
+
+TEST(UdpNetRecovery, NackDrawsByteIdenticalResendsOfBatchedData) {
+  RawPeer peer;
+  const auto net = peer.join(5.0);
+  support::Rng rng(0x4ACCu);
+  std::vector<tw::FrameMsg> sent(40);  // more than one batch holds
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    sent[i].due = 1.5 + 0.01 * static_cast<double>(i);
+    sent[i].packet = tw::random_wire_packet(rng, net::PacketKind::kResponse);
+    net->send(1, sent[i]);
+  }
+  EXPECT_TRUE(peer.recv(50).empty()) << "send() put data on the wire";
+
+  std::vector<tw::MergedMsg> out;
+  auto barrier = std::async(std::launch::async, [&] {
+    return net->close_barrier(1, 1.0, 3.0, {}, out);
+  });
+
+  // The data arrives batched, in seq order, with the marker last.
+  std::vector<Bytes> entries;
+  int batches = 0;
+  while (entries.empty() ||
+         RawPeer::type_of(entries.back()) != tw::MsgType::kWindowEnd) {
+    const Bytes d = peer.recv();
+    ASSERT_FALSE(d.empty()) << "no marker after " << entries.size()
+                            << " entries";
+    ASSERT_EQ(RawPeer::type_of(d), tw::MsgType::kBatch);
+    EXPECT_LE(d.size(), tw::kMaxDatagram);
+    const auto got = unpack(d);
+    ASSERT_TRUE(got.has_value());
+    entries.insert(entries.end(), got->begin(), got->end());
+    ++batches;
+  }
+  EXPECT_GE(batches, 2);
+  ASSERT_EQ(entries.size(), sent.size() + 1);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    tw::WireReader r(entries[i].data(), entries[i].size());
+    tw::Envelope e;
+    tw::FrameMsg f;
+    ASSERT_TRUE(tw::decode_envelope(r, e) && tw::decode_frame(r, f));
+    EXPECT_EQ(e.type, tw::MsgType::kFrame);
+    EXPECT_EQ(e.seq, i);
+    EXPECT_EQ(f.due, sent[i].due);
+    EXPECT_TRUE(tw::packets_identical(f.packet, sent[i].packet));
+  }
+  {
+    tw::WireReader r(entries.back().data(), entries.back().size());
+    tw::Envelope e;
+    tw::WindowEndMsg m;
+    ASSERT_TRUE(tw::decode_envelope(r, e) && tw::decode_window_end(r, m));
+    EXPECT_EQ(m.window, 1u);
+    EXPECT_EQ(m.cum_sent, sent.size());
+  }
+
+  // A NACK for [3, 7) draws those four, byte for byte, one per datagram.
+  tw::NackMsg nack;
+  nack.from_seq = 3;
+  nack.to_seq = 7;
+  tw::WireWriter body;
+  tw::encode_nack(nack, body);
+  peer.send(datagram(tw::MsgType::kNack, 0, body));
+  for (std::size_t seq = 3; seq < 7; ++seq) {
+    EXPECT_EQ(peer.recv_skipping_markers(), entries[seq]) << "seq " << seq;
+  }
+
+  // The peer's marker acknowledges everything and closes the barrier.
+  peer.send(datagram(tw::MsgType::kWindowEnd, 0,
+                     marker_body(1, 0, /*acked=*/sent.size())));
+  EXPECT_EQ(barrier.get(), tw::BarrierResult::kClosed);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(net->counters().retransmits, 4u);
+}
+
+TEST(UdpNetRecovery, MalformedBatchesAreDroppedAndServingContinues) {
+  RawPeer peer;
+  const auto net = peer.join(5.0);
+  const Bytes seq0 =
+      datagram(tw::MsgType::kLiveness, 0, liveness_body(1.5, 10));
+  // A batch whose entry runs past the datagram's end ...
+  Bytes truncated = pack_all({seq0}).at(0);
+  truncated.resize(truncated.size() - 3);
+  peer.send(truncated);
+  // ... and a batch nested in a batch.
+  const Bytes inner = pack_all({seq0}).at(0);
+  tw::WireWriter nested;
+  nested.u16(1);
+  nested.u16(static_cast<std::uint16_t>(inner.size()));
+  nested.bytes(inner.data(), inner.size());
+  peer.send(datagram(tw::MsgType::kBatch, 0, nested));
+  // Then the real window, batched.
+  for (const Bytes& b :
+       pack_all({seq0, datagram(tw::MsgType::kWindowEnd, 0, marker_body(1, 1))})) {
+    peer.send(b);
+  }
+
+  std::vector<tw::MergedMsg> out;
+  ASSERT_EQ(net->close_barrier(1, 1.0, 3.0, {}, out),
+            tw::BarrierResult::kClosed);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(std::get<tw::LivenessMsg>(out[0].msg).node, 10u);
+  EXPECT_EQ(net->counters().malformed_dropped, 2u);
+  // Neither bad batch delivered its entry.
+  EXPECT_EQ(net->counters().duplicates_dropped, 0u);
 }
 
 // ---- fleet fingerprint ------------------------------------------------------
