@@ -102,12 +102,13 @@ scenario packs
                        table
   --golden-check       run the pack at full and reduced scale and diff
                        both fingerprints against NAME.golden (exit 1 on
-                       drift)
+                       drift); one serial run each, so --world, --shards
+                       and --seeds > 1 are refused
   --write-golden       regenerate NAME.golden from this build (do this
                        deliberately, with a PR explaining why)
   --world K            force world-sharded execution with at most K
-                       workers, even K = 1 (the pack K-invariance gate
-                       diffs --world 1/2/4 fingerprints)
+                       workers, even K = 1 (the world gate diffs each
+                       pack's --world 1/2/4/8 fingerprints at full scale)
 
 run control
   --config FILE        key=value scenario file, run exactly as written
@@ -288,13 +289,25 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    // Golden maintenance runs both scales at shards = 1: the golden file
-    // pins the plain fingerprint; K-invariance is gated separately by
-    // diffing --world 1/2/4 fingerprints.
+    // Golden maintenance runs both scales as one plain serial run: the
+    // golden file pins the plain fingerprint, and K-invariance is gated
+    // separately by diffing --world K fingerprints.  A flag that asks for
+    // another kind of run is refused rather than dropped.
     if (golden_check || write_golden) {
       if (pack_name.empty()) {
         throw std::invalid_argument(
             "--golden-check/--write-golden need --pack NAME");
+      }
+      const char* refused = world_k > 0    ? "--world"
+                            : c.shards > 1 ? "--shards"
+                            : seeds > 1    ? "--seeds"
+                                           : nullptr;
+      if (refused != nullptr) {
+        throw std::invalid_argument(
+            std::string("'") + refused +
+            "' cannot be combined with --golden-check/--write-golden, which "
+            "pin one serial run (gate K-invariance by diffing --world K "
+            "--fingerprint outputs)");
       }
       const core::PackGolden actual = compute_golden(c);
       if (write_golden) {

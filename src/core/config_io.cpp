@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -73,7 +74,7 @@ void set_consistency(PrecinctConfig& c, const std::string& name) {
 /// [A-Za-z0-9_] (every allowed character orders after '.'), so appending
 /// classes in key order yields the canonical name-sorted list.
 void apply_class_key(PrecinctConfig& c, const std::string& key,
-                     const std::string& value, const support::KvFile& kv) {
+                     const std::string& value) {
   const std::size_t name_start = std::string("class.").size();
   const std::size_t attr_dot = key.rfind('.');
   if (attr_dot == std::string::npos || attr_dot <= name_start) {
@@ -96,11 +97,11 @@ void apply_class_key(PrecinctConfig& c, const std::string& key,
   if (attr == "count") {
     cls->count = parse_integer<std::size_t>(value, key);
   } else if (attr == "cache_kb") {
-    cls->cache_kb = kv.get_number(key, 0.0);
+    cls->cache_kb = parse_number(value, key);
   } else if (attr == "speed") {
-    cls->speed = kv.get_number(key, 0.0);
+    cls->speed = parse_number(value, key);
   } else if (attr == "fixed") {
-    cls->fixed = kv.get_bool(key, false);
+    cls->fixed = parse_bool(value, key);
   } else {
     throw std::invalid_argument(
         "config: class key '" + key +
@@ -109,6 +110,30 @@ void apply_class_key(PrecinctConfig& c, const std::string& key,
 }
 
 }  // namespace
+
+double parse_number(const std::string& value, const std::string& key) {
+  // std::stod also reads nan and inf, which no key means.
+  try {
+    std::size_t used = 0;
+    const double parsed = std::stod(value, &used);
+    if (used == value.size() && std::isfinite(parsed)) return parsed;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("'" + key + "' needs a finite number, got '" +
+                              value + "'");
+}
+
+bool parse_bool(const std::string& value, const std::string& key) {
+  if (value == "true" || value == "1" || value == "yes" || value == "on") {
+    return true;
+  }
+  if (value == "false" || value == "0" || value == "no" || value == "off") {
+    return false;
+  }
+  throw std::invalid_argument("'" + key +
+                              "' needs true/false, yes/no, on/off or 1/0, "
+                              "got '" + value + "'");
+}
 
 std::size_t PrecinctConfig::class_of(std::size_t node) const noexcept {
   std::size_t offset = 0;
@@ -144,8 +169,8 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.n_nodes = parse_integer<std::size_t>(v, "nodes");
            }},
           {"area",
-           [&](const std::string&) {
-             const double side = kv.get_number("area", 1200.0);
+           [&](const std::string& v) {
+             const double side = parse_number(v, "area");
              c.area = {{0.0, 0.0}, {side, side}};
            }},
           {"regions",
@@ -154,8 +179,8 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
                  parse_integer<std::uint32_t>(v, "regions");
            }},
           {"range",
-           [&](const std::string&) {
-             c.wireless.range_m = kv.get_number("range", 250.0);
+           [&](const std::string& v) {
+             c.wireless.range_m = parse_number(v, "range");
            }},
           {"mobility",
            [&](const std::string& v) {
@@ -163,28 +188,28 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.mobile = v != "static";
            }},
           {"speed_max",
-           [&](const std::string&) {
-             c.v_max = kv.get_number("speed_max", 6.0);
+           [&](const std::string& v) {
+             c.v_max = parse_number(v, "speed_max");
            }},
           {"speed_min",
-           [&](const std::string&) {
-             c.v_min = kv.get_number("speed_min", 0.5);
+           [&](const std::string& v) {
+             c.v_min = parse_number(v, "speed_min");
            }},
           {"pause",
-           [&](const std::string&) {
-             c.pause_s = kv.get_number("pause", 5.0);
+           [&](const std::string& v) {
+             c.pause_s = parse_number(v, "pause");
            }},
           {"street_spacing",
-           [&](const std::string&) {
-             c.street_spacing_m = kv.get_number("street_spacing", 100.0);
+           [&](const std::string& v) {
+             c.street_spacing_m = parse_number(v, "street_spacing");
            }},
           {"turn_prob",
-           [&](const std::string&) {
-             c.turn_probability = kv.get_number("turn_prob", 0.25);
+           [&](const std::string& v) {
+             c.turn_probability = parse_number(v, "turn_prob");
            }},
           {"commuter_period",
-           [&](const std::string&) {
-             c.commuter_period_s = kv.get_number("commuter_period", 400.0);
+           [&](const std::string& v) {
+             c.commuter_period_s = parse_number(v, "commuter_period");
            }},
           {"commuter_hubs",
            [&](const std::string& v) {
@@ -205,39 +230,37 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
                  parse_integer<std::size_t>(v, "max_item_bytes");
            }},
           {"request_interval",
-           [&](const std::string&) {
-             c.mean_request_interval_s =
-                 kv.get_number("request_interval", 30.0);
+           [&](const std::string& v) {
+             c.mean_request_interval_s = parse_number(v, "request_interval");
            }},
           {"update_interval",
-           [&](const std::string&) {
-             c.mean_update_interval_s = kv.get_number("update_interval", 30.0);
+           [&](const std::string& v) {
+             c.mean_update_interval_s = parse_number(v, "update_interval");
            }},
           {"updates",
-           [&](const std::string&) {
-             c.updates_enabled = kv.get_bool("updates", false);
+           [&](const std::string& v) {
+             c.updates_enabled = parse_bool(v, "updates");
            }},
           {"zipf",
-           [&](const std::string&) {
-             c.zipf_theta = kv.get_number("zipf", 0.8);
+           [&](const std::string& v) {
+             c.zipf_theta = parse_number(v, "zipf");
            }},
           {"rate_multiplier",
-           [&](const std::string&) {
-             c.request_rate_multiplier =
-                 kv.get_number("rate_multiplier", 1.0);
+           [&](const std::string& v) {
+             c.request_rate_multiplier = parse_number(v, "rate_multiplier");
            }},
           {"zipf_drift",
-           [&](const std::string&) {
-             c.zipf_drift_per_s = kv.get_number("zipf_drift", 0.0);
+           [&](const std::string& v) {
+             c.zipf_drift_per_s = parse_number(v, "zipf_drift");
            }},
           {"zipf_drift_step",
-           [&](const std::string&) {
-             c.zipf_drift_step_s = kv.get_number("zipf_drift_step", 10.0);
+           [&](const std::string& v) {
+             c.zipf_drift_step_s = parse_number(v, "zipf_drift_step");
            }},
           {"policy", [&](const std::string& v) { c.cache_policy = v; }},
           {"cache",
-           [&](const std::string&) {
-             c.cache_fraction = kv.get_number("cache", 0.02);
+           [&](const std::string& v) {
+             c.cache_fraction = parse_number(v, "cache");
            }},
           {"prefetch",
            [&](const std::string& v) {
@@ -246,8 +269,8 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
           {"consistency",
            [&](const std::string& v) { set_consistency(c, v); }},
           {"ttr_alpha",
-           [&](const std::string&) {
-             c.ttr_alpha = kv.get_number("ttr_alpha", 0.5);
+           [&](const std::string& v) {
+             c.ttr_alpha = parse_number(v, "ttr_alpha");
            }},
           {"push_retries",
            [&](const std::string& v) {
@@ -270,82 +293,80 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
              c.wireless.channel.blackouts = parse_blackouts(v);
            }},
           {"loss",
-           [&](const std::string&) {
-             c.wireless.channel.loss_p = kv.get_number("loss", 0.0);
+           [&](const std::string& v) {
+             c.wireless.channel.loss_p = parse_number(v, "loss");
            }},
           {"edge_start",
-           [&](const std::string&) {
+           [&](const std::string& v) {
              c.wireless.channel.edge_start_fraction =
-                 kv.get_number("edge_start", 0.7);
+                 parse_number(v, "edge_start");
            }},
           {"edge_loss",
-           [&](const std::string&) {
-             c.wireless.channel.edge_loss_p = kv.get_number("edge_loss", 0.8);
+           [&](const std::string& v) {
+             c.wireless.channel.edge_loss_p = parse_number(v, "edge_loss");
            }},
           {"ge_enter_burst",
-           [&](const std::string&) {
+           [&](const std::string& v) {
              c.wireless.channel.ge_enter_burst_p =
-                 kv.get_number("ge_enter_burst", 0.02);
+                 parse_number(v, "ge_enter_burst");
            }},
           {"ge_burst_frames",
-           [&](const std::string&) {
+           [&](const std::string& v) {
              c.wireless.channel.ge_mean_burst_frames =
-                 kv.get_number("ge_burst_frames", 5.0);
+                 parse_number(v, "ge_burst_frames");
            }},
           {"ge_loss_good",
-           [&](const std::string&) {
-             c.wireless.channel.ge_loss_good =
-                 kv.get_number("ge_loss_good", 0.0);
+           [&](const std::string& v) {
+             c.wireless.channel.ge_loss_good = parse_number(v, "ge_loss_good");
            }},
           {"ge_loss_bad",
-           [&](const std::string&) {
-             c.wireless.channel.ge_loss_bad =
-                 kv.get_number("ge_loss_bad", 1.0);
+           [&](const std::string& v) {
+             c.wireless.channel.ge_loss_bad = parse_number(v, "ge_loss_bad");
            }},
           {"crash_rate",
-           [&](const std::string&) {
-             c.crash_rate_per_s = kv.get_number("crash_rate", 0.0);
+           [&](const std::string& v) {
+             c.crash_rate_per_s = parse_number(v, "crash_rate");
            }},
           {"join_rate",
-           [&](const std::string&) {
-             c.join_rate_per_s = kv.get_number("join_rate", 0.0);
+           [&](const std::string& v) {
+             c.join_rate_per_s = parse_number(v, "join_rate");
            }},
           {"graceful_fraction",
-           [&](const std::string&) {
-             c.graceful_fraction = kv.get_number("graceful_fraction", 1.0);
+           [&](const std::string& v) {
+             c.graceful_fraction = parse_number(v, "graceful_fraction");
            }},
           {"dynamic_regions",
-           [&](const std::string&) {
-             c.dynamic_regions = kv.get_bool("dynamic_regions", false);
+           [&](const std::string& v) {
+             c.dynamic_regions = parse_bool(v, "dynamic_regions");
            }},
           {"use_beacons",
-           [&](const std::string&) {
-             c.use_beacons = kv.get_bool("use_beacons", false);
+           [&](const std::string& v) {
+             c.use_beacons = parse_bool(v, "use_beacons");
            }},
           {"beacon_interval",
-           [&](const std::string&) {
-             c.beacon_interval_s = kv.get_number("beacon_interval", 1.0);
+           [&](const std::string& v) {
+             c.beacon_interval_s = parse_number(v, "beacon_interval");
            }},
           {"neighbor_lifetime",
-           [&](const std::string&) {
-             c.neighbor_lifetime_s = kv.get_number("neighbor_lifetime", 3.0);
+           [&](const std::string& v) {
+             c.neighbor_lifetime_s = parse_number(v, "neighbor_lifetime");
            }},
           {"hotspot_interval",
-           [&](const std::string&) {
+           [&](const std::string& v) {
              c.hotspot_rotation_interval_s =
-                 kv.get_number("hotspot_interval", 0.0);
+                 parse_number(v, "hotspot_interval");
            }},
           {"hotspot_shift",
            [&](const std::string& v) {
              c.hotspot_shift = parse_integer<std::size_t>(v, "hotspot_shift");
            }},
           {"warmup",
-           [&](const std::string&) {
-             c.warmup_s = kv.get_number("warmup", 150.0);
+           [&](const std::string& v) {
+             c.warmup_s = parse_number(v, "warmup");
            }},
           {"measure",
-           [&](const std::string&) {
-             c.measure_s = kv.get_number("measure", 900.0);
+           [&](const std::string& v) {
+             c.measure_s = parse_number(v, "measure");
            }},
           {"shards",
            [&](const std::string& v) {
@@ -359,21 +380,21 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
                  parse_integer<std::uint32_t>(v, "transport_base_port");
            }},
           {"transport_status_interval",
-           [&](const std::string&) {
+           [&](const std::string& v) {
              c.transport_status_interval_s =
-                 kv.get_number("transport_status_interval", 0.5);
+                 parse_number(v, "transport_status_interval");
            }},
           {"transport_retry",
-           [&](const std::string&) {
-             c.transport_retry_s = kv.get_number("transport_retry", 0.05);
+           [&](const std::string& v) {
+             c.transport_retry_s = parse_number(v, "transport_retry");
            }},
           {"transport_timeout",
-           [&](const std::string&) {
-             c.transport_timeout_s = kv.get_number("transport_timeout", 30.0);
+           [&](const std::string& v) {
+             c.transport_timeout_s = parse_number(v, "transport_timeout");
            }},
           {"transport_linger",
-           [&](const std::string&) {
-             c.transport_linger_s = kv.get_number("transport_linger", 5.0);
+           [&](const std::string& v) {
+             c.transport_linger_s = parse_number(v, "transport_linger");
            }},
           {"seed",
            [&](const std::string& v) {
@@ -394,7 +415,7 @@ PrecinctConfig config_from_kv(const support::KvFile& kv,
         c.node_classes.clear();
         saw_class = true;
       }
-      apply_class_key(c, key, value, kv);
+      apply_class_key(c, key, value);
       continue;
     }
     if (key == "nodes") saw_nodes = true;

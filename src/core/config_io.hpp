@@ -39,6 +39,18 @@ template <typename T>
   return out;
 }
 
+/// Parse `value` as a finite double (std::stod, whole string consumed).
+/// Throws std::invalid_argument naming `key` for anything else, nan and
+/// the infinities included.  Every floating-point config key reads
+/// through this.
+[[nodiscard]] double parse_number(const std::string& value,
+                                  const std::string& key);
+
+/// Parse `value` as a boolean: true/1/yes/on or false/0/no/off.  Throws
+/// std::invalid_argument naming `key` for anything else.
+[[nodiscard]] bool parse_bool(const std::string& value,
+                              const std::string& key);
+
 /// Apply every key in `kv` on top of `base`.  Throws
 /// std::invalid_argument for unknown keys or unparsable values.  The
 /// result is not validated; call validate() (Scenario does).

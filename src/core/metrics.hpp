@@ -85,8 +85,8 @@ struct Metrics {
   /// Transport-layer traffic: the encoded size of every frame under the
   /// wire codec (transport/wire_format), summed over transmissions /
   /// deliveries in the window.  Deliberately NOT in fingerprint(): the
-  /// nine pinned fingerprint configs predate the codec and must stay
-  /// byte-identical (the world fingerprint's domain sections cover them).
+  /// pack goldens' sections predate the codec and must stay byte-identical
+  /// (the world fingerprint's domain sections cover them).
   std::uint64_t wire_bytes_sent = 0;
   std::uint64_t wire_bytes_received = 0;
   std::uint64_t frames_lost = 0;
@@ -142,7 +142,7 @@ struct Metrics {
 /// Canonical `key=value` rendering of every deterministic Metrics field,
 /// one per line, doubles as `%a` hex-floats so equality is exact.  Two
 /// runs are behaviour-identical iff their fingerprints match
-/// byte-for-byte; the fingerprint tool and the scenario fuzzer's
+/// byte-for-byte; the scenario-pack goldens and the scenario fuzzer's
 /// metamorphic properties both compare through this.
 [[nodiscard]] std::string fingerprint(const Metrics& m);
 

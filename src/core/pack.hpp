@@ -1,9 +1,9 @@
-// Scenario packs (ROADMAP item 3): named workload bundles under
-// examples/packs/, each a `<name>.conf` scenario plus a `<name>.golden`
-// expected-metrics file.  Packs pin the workloads the paper never
-// reached — structured mobility, heterogeneous fleets, flash crowds —
-// so the fingerprint suite, the fuzzer and CI can all regression-gate
-// them like the thirteen classic configs.
+// Scenario packs (DESIGN.md §15): the repo's pinned scenarios, each a
+// `<name>.conf` scenario plus a `<name>.golden` expected-metrics file
+// under examples/packs/.  They pin the paper's comparisons (GD-LD, the
+// four consistency schemes, the flooding and expanding-ring baselines,
+// lossy channels, churn) and the workloads it never reached (structured
+// mobility, heterogeneous fleets, flash crowds).
 //
 // Golden format: a comment header, then two fingerprint sections —
 //
@@ -11,9 +11,10 @@
 //   [reduced]  the same under reduced_for_test() windows (what the unit
 //              test suite runs, so `ctest` stays fast)
 //
-// Both sections must be byte-identical across world shards K in {1,2,4}
-// like every other scenario; CI checks that via world_fingerprint on top
-// of these plain-run sections.
+// Both are plain serial runs.  World K-invariance is gated apart from
+// them: CI diffs each pack's world_fingerprint at K in {1, 2, 4, 8} at
+// full scale, and the unit suite at K in {1, 2, 4} at reduced scale,
+// skipping by name the packs world mode refuses.
 #pragma once
 
 #include <string>

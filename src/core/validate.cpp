@@ -15,7 +15,7 @@ namespace {
 
 // Range rules hold only for values inside the range, so a NaN (which
 // compares false against everything) fails them: configs built in code
-// never pass KvFile's rejection of non-finite numbers.
+// never pass parse_number's rejection of non-finite numbers.
 [[nodiscard]] bool positive(double x) { return x > 0.0; }
 [[nodiscard]] bool non_negative(double x) { return x >= 0.0; }
 [[nodiscard]] bool probability(double x) { return x >= 0.0 && x <= 1.0; }

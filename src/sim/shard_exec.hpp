@@ -42,8 +42,8 @@
 // the (due, src, seq) merge order are all pure functions of the
 // configuration — the shard count only decides which thread does the
 // work, never in which order messages are applied.  Fixed-seed runs are
-// byte-identical for any n_shards, which the fingerprint suite and the
-// scenario fuzzer's metrics(K) == metrics(1) property gate.
+// byte-identical for any n_shards, which the scenario packs' world gate
+// and the scenario fuzzer's metrics(K) == metrics(1) property check.
 //
 // Threading: each run_until() call spins up its cohort (n_shards - 1
 // std::threads; the caller is shard 0) synchronized by a reusable

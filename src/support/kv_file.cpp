@@ -1,7 +1,6 @@
 #include "support/kv_file.hpp"
 
 #include <cctype>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -65,37 +64,6 @@ std::optional<std::string> KvFile::get(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
-}
-
-std::string KvFile::get_string(const std::string& key,
-                               const std::string& fallback) const {
-  return get(key).value_or(fallback);
-}
-
-double KvFile::get_number(const std::string& key, double fallback) const {
-  const auto v = get(key);
-  if (!v.has_value()) return fallback;
-  // std::stod also reads nan and inf, which no key means: reject them
-  // here, where the message can name the key.
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(*v, &used);
-    if (used != v->size()) throw std::invalid_argument("trailing junk");
-    if (!std::isfinite(parsed)) throw std::invalid_argument("not finite");
-    return parsed;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("KvFile: key '" + key +
-                                "' is not a finite number: " + *v);
-  }
-}
-
-bool KvFile::get_bool(const std::string& key, bool fallback) const {
-  const auto v = get(key);
-  if (!v.has_value()) return fallback;
-  if (*v == "true" || *v == "1" || *v == "yes" || *v == "on") return true;
-  if (*v == "false" || *v == "0" || *v == "no" || *v == "off") return false;
-  throw std::invalid_argument("KvFile: key '" + key +
-                              "' is not a boolean: " + *v);
 }
 
 }  // namespace precinct::support

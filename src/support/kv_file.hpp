@@ -3,9 +3,9 @@
 //
 // Format: one `key = value` per line; `#` starts a comment; blank lines
 // and surrounding whitespace ignored.  Keys are free-form strings; value
-// interpretation is the caller's job (helpers for the common types
-// below).  Duplicate keys keep the *last* occurrence, so files can layer
-// overrides naturally.
+// interpretation is the caller's job (core::parse_integer, parse_number
+// and parse_bool for config keys).  Duplicate keys keep the *last*
+// occurrence, so files can layer overrides naturally.
 #pragma once
 
 #include <map>
@@ -30,15 +30,6 @@ class KvFile {
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
-
-  /// Typed getters: return `fallback` when absent; throw
-  /// std::invalid_argument when present but unparsable (for get_number,
-  /// also when it reads nan or an infinity).
-  [[nodiscard]] std::string get_string(const std::string& key,
-                                       const std::string& fallback) const;
-  [[nodiscard]] double get_number(const std::string& key,
-                                  double fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
 
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
   [[nodiscard]] const std::map<std::string, std::string>& values()

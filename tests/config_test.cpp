@@ -1,11 +1,13 @@
 // Configuration-surface tests: table-driven validate() rejections (with
 // error-message assertions), the config_io write -> read -> write fixed
-// point over every fingerprint scenario plus fuzzer-drawn ones, and
-// precinct_sim's flags applied as keys.
+// point over every scenario pack plus fuzzer-drawn ones, the annotated
+// example file, and precinct_sim's flags applied as keys.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <functional>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -13,6 +15,7 @@
 
 #include "check/scenario_fuzz.hpp"
 #include "core/config_io.hpp"
+#include "core/pack.hpp"
 #include "support/kv_file.hpp"
 #include "test_util.hpp"
 
@@ -210,118 +213,36 @@ void expect_roundtrip(const PrecinctConfig& c, const std::string& label) {
   EXPECT_NO_THROW(reread.validate()) << label;
 }
 
-/// The thirteen scenarios metrics_fingerprint.cpp runs, rebuilt here; keep
-/// in sync with examples/metrics_fingerprint.cpp.
-std::vector<std::pair<std::string, PrecinctConfig>> fingerprint_configs() {
-  const auto base = [](std::uint64_t seed) {
-    PrecinctConfig c;
-    c.n_nodes = 60;
-    c.warmup_s = 60;
-    c.measure_s = 240;
-    c.seed = seed;
-    return c;
-  };
-  std::vector<std::pair<std::string, PrecinctConfig>> out;
-  out.emplace_back("precinct_mobile_s7", base(7));
-  {
-    auto c = base(11);
-    c.retrieval = core::RetrievalKind::kFlooding;
-    c.measure_s = 150;
-    out.emplace_back("flooding_s11", c);
+TEST(ConfigIo, FingerprintConfigsRoundTrip) {
+  // Every pinned scenario is a pack file (examples/packs/*.conf).
+  const std::vector<std::string> names = core::list_packs();
+  ASSERT_FALSE(names.empty()) << core::pack_dir();
+  for (const std::string& name : names) {
+    expect_roundtrip(core::load_pack(name).config, name);
   }
-  {
-    auto c = base(13);
-    c.retrieval = core::RetrievalKind::kExpandingRing;
-    c.measure_s = 150;
-    out.emplace_back("ring_s13", c);
-  }
-  {
-    auto c = base(17);
-    c.updates_enabled = true;
-    c.consistency = consistency::Mode::kPushAdaptivePull;
-    c.mean_update_interval_s = 45.0;
-    out.emplace_back("adaptive_pull_s17", c);
-  }
-  {
-    auto c = base(19);
-    c.updates_enabled = true;
-    c.consistency = consistency::Mode::kPlainPush;
-    c.mean_update_interval_s = 45.0;
-    c.measure_s = 150;
-    out.emplace_back("plain_push_s19", c);
-  }
-  {
-    auto c = base(23);
-    c.dynamic_regions = true;
-    c.crash_rate_per_s = 0.02;
-    c.join_rate_per_s = 0.02;
-    c.graceful_fraction = 0.5;
-    out.emplace_back("churn_dynamic_s23", c);
-  }
-  {
-    auto c = base(29);
-    c.n_nodes = 160;
-    c.area = {{0, 0}, {1800, 1800}};
-    c.regions_x = c.regions_y = 4;
-    c.measure_s = 120;
-    out.emplace_back("large_grid_s29", c);
-  }
-  {
-    auto c = base(31);
-    c.wireless.channel.model = "bernoulli";
-    c.wireless.channel.loss_p = 0.2;
-    c.request_retries = 3;
-    c.measure_s = 150;
-    out.emplace_back("bernoulli_loss_s31", c);
-  }
-  {
-    auto c = base(37);
-    c.wireless.channel.model = "gilbert-elliott";
-    c.request_retries = 2;
-    c.measure_s = 150;
-    out.emplace_back("gilbert_elliott_s37", c);
-  }
-  {
-    auto c = base(41);
-    c.use_beacons = true;
-    out.emplace_back("beacons_s41", c);
-  }
-  {
-    auto c = base(43);
-    c.mobile = false;
-    c.wireless.channel.model = "bernoulli";
-    c.wireless.channel.loss_p = 0.05;
-    c.request_retries = 2;
-    c.crash_rate_per_s = 0.02;
-    c.join_rate_per_s = 0.02;
-    c.graceful_fraction = 0.5;
-    out.emplace_back("static_churn_s43", c);
-  }
-  {
-    auto c = base(47);
-    c.updates_enabled = true;
-    c.consistency = consistency::Mode::kPullEveryTime;
-    c.mean_update_interval_s = 45.0;
-    out.emplace_back("pull_every_time_s47", c);
-  }
-  {
-    auto c = base(53);
-    c.retrieval = core::RetrievalKind::kExpandingRing;
-    c.updates_enabled = true;
-    c.consistency = consistency::Mode::kPlainPush;
-    c.mean_update_interval_s = 45.0;
-    c.wireless.channel.model = "bernoulli";
-    c.wireless.channel.loss_p = 0.1;
-    c.request_retries = 2;
-    c.measure_s = 150;
-    out.emplace_back("ring_plain_push_loss_s53", c);
-  }
-  return out;
 }
 
-TEST(ConfigIo, FingerprintConfigsRoundTrip) {
-  for (const auto& [name, c] : fingerprint_configs()) {
-    expect_roundtrip(c, name);
+TEST(ConfigIo, ExampleFileLoadsAndNamesEveryKey) {
+  // examples/scenario.conf.example is the annotated key reference: it must
+  // load and validate, and name (set or commented out) every key a
+  // default config writes.
+  const std::string path =
+      std::string(PRECINCT_EXAMPLES_DIR) + "/scenario.conf.example";
+  PrecinctConfig c;
+  ASSERT_NO_THROW(c = core::config_from_file(path)) << path;
+  EXPECT_NO_THROW(c.validate());
+
+  std::ifstream in(path);
+  std::set<std::string> named;
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t start = line.find_first_not_of("# ");
+    const std::size_t eq = line.find(" =", start);
+    if (start != std::string::npos && eq != std::string::npos) {
+      named.insert(line.substr(start, eq - start));
+    }
+  }
+  for (const auto& [key, value] : core::config_to_kv(PrecinctConfig{})) {
+    EXPECT_EQ(named.count(key), 1u) << "example does not name '" << key << "'";
   }
 }
 

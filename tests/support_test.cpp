@@ -1,5 +1,6 @@
 // Unit tests for support: RNG determinism and distributions, streaming
-// statistics, thread pool, usable CPUs, table formatting.
+// statistics, thread pool, usable CPUs, table formatting, key=value files
+// and the config value parsers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/config_io.hpp"
 #include "support/json.hpp"
 #include "support/kv_file.hpp"
 #include "support/rng.hpp"
@@ -20,6 +22,7 @@
 namespace {
 
 using namespace precinct::support;
+namespace core = precinct::core;
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42);
@@ -324,33 +327,50 @@ TEST(KvFile, ParsesKeysCommentsAndWhitespace) {
       "\n"
       "cache =0.02\n");
   EXPECT_EQ(kv.size(), 3u);
-  EXPECT_EQ(kv.get_string("policy", ""), "gd-ld");
-  EXPECT_DOUBLE_EQ(kv.get_number("nodes", 0), 80.0);
-  EXPECT_DOUBLE_EQ(kv.get_number("cache", 0), 0.02);
+  EXPECT_EQ(kv.get("policy"), "gd-ld");
+  EXPECT_DOUBLE_EQ(core::parse_number(*kv.get("nodes"), "nodes"), 80.0);
+  EXPECT_DOUBLE_EQ(core::parse_number(*kv.get("cache"), "cache"), 0.02);
   EXPECT_FALSE(kv.has("missing"));
-  EXPECT_EQ(kv.get_number("missing", 7.0), 7.0);
+  EXPECT_EQ(kv.get("missing"), std::nullopt);
 }
 
 TEST(KvFile, LastDuplicateWins) {
   const auto kv = KvFile::parse("a = 1\na = 2\n");
-  EXPECT_DOUBLE_EQ(kv.get_number("a", 0), 2.0);
+  EXPECT_DOUBLE_EQ(core::parse_number(*kv.get("a"), "a"), 2.0);
 }
 
 TEST(KvFile, Booleans) {
-  const auto kv = KvFile::parse("t1 = true\nt2 = yes\nf1 = 0\nf2 = off\n");
-  EXPECT_TRUE(kv.get_bool("t1", false));
-  EXPECT_TRUE(kv.get_bool("t2", false));
-  EXPECT_FALSE(kv.get_bool("f1", true));
-  EXPECT_FALSE(kv.get_bool("f2", true));
-  EXPECT_TRUE(kv.get_bool("absent", true));
+  for (const char* yes : {"true", "1", "yes", "on"}) {
+    EXPECT_TRUE(core::parse_bool(yes, "b")) << yes;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    EXPECT_FALSE(core::parse_bool(no, "b")) << no;
+  }
 }
 
 TEST(KvFile, MalformedInputThrows) {
   EXPECT_THROW(KvFile::parse("just-some-words\n"), std::invalid_argument);
   EXPECT_THROW(KvFile::parse("= value\n"), std::invalid_argument);
-  const auto kv = KvFile::parse("n = abc\nb = perhaps\n");
-  EXPECT_THROW((void)kv.get_number("n", 0), std::invalid_argument);
-  EXPECT_THROW((void)kv.get_bool("b", false), std::invalid_argument);
+  // Values the parsers refuse, each naming its key.
+  const struct {
+    const char* value;
+    bool boolean;
+  } rejected[] = {{"abc", false},   {"", false},    {"1.5x", false},
+                  {"nan", false},   {"inf", false}, {"1e999", false},
+                  {"perhaps", true}, {"", true},    {"TRUE", true}};
+  for (const auto& r : rejected) {
+    try {
+      if (r.boolean) {
+        (void)core::parse_bool(r.value, "k");
+      } else {
+        (void)core::parse_number(r.value, "k");
+      }
+      ADD_FAILURE() << "'" << r.value << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'k'"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(KvFile, LoadMissingFileThrows) {
